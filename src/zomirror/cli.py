@@ -10,7 +10,8 @@ derived by hashing (global seed, algorithm tag, listed seed), files are
 written atomically, and the wall_ms column can be suppressed with
 ``--no-timing`` so outputs are byte-comparable across machines and
 thread counts.  The environment variable ZOMIRROR_SEED overrides the
-spec's global seed.
+spec's global seed, from which the per-run seeds are derived; the problem
+instance is still built from the spec's problem seed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -193,10 +195,22 @@ def _parse_algorithm(doc: dict, index: int) -> AlgorithmSpec:
     )
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
 def parse_run_spec(path: str) -> RunSpec:
-    """Parse and validate a JSON run spec; unknown keys are errors."""
+    """Parse and validate a JSON run spec; unknown keys and non-finite
+    numbers (NaN, Infinity, or literals that overflow) are errors."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     if not isinstance(raw, dict):
         raise ValueError("run spec must be a JSON object")
     _check_keys(raw, {"problem", "algorithms", "seeds", "output_dir"}, {"emit_plot_data"}, "run spec")
@@ -258,6 +272,17 @@ def problem_from_descriptor(doc: dict) -> Problem:
         gamma1=doc.get("gamma1", 0.0625),
         gamma2=doc.get("gamma2", 0.0625),
     )
+
+
+def _env_seed() -> int | None:
+    """The ZOMIRROR_SEED override of the global seed, or None when unset."""
+    raw = os.environ.get("ZOMIRROR_SEED")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"ZOMIRROR_SEED must be an integer, got {raw!r}") from None
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -355,8 +380,8 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
         raise ValueError("jobs must be >= 1")
     out = out_dir if out_dir is not None else spec.output_dir
     os.makedirs(out, exist_ok=True)
-    env_seed = os.environ.get("ZOMIRROR_SEED")
-    global_seed = int(env_seed) if env_seed is not None else spec.problem["seed"]
+    env_seed = _env_seed()
+    global_seed = env_seed if env_seed is not None else spec.problem["seed"]
     problem = problem_from_descriptor(spec.problem)
     tasks = [(algo, seed) for algo in spec.algorithms for seed in spec.seeds]
     results = {}
@@ -507,6 +532,11 @@ def main(argv=None) -> int:
 
     if args.jobs < 1:
         print("jobs must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        _env_seed()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     return execute(spec, jobs=args.jobs, no_timing=args.no_timing, out_dir=args.out)
 

@@ -1,7 +1,8 @@
 """Deterministic, splittable random streams keyed by a path of labels.
 
 Every random draw in the library comes from a stream addressed by a tuple
-such as ``(seed, algorithm, iteration, batch_index)``.  Streams with
+such as ``(seed, iteration)``, the path from which one batch gradient
+estimate draws all of its probe signs and sample ids.  Streams with
 different paths are statistically independent, and the draw produced by a
 path never depends on scheduling or on how many other streams were used,
 which makes batch evaluation safe to parallelise.

@@ -2,9 +2,12 @@
 
 A probe direction u has independent +-1 coordinates, so E[u u^T] = I and
 (1/nu)*(l(x + nu*u; xi) - l(x; xi))*u is an unbiased estimate of the
-gradient of the smoothed loss l_nu.  Batch elements draw fresh (u, xi)
-pairs from streams keyed by (run key..., iteration, element index), which
-makes every estimate a pure function of its key path.
+gradient of the smoothed loss l_nu.  Each batch estimate draws all of its
+(u, xi) pairs from one stream keyed by (run key..., iteration): first the
+m*d signs as ceil(m*d/8) packed bytes, read row-major with np.unpackbits
+(bit 1 is +1, bit 0 is -1), then the m sample ids in one
+integers(2**63, size=m) call.  Every estimate is therefore a pure function
+of its key path.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ __all__ = [
 
 # Largest sample id; data-backed oracles take xi modulo their row count.
 _XI_BOUND = 2**63
+
+# Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
+_BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,20 @@ def two_point_estimate(
     return ((forward - base) / nu) * u
 
 
-def _draw_probe(problem: Problem, key: tuple, j: int) -> tuple[np.ndarray, int]:
-    # Frozen draw order per element stream: direction u first, then xi.
-    element = rng.stream(*key, j)
-    u = rademacher_vector(element, problem.dimension)
-    xi = int(element.integers(_XI_BOUND))
-    return u, xi
+def _probes(d: int, batch: int, key: tuple):
+    """Yield the batch's (u, xi) pairs in element order from one keyed stream.
+
+    The signs are drawn packed, and a row's bytes are expanded through
+    _BYTE_SIGNS only when the row is used: no batch-by-d block is ever
+    held, and each row costs a single float allocation.
+    """
+    stream = rng.stream(*key)
+    packed = np.frombuffer(stream.bytes(-(-batch * d // 8)), dtype=np.uint8)
+    xis = stream.integers(_XI_BOUND, size=batch)
+    for j in range(batch):
+        lo = j * d
+        signs = _BYTE_SIGNS[packed[lo // 8 : -(-(lo + d) // 8)]].ravel()
+        yield signs[lo % 8 : lo % 8 + d], int(xis[j])
 
 
 def minibatch_gradient(
@@ -102,15 +116,14 @@ def minibatch_gradient(
 ) -> GradientEstimate:
     """Mean of cfg.batch two-point estimates with fresh (u, xi) per element.
 
-    ``key`` is the stream-path prefix, typically (seed, iteration);
-    element j extends it to (*key, j).  Accumulation runs in ascending
-    element order, so the result is bit-identical no matter how oracle
-    evaluations are scheduled.
+    ``key`` is the stream path, typically (seed, iteration); the whole
+    batch draws from the one stream it names.  Accumulation runs in
+    ascending element order, so the result is bit-identical no matter how
+    oracle evaluations are scheduled.
     """
     x = np.asarray(x, dtype=float)
     total = np.zeros(problem.dimension)
-    for j in range(cfg.batch):
-        u, xi = _draw_probe(problem, key, j)
+    for u, xi in _probes(problem.dimension, cfg.batch, key):
         total += two_point_estimate(problem, x, u, cfg.nu, xi)
     return GradientEstimate(vector=total / cfg.batch, oracle_calls=2 * cfg.batch, nu_used=cfg.nu)
 
@@ -126,14 +139,14 @@ def paired_storm_estimates(
 
     The shared randomness is what makes the difference of the two
     estimates track the gradient difference; each point costs 2*batch
-    oracle calls, 4*batch in total.
+    oracle calls, 4*batch in total.  The x_t estimate equals
+    minibatch_gradient(problem, x_t, cfg, key) bit for bit.
     """
     x_t = np.asarray(x_t, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
     total_t = np.zeros(problem.dimension)
     total_prev = np.zeros(problem.dimension)
-    for j in range(cfg.batch):
-        u, xi = _draw_probe(problem, key, j)
+    for u, xi in _probes(problem.dimension, cfg.batch, key):
         total_t += two_point_estimate(problem, x_t, u, cfg.nu, xi)
         total_prev += two_point_estimate(problem, x_prev, u, cfg.nu, xi)
     calls = 2 * cfg.batch

@@ -5,9 +5,10 @@ stepsizes (zo-ada-expgrad), a combined-step variant that moves along a
 convex combination toward the prox target (zo-ada-expgrad-plus), the same
 combined step driven by recursive-momentum estimates (zo-expstorm), and a
 proximal SGD baseline in the Euclidean geometry (zo-psgd).  Every run is a
-pure function of (problem, config): all randomness flows through streams
-keyed by (seed, iteration, element index), and the reported output iterate
-x_tau is drawn uniformly from the trajectory using the run's own stream.
+pure function of (problem, config): each iteration's batch estimate draws
+its probe signs and sample ids from one stream keyed by (seed, iteration),
+and the reported output iterate x_tau is drawn uniformly from the
+trajectory using the run's own stream.
 """
 
 from __future__ import annotations
@@ -371,16 +372,25 @@ def _run(problem: Problem, cfg: RunConfig, algorithm: str, upto: int | None = No
 
         objective = float("nan")
         stationarity: float | None = None
+        grad: np.ndarray | None = None
         if metrics:
             if iterates is not None:
                 iterates.append(x_t)
             if t == tau:
                 sampled_point = x_t
             objective = _objective(problem, x_t)
-            if problem.exact_gradient is not None and (t - 1) % cfg.stationarity_eval_period == 0:
+            map_due = (
+                problem.exact_gradient is not None
+                and (t - 1) % cfg.stationarity_eval_period == 0
+            )
+            # One exact gradient per iteration serves both the gradient map
+            # and the momentum tracking diagnostics.
+            if map_due or track_momentum:
+                grad = problem.exact_gradient(x_t)
+            if map_due:
                 result = gradient_map(
                     x_t,
-                    problem.exact_gradient(x_t),
+                    grad,
                     eta_t,
                     geo,
                     problem.regularizer,
@@ -403,7 +413,6 @@ def _run(problem: Problem, cfg: RunConfig, algorithm: str, upto: int | None = No
                 calls += g_est.oracle_calls + m_est.oracle_calls
                 d_vec = storm_momentum_update(storm, g_est.vector, m_est.vector)
             if track_momentum:
-                grad = problem.exact_gradient(x_t)
                 tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
                 mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
             _, x_next = fw_combined_step(state, d_vec)

@@ -62,7 +62,10 @@ def run_summary(algorithm: str, runner, problem, cfg: RunConfig) -> dict:
     """Execute one run and keep only scalars needed by the checks."""
     trace = runner(problem, cfg)
     alphas = [r.alpha for r in trace.records]
-    feasible = all(problem.feasible_set.contains(x) for x in trace.iterates or [])
+    # A run that kept no iterates cannot show feasibility, so it fails the check.
+    feasible = trace.iterates is not None and all(
+        problem.feasible_set.contains(x) for x in trace.iterates
+    )
     return {
         "algorithm": algorithm,
         "seed": cfg.seed,

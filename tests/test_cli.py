@@ -148,6 +148,15 @@ class TestParseRunSpec:
             parse_run_spec(write_spec(tmp_path, doc))
 
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999"])
+    def test_nonfinite_literals_rejected(self, tmp_path, literal):
+        text = json.dumps(base_spec(tmp_path / "out")).replace('"eta": 2.0', f'"eta": {literal}', 1)
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="non-finite number|overflows"):
+            parse_run_spec(str(path))
+
+
 class TestProblemFromDescriptor:
     def test_sparse_regression_regularizer(self):
         doc = {
@@ -385,6 +394,23 @@ class TestMain:
         target = tmp_path / "flagged"
         assert main(["run", "--config", path, "--no-timing", "--out", str(target)]) == 0
         assert (target / "summary.json").exists()
+
+    def test_nonfinite_number_rejected(self, tmp_path, capsys):
+        doc = base_spec(tmp_path / "out")
+        doc["algorithms"][0]["eta"] = math.nan
+        path = write_spec(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid run spec: non-finite number NaN is not allowed\n"
+
+    def test_run_rejects_non_integer_env_seed(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        path = write_spec(tmp_path, base_spec(out))
+        monkeypatch.setenv("ZOMIRROR_SEED", "1.5")
+        assert main(["run", "--config", path, "--no-timing"]) == 2
+        err = capsys.readouterr().err
+        assert err == "ZOMIRROR_SEED must be an integer, got '1.5'\n"
+        assert not out.exists()
 
     def test_prox_check_subcommand(self, capsys):
         assert main(["prox-check", "--trials", "25", "--seed", "1"]) == 0

@@ -133,23 +133,49 @@ class TestMinibatch:
         assert not np.array_equal(a.vector, b.vector)
 
     def test_matches_manual_replay_of_stream_paths(self):
-        # Element j draws from stream (*key, j): direction first, then the
-        # sample index from integers(2**63).  Replaying that by hand must
-        # reproduce the batch mean bit for bit.
+        # The batch draws from the single stream named by key: the m*d signs
+        # as ceil(m*d/8) packed bytes read row-major by np.unpackbits (bit
+        # 1 is +1), then the m sample ids from integers(2**63, size=m).
+        # d=3 and m=5 make rows straddle byte boundaries.  Replaying that
+        # by hand must reproduce the batch mean bit for bit.
         prob = Problem(
             dimension=3, oracle=lambda x, xi: float((xi % 4) + 1) * 0.5 * float(x @ x)
         )
-        cfg = EstimatorConfig(nu=0.2, batch=4)
+        cfg = EstimatorConfig(nu=0.2, batch=5)
         x = np.array([0.4, -1.1, 2.0])
         key = (123, 17)
+        stream = rng.stream(*key)
+        packed = np.frombuffer(stream.bytes(math.ceil(cfg.batch * 3 / 8)), dtype=np.uint8)
+        signs = 2.0 * np.unpackbits(packed)[: cfg.batch * 3].reshape(cfg.batch, 3) - 1.0
+        xis = stream.integers(2**63, size=cfg.batch)
         total = np.zeros(3)
         for j in range(cfg.batch):
-            element = rng.stream(*key, j)
-            u = rademacher_vector(element, 3)
-            xi = int(element.integers(2**63))
-            total += two_point_estimate(prob, x, u, cfg.nu, xi)
+            u, xi = signs[j], int(xis[j])
+            forward = prob.oracle(x + cfg.nu * u, xi)
+            base = prob.oracle(x, xi)
+            total += ((forward - base) / cfg.nu) * u
         est = minibatch_gradient(prob, x, cfg, key)
         assert np.array_equal(est.vector, total / cfg.batch)
+
+    def test_oracle_sees_forward_then_base_in_element_order(self):
+        # 2m scalar calls per estimate: element j's forward point x + nu*u_j,
+        # then the base point x, both with sample id xi_j.
+        seen = []
+
+        def oracle(x, xi):
+            seen.append((x.copy(), xi))
+            return float(x.sum())
+
+        prob = Problem(dimension=11, oracle=oracle)
+        cfg = EstimatorConfig(nu=0.5, batch=4)
+        x = np.linspace(-1.0, 1.0, 11)
+        minibatch_gradient(prob, x, cfg, (4, 2))
+        assert len(seen) == 2 * cfg.batch
+        for j in range(cfg.batch):
+            (fwd, xi_f), (base, xi_b) = seen[2 * j], seen[2 * j + 1]
+            assert xi_f == xi_b
+            assert np.array_equal(base, x)
+            assert set(np.round((fwd - x) / cfg.nu, 12)) <= {-1.0, 1.0}
 
     def test_linear_minibatch_mean_is_near_gradient(self):
         a = np.array([1.0, -2.0, 0.5, 0.0, 3.0])

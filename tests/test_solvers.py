@@ -1,5 +1,6 @@
 """Solver loops: stepsize recursions, momentum, drivers, output sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,20 @@ import pytest
 
 from zomirror import (
     ElasticNet,
+    EstimatorConfig,
     FeasibleSet,
     MirrorGeometry,
+    NumericError,
     Problem,
     RunConfig,
     StepsizeState,
     StormState,
     Trace,
     adaptive_stepsize_md_update,
+    default_smoothing,
     fw_combined_step,
     make_sparse_regression,
+    minibatch_gradient,
     run_zo_ada_expgrad,
     run_zo_ada_expgrad_plus,
     run_zo_expstorm,
@@ -346,6 +351,38 @@ class TestRunMechanics:
         have = [r.iteration for r in trace.records if r.stationarity_sq_l1 is not None]
         assert have == [1, 4, 7]
 
+    def test_storm_computes_exact_gradient_once_per_iteration(self):
+        # The gradient map and the momentum tracking share one exact
+        # gradient per iteration.  minibatch_tracking_sq is recomputed from
+        # the stored iterates to check that the shared gradient is the one
+        # at x_t.
+        base = make_sparse_regression(
+            10, 40, 3, 0.1, "least_squares", seed=0, regularizer=ElasticNet(1e-3, 1e-4)
+        )
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return base.exact_gradient(x)
+
+        prob = dataclasses.replace(base, exact_gradient=counted)
+        T, m = 50, 4
+        cfg = RunConfig(T=T, batch=m, eta_base=2.0, seed=3, stationarity_eval_period=1)
+        trace = run_zo_expstorm(prob, cfg)
+        assert len(calls) == T
+        plain = run_zo_expstorm(base, cfg)
+
+        def untimed(tr):
+            return [dataclasses.replace(r, wall_ms=0.0) for r in tr.records]
+
+        assert untimed(trace) == untimed(plain)
+        assert trace.tracking_sq == plain.tracking_sq
+        est_cfg = EstimatorConfig(nu=default_smoothing(10, T, "storm"), batch=m)
+        for t, x_t in enumerate(trace.iterates, start=1):
+            g = minibatch_gradient(base, x_t, est_cfg, (cfg.seed, t)).vector
+            want = float(np.max(np.abs(g - base.exact_gradient(x_t)))) ** 2
+            assert trace.minibatch_tracking_sq[t - 1] == want
+
     def test_no_exact_gradient_no_stationarity(self):
         prob = zero_problem()
         trace = run_zo_expstorm(prob, RunConfig(T=3, batch=1))
@@ -458,6 +495,22 @@ class TestSolverBehavior:
         plain_err = float(np.mean(trace.minibatch_tracking_sq[q:]))
         assert storm_err < plain_err
 
+    # The fixture's mean loss may overflow on the way to the prox's guard.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_unboxed_quadratic_stays_finite_or_raises(self):
+        # Unboxed, eta=1 lets the entropy prox reach its overflow guard on
+        # some seeds.  A run there must raise NumericError; every run that
+        # returns has finite objectives and iterates.
+        prob = quadratic_problem([1.0, 2.0], noise=0.2)
+        for name, runner in RUNNERS.items():
+            for seed in range(200):
+                try:
+                    trace = runner(prob, RunConfig(T=13, batch=2, seed=seed))
+                except NumericError:
+                    continue
+                assert all(math.isfinite(r.objective) for r in trace.records), (name, seed)
+                assert all(np.all(np.isfinite(x)) for x in trace.iterates), (name, seed)
+
 
 class TestOutputSampling:
     def test_single_iteration_always_returns_start(self):
@@ -488,7 +541,7 @@ class TestOutputSampling:
         assert np.all(counts / n <= 0.26)
 
     def test_trace_sampled_point_matches_iterates(self):
-        prob = quadratic_problem([1.0, 2.0], noise=0.2)
+        prob = quadratic_problem([1.0, 2.0], noise=0.2, box=3.0)
         trace = run_zo_ada_expgrad_plus(prob, RunConfig(T=13, batch=2, seed=5))
         assert 1 <= trace.sampled_index <= 13
         assert np.array_equal(trace.sampled_point, trace.iterates[trace.sampled_index - 1])
