@@ -3,6 +3,7 @@ sets, and the generalized gradient-mapping stationarity measure."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TYPE_CHECKING
 
@@ -145,7 +146,7 @@ def composite_value(problem: Problem, x: np.ndarray, samples: Sequence[int]) -> 
     total = 0.0
     for xi in samples:
         value = problem.oracle(x, int(xi))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NumericError(f"oracle returned a non-finite value for sample xi={int(xi)}")
         total += value
     return total / len(samples) + elastic_net_value(problem.regularizer, x)

@@ -11,6 +11,7 @@ an elastic net, so no exact gradient is published for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,10 +81,13 @@ class SparseRegressionProblem:
         return self.matrix.shape[1]
 
     def sample_loss(self, x: np.ndarray, index: int) -> float:
-        r = float(self.matrix[index] @ x - self.targets[index])
+        # Python-float arithmetic: the same roundings as the numpy forms,
+        # without their per-call overhead.
+        r = float(self.matrix[index] @ x) - float(self.targets[index])
         if self.kind == "least_squares":
             return 0.5 * r * r
-        return float(robust_loss(np.asarray(r)))
+        sq = r * r
+        return sq / (1.0 + sq)
 
     def mean_loss(self, x: np.ndarray) -> float:
         r = self.matrix @ x - self.targets
@@ -256,18 +260,28 @@ class ExplanationProblem:
         return 0.5 * (1.0 - self.anchor)
 
 
+def _own_and_top_rival(logits: np.ndarray, k0: int) -> tuple[float, float]:
+    """(logit of class k0, largest other logit) as Python floats."""
+    rivals = logits.tolist()
+    own = rivals.pop(k0)
+    top = max(rivals)
+    # max() skips a NaN that is not first; np.max propagates it.  A NaN sum
+    # also flags opposite infinities, where both agree, so defer to np.max.
+    if math.isnan(sum(rivals)):
+        top = float(np.max(rivals))
+    return own, top
+
+
 def pp_cost(prob: ExplanationProblem, x: np.ndarray) -> float:
     """Margin of the best rival over the anchor's class, at x itself."""
-    logits = prob.classifier.forward(x)
-    rivals = np.delete(logits, prob.k0)
-    return float(np.max(rivals) - logits[prob.k0])
+    own, top = _own_and_top_rival(prob.classifier.forward(x), prob.k0)
+    return top - own
 
 
 def pn_cost(prob: ExplanationProblem, x: np.ndarray) -> float:
     """Margin of the anchor's class over the best rival, at anchor + x."""
-    logits = prob.classifier.forward(prob.anchor + x)
-    rivals = np.delete(logits, prob.k0)
-    return float(logits[prob.k0] - np.max(rivals))
+    own, top = _own_and_top_rival(prob.classifier.forward(prob.anchor + x), prob.k0)
+    return own - top
 
 
 def _softplus(c: float) -> float:

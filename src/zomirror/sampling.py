@@ -8,10 +8,19 @@ m*d signs as ceil(m*d/8) packed bytes, read row-major with np.unpackbits
 (bit 1 is +1, bit 0 is -1), then the m sample ids in one
 integers(2**63, size=m) call.  Every estimate is therefore a pure function
 of its key path.
+
+The batch estimators call the scalar oracle per element in ascending
+element order: the forward point x + nu*u_j, then the base point x, both
+with sample id xi_j (a paired STORM step does this at x_t, then at
+x_prev).  Each element's term is added to a running total in that same
+order.  The packed signs are expanded to floats one block of whole rows
+at a time, each block holding at most 8,192 signs (a single row when d
+is larger), so an estimate holds O(d) floats however large m*d is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +43,10 @@ _XI_BOUND = 2**63
 
 # Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
 _BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
+
+# Most signs expanded per row block: 64 KB of floats, below glibc's 128 KB
+# mmap threshold, so block temporaries are recycled from the heap.
+_BLOCK_SIGNS = 8192
 
 
 @dataclass(frozen=True)
@@ -73,10 +86,14 @@ def rademacher_vector(stream: np.random.Generator, d: int) -> np.ndarray:
     return 2.0 * stream.integers(0, 2, size=d) - 1.0
 
 
+def _nonfinite(xi: int) -> NumericError:
+    return NumericError(f"oracle returned a non-finite value for sample xi={xi}")
+
+
 def _oracle(problem: Problem, x: np.ndarray, xi: int) -> float:
     value = problem.oracle(x, xi)
-    if not np.isfinite(value):
-        raise NumericError(f"oracle returned a non-finite value for sample xi={xi}")
+    if not math.isfinite(value):
+        raise _nonfinite(xi)
     return value
 
 
@@ -95,20 +112,47 @@ def two_point_estimate(
     return ((forward - base) / nu) * u
 
 
-def _probes(d: int, batch: int, key: tuple):
-    """Yield the batch's (u, xi) pairs in element order from one keyed stream.
+def _batch_estimates(
+    problem: Problem, points: tuple, cfg: EstimatorConfig, key: tuple
+) -> tuple[GradientEstimate, ...]:
+    """Batch estimates at each of ``points``, all on the key's (u, xi) pairs.
 
-    The signs are drawn packed, and a row's bytes are expanded through
-    _BYTE_SIGNS only when the row is used: no batch-by-d block is ever
-    held, and each row costs a single float allocation.
+    Per element the oracle sees each point's forward point, then the point
+    itself; each point's terms are summed in ascending element order.  The
+    packed signs are expanded one row block at a time, and the block's
+    step buffer is reused for the scaled rows once its oracle calls are
+    done.
     """
+    d, m, nu = problem.dimension, cfg.batch, cfg.nu
+    oracle = problem.oracle
     stream = rng.stream(*key)
-    packed = np.frombuffer(stream.bytes(-(-batch * d // 8)), dtype=np.uint8)
-    xis = stream.integers(_XI_BOUND, size=batch)
-    for j in range(batch):
-        lo = j * d
-        signs = _BYTE_SIGNS[packed[lo // 8 : -(-(lo + d) // 8)]].ravel()
-        yield signs[lo % 8 : lo % 8 + d], int(xis[j])
+    packed = np.frombuffer(stream.bytes(-(-m * d // 8)), dtype=np.uint8)
+    xis = stream.integers(_XI_BOUND, size=m).tolist()
+    totals = [np.zeros(d) for _ in points]
+    rows = max(1, _BLOCK_SIGNS // d)
+    for j0 in range(0, m, rows):
+        j1 = min(j0 + rows, m)
+        lo, hi = j0 * d, j1 * d
+        bits = _BYTE_SIGNS.take(packed[lo // 8 : -(-hi // 8)], axis=0).ravel()
+        signs = bits[lo % 8 : lo % 8 + hi - lo].reshape(j1 - j0, d)
+        steps = nu * signs
+        coefs = [[] for _ in points]
+        for step, xi in zip(steps, xis[j0:j1]):
+            for x, coef in zip(points, coefs):
+                forward = oracle(x + step, xi)
+                if not math.isfinite(forward):
+                    raise _nonfinite(xi)
+                base = oracle(x, xi)
+                if not math.isfinite(base):
+                    raise _nonfinite(xi)
+                coef.append((forward - base) / nu)
+        for total, coef, scaled in zip(totals, coefs, (steps, signs)):
+            np.multiply(signs, np.array(coef)[:, None], out=scaled)
+            for row in scaled:
+                total += row
+    return tuple(
+        GradientEstimate(vector=total / m, oracle_calls=2 * m, nu_used=nu) for total in totals
+    )
 
 
 def minibatch_gradient(
@@ -121,11 +165,8 @@ def minibatch_gradient(
     ascending element order, so the result is bit-identical no matter how
     oracle evaluations are scheduled.
     """
-    x = np.asarray(x, dtype=float)
-    total = np.zeros(problem.dimension)
-    for u, xi in _probes(problem.dimension, cfg.batch, key):
-        total += two_point_estimate(problem, x, u, cfg.nu, xi)
-    return GradientEstimate(vector=total / cfg.batch, oracle_calls=2 * cfg.batch, nu_used=cfg.nu)
+    (est,) = _batch_estimates(problem, (np.asarray(x, dtype=float),), cfg, key)
+    return est
 
 
 def paired_storm_estimates(
@@ -142,18 +183,8 @@ def paired_storm_estimates(
     oracle calls, 4*batch in total.  The x_t estimate equals
     minibatch_gradient(problem, x_t, cfg, key) bit for bit.
     """
-    x_t = np.asarray(x_t, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    total_t = np.zeros(problem.dimension)
-    total_prev = np.zeros(problem.dimension)
-    for u, xi in _probes(problem.dimension, cfg.batch, key):
-        total_t += two_point_estimate(problem, x_t, u, cfg.nu, xi)
-        total_prev += two_point_estimate(problem, x_prev, u, cfg.nu, xi)
-    calls = 2 * cfg.batch
-    return (
-        GradientEstimate(vector=total_t / cfg.batch, oracle_calls=calls, nu_used=cfg.nu),
-        GradientEstimate(vector=total_prev / cfg.batch, oracle_calls=calls, nu_used=cfg.nu),
-    )
+    points = (np.asarray(x_t, dtype=float), np.asarray(x_prev, dtype=float))
+    return _batch_estimates(problem, points, cfg, key)
 
 
 def default_smoothing(d: int, T: int, variant: str) -> float:

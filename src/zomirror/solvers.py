@@ -13,6 +13,7 @@ trajectory using the run's own stream.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,6 +24,7 @@ from . import rng
 from .core import (
     ElasticNet,
     FeasibleSet,
+    NumericError,
     Problem,
     composite_value,
     elastic_net_value,
@@ -282,10 +284,20 @@ def _euclidean_prox(
     return feasible_set.clamp(y)
 
 
-def _objective(problem: Problem, x: np.ndarray) -> float:
-    if problem.mean_loss is not None:
-        return float(problem.mean_loss(x)) + elastic_net_value(problem.regularizer, x)
-    return composite_value(problem, x, range(problem.num_samples))
+def _objective(problem: Problem, x: np.ndarray, t: int) -> float:
+    if problem.mean_loss is None:
+        return composite_value(problem, x, range(problem.num_samples))
+    value = float(problem.mean_loss(x))
+    if not math.isfinite(value):
+        raise NumericError(f"mean_loss returned a non-finite value at iteration {t}")
+    return value + elastic_net_value(problem.regularizer, x)
+
+
+def _exact_gradient(problem: Problem, x: np.ndarray, t: int) -> np.ndarray:
+    grad = problem.exact_gradient(x)
+    if not np.all(np.isfinite(grad)):
+        raise NumericError(f"exact_gradient returned a non-finite entry at iteration {t}")
+    return grad
 
 
 def _start_point(problem: Problem) -> np.ndarray:
@@ -378,7 +390,7 @@ def _run(problem: Problem, cfg: RunConfig, algorithm: str, upto: int | None = No
                 iterates.append(x_t)
             if t == tau:
                 sampled_point = x_t
-            objective = _objective(problem, x_t)
+            objective = _objective(problem, x_t, t)
             map_due = (
                 problem.exact_gradient is not None
                 and (t - 1) % cfg.stationarity_eval_period == 0
@@ -386,7 +398,7 @@ def _run(problem: Problem, cfg: RunConfig, algorithm: str, upto: int | None = No
             # One exact gradient per iteration serves both the gradient map
             # and the momentum tracking diagnostics.
             if map_due or track_momentum:
-                grad = problem.exact_gradient(x_t)
+                grad = _exact_gradient(problem, x_t, t)
             if map_due:
                 result = gradient_map(
                     x_t,

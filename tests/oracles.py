@@ -90,6 +90,28 @@ def prox_reference(
     return out
 
 
+def sample_loss_reference(
+    matrix: np.ndarray, targets: np.ndarray, kind: str, x: np.ndarray, index: int
+) -> float:
+    """Row loss in numpy array arithmetic: 0.5*r^2, or r^2/(1 + r^2) on a 0-d array."""
+    r = float(matrix[index] @ x - targets[index])
+    if kind == "least_squares":
+        return 0.5 * r * r
+    sq = np.square(np.asarray(r))
+    return float(sq / (1.0 + sq))
+
+
+def margin_reference(logits: np.ndarray, k0: int, mode: str) -> float:
+    """Explanation margin from np.delete and np.max over the rival logits.
+
+    PP: best rival minus class k0; PN: class k0 minus best rival.
+    """
+    top = np.max(np.delete(logits, k0))
+    if mode == "PP":
+        return float(top - logits[k0])
+    return float(logits[k0] - top)
+
+
 def softplus_ref(c: float) -> float:
     """Reference softplus via the exact identity ln(1+e^c) = max(c,0) + log1p(e^-|c|)."""
     return max(c, 0.0) + math.log1p(math.exp(-abs(c)))

@@ -20,7 +20,7 @@ from zomirror import (
 from zomirror import rng
 from zomirror.problems import robust_loss, robust_loss_derivative
 
-from oracles import softplus_ref
+from oracles import margin_reference, sample_loss_reference, softplus_ref
 
 RHO_SLOPE_CAP = 3.0 * math.sqrt(3.0) / 8.0
 
@@ -175,6 +175,18 @@ class TestSparseRegressionDesign:
         assert prob.mean_loss(x) == design.mean_loss(x)
         assert np.array_equal(prob.exact_gradient(x), design.gradient(x))
 
+    @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])
+    def test_sample_loss_equals_numpy_reference_on_every_row(self, kind):
+        # The oracle works in Python floats; it must round exactly as the
+        # numpy-array formulation does, so traces stay byte-identical.
+        design = sparse_regression_design(40, 60, 5, 0.3, kind, 2)
+        stream = rng.stream("test-sr-lean", kind)
+        for scale in (1e-3, 1.0, 30.0):
+            x = scale * stream.standard_normal(40)
+            for i in range(design.n_samples):
+                want = sample_loss_reference(design.matrix, design.targets, kind, x, i)
+                assert design.sample_loss(x, i) == want
+
     def test_make_passes_regularizer(self):
         reg = ElasticNet(0.3, 0.1)
         prob = make_sparse_regression(5, 6, 2, 0.1, "least_squares", 9, regularizer=reg)
@@ -310,6 +322,49 @@ class TestExplanationProblem:
         assert ep.k0 == 0
         assert explanation_loss(ep, np.array([0.0]), 0) == 150.0
         assert explanation_loss(ep, np.array([1.25]), 0) == math.exp(-100.0)
+
+    @pytest.mark.parametrize("mode", ["PP", "PN"])
+    @pytest.mark.parametrize("d, n_classes", [(50, 3), (6, 5)])
+    def test_costs_equal_numpy_reference_across_the_box(self, mode, d, n_classes):
+        # ~2,000 points in the mode's box, widened by a quarter of its side
+        # so probe points outside it are covered too.
+        clf = make_tiny_classifier(d, n_classes, 3)
+        stream = rng.stream("test-expl-lean", mode, d)
+        if mode == "PP":
+            anchor = stream.standard_normal(d)
+        else:
+            anchor = stream.uniform(0.0, 1.0, d)
+        ep = ExplanationProblem(classifier=clf, anchor=anchor, mode=mode)
+        lo, hi = ep.box.lo, ep.box.hi
+        pad = 0.25 * (hi - lo)
+        cost = pp_cost if mode == "PP" else pn_cost
+        for _ in range(2000):
+            x = stream.uniform(lo - pad, hi + pad)
+            point = x if mode == "PP" else anchor + x
+            want = margin_reference(clf.weights @ point + clf.bias, ep.k0, mode)
+            assert cost(ep, x) == want
+
+    @pytest.mark.parametrize("mode", ["PP", "PN"])
+    def test_costs_equal_reference_on_nonfinite_logits(self, mode):
+        # A NaN rival after a finite one: Python's max() would skip it,
+        # np.max propagates it.  Opposite infinite rivals: both give +inf.
+        class Scripted:
+            # Logits (2, 1, 0) at the anchor fix k0 = 0; any other point gets probe.
+            dimension = 1
+            probe: list = []
+
+            def forward(self, x):
+                return np.array([2.0, 1.0, 0.0]) if x[0] == 0.0 else np.array(self.probe)
+
+        clf = Scripted()
+        ep = ExplanationProblem(classifier=clf, anchor=np.array([0.0]), mode=mode)
+        cost = pp_cost if mode == "PP" else pn_cost
+        nan, inf = math.nan, math.inf
+        for probe in ([2.0, 1.0, nan], [2.0, nan, 1.0], [2.0, inf, -inf], [nan, 1.0, 0.0]):
+            clf.probe = probe
+            want = margin_reference(np.array(probe), ep.k0, mode)
+            got = cost(ep, np.array([0.5]))
+            assert got == want or (math.isnan(got) and math.isnan(want)), probe
 
     def test_loss_monotone_in_cost(self):
         clf = two_class([[1.0], [0.0]], [0.0, 0.0])

@@ -511,6 +511,25 @@ class TestSolverBehavior:
                 assert all(math.isfinite(r.objective) for r in trace.records), (name, seed)
                 assert all(np.all(np.isfinite(x)) for x in trace.iterates), (name, seed)
 
+    def test_nonfinite_mean_loss_raises_with_iteration(self):
+        values = iter([1.0, math.inf, 1.0])
+        prob = zero_problem(d=2, mean_loss=lambda x: next(values))
+        with pytest.raises(NumericError, match="mean_loss .* iteration 2$"):
+            run_zo_ada_expgrad(prob, RunConfig(T=3, batch=1))
+
+    @pytest.mark.parametrize("tag", ["zo-ada-expgrad", "zo-expstorm"])
+    def test_nonfinite_exact_gradient_raises_with_iteration(self, tag):
+        # Unchecked, the NaN would reach stationarity_sq_l1 and, for the
+        # momentum solver, tracking_sq.
+        calls = iter(range(1, 100))
+
+        def grad(x):
+            return np.array([0.0, math.nan]) if next(calls) == 3 else np.zeros(2)
+
+        prob = zero_problem(d=2, exact_gradient=grad)
+        with pytest.raises(NumericError, match="exact_gradient .* iteration 3$"):
+            RUNNERS[tag](prob, RunConfig(T=4, batch=1))
+
 
 class TestOutputSampling:
     def test_single_iteration_always_returns_start(self):
