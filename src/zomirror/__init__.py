@@ -43,7 +43,6 @@ from .sampling import (
     default_smoothing,
     minibatch_gradient,
     paired_storm_estimates,
-    rademacher_vector,
     two_point_estimate,
 )
 from .solvers import (
@@ -59,7 +58,6 @@ from .solvers import (
     run_zo_ada_expgrad_plus,
     run_zo_expstorm,
     run_zo_psgd,
-    sample_output_iterate,
     scmd_step,
     storm_momentum_update,
     storm_schedule,
@@ -105,12 +103,10 @@ __all__ = [
     "pn_cost",
     "pp_cost",
     "prox_composite",
-    "rademacher_vector",
     "run_zo_ada_expgrad",
     "run_zo_ada_expgrad_plus",
     "run_zo_expstorm",
     "run_zo_psgd",
-    "sample_output_iterate",
     "scmd_step",
     "sparse_regression_design",
     "storm_momentum_update",

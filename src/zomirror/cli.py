@@ -2,8 +2,7 @@
 
 Subcommands: ``run`` executes every (algorithm, seed) pair of a JSON run
 spec and writes per-run CSV traces plus a summary.json; ``validate``
-parses a spec without running it; ``prox-check`` compares the proximal
-step against per-coordinate golden-section search and prints pass/fail.
+parses a spec without running it.
 
 All numeric output is deterministic given (spec, seed): run streams are
 derived by hashing (global seed, algorithm tag, listed seed), files are
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import ElasticNet, FeasibleSet, Problem
-from .mirror import MirrorGeometry, mirror_map, prox_composite
+from .core import ElasticNet, Problem
 from .problems import (
     EXPLANATION_MODES,
     LOSS_KINDS,
@@ -39,14 +38,7 @@ from .problems import (
     make_sparse_regression,
     make_tiny_classifier,
 )
-from .solvers import (
-    ALGORITHMS,
-    RunConfig,
-    run_zo_ada_expgrad,
-    run_zo_ada_expgrad_plus,
-    run_zo_expstorm,
-    run_zo_psgd,
-)
+from .solvers import ALGORITHM_TABLE, ALGORITHMS, RunConfig, run_algorithm
 
 __all__ = [
     "AlgorithmSpec",
@@ -54,22 +46,13 @@ __all__ = [
     "parse_run_spec",
     "problem_from_descriptor",
     "execute",
-    "prox_check",
     "main",
 ]
 
 TRACE_HEADER = ("iter", "oracle_calls", "objective", "stationarity_sq_l1", "alpha", "eta", "wall_ms")
 
-PROX_CHECK_TOLERANCE = 1e-6
-
-_RUNNERS = {
-    "zo-ada-expgrad": run_zo_ada_expgrad,
-    "zo-ada-expgrad-plus": run_zo_ada_expgrad_plus,
-    "zo-expstorm": run_zo_expstorm,
-    "zo-psgd": run_zo_psgd,
-}
-
-_CONSTANT_VARIANT_TAGS = ("zo-ada-expgrad", "zo-psgd")
+# Looked up per run, so a caller may wrap the runners in place.
+_RUNNERS = {tag: functools.partial(run_algorithm, algorithm=tag) for tag in ALGORITHMS}
 
 
 @dataclass(frozen=True)
@@ -183,7 +166,7 @@ def _parse_algorithm(doc: dict, index: int) -> AlgorithmSpec:
     variant = doc.get("variant", "adaptive")
     if variant not in ("adaptive", "constant"):
         raise ValueError(f"{context}: 'variant' must be 'adaptive' or 'constant'")
-    if variant == "constant" and tag not in _CONSTANT_VARIANT_TAGS:
+    if variant == "constant" and "constant" not in ALGORITHM_TABLE[tag].variants:
         raise ValueError(f"{context}: tag {tag!r} has no constant-stepsize variant")
     period = (
         _as_int(doc, "stationarity_eval_period", context, 1)
@@ -416,79 +399,6 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
     return 0 if all(e["status"] == "ok" for e in entries) else 1
 
 
-def _scalar_dgf(y: float, d: int) -> float:
-    a = abs(y)
-    return (a + 1.0 / d) * np.log1p(d * a) - a
-
-
-def _scalar_mirror(y: float, d: int) -> float:
-    return float(np.log1p(d * abs(y)) * np.sign(y))
-
-
-def _coordinate_objective(y, x, g, eta, gamma1, gamma2, d) -> float:
-    breg = _scalar_dgf(y, d) - _scalar_dgf(x, d) - _scalar_mirror(x, d) * (y - x)
-    return g * y + gamma1 * abs(y) + 0.5 * gamma2 * y * y + eta * breg
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d_ = a + ratio * (b - a)
-    fc, fd = fn(c), fn(d_)
-    while b - a > tol:
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - ratio * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + ratio * (b - a)
-            fd = fn(d_)
-    return 0.5 * (a + b)
-
-
-def prox_check(trials: int, seed: int = 0) -> float:
-    """Worst coordinate gap between the prox and golden-section search.
-
-    Instances span both regularizer branches and box/unconstrained sets.
-    The dual offset is drawn bounded so the scalar search stays
-    well-conditioned; zo solvers operate in the same regime.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    stream = rng.stream("prox-check", seed)
-    worst = 0.0
-    for _ in range(trials):
-        d = int(stream.integers(1, 9))
-        geo = MirrorGeometry(d)
-        x = stream.uniform(-2.0, 2.0, size=d)
-        z = stream.uniform(-4.0, 4.0, size=d)
-        eta = float(np.exp(stream.uniform(np.log(0.5), np.log(2.0))))
-        gamma1 = 0.0 if stream.integers(0, 3) == 0 else float(stream.uniform(0.0, 1.0))
-        gamma2 = 0.0 if stream.integers(0, 2) == 0 else float(stream.uniform(0.0, 1.0))
-        feasible = FeasibleSet()
-        lo = hi = None
-        if stream.integers(0, 2) == 1:
-            lo = x - stream.uniform(0.0, 2.0, size=d)
-            hi = x + stream.uniform(0.0, 2.0, size=d)
-            feasible = FeasibleSet.box(lo, hi)
-        g = eta * (mirror_map(geo, x) - z)
-        result = prox_composite(geo, x, g, eta, ElasticNet(gamma1, gamma2), feasible)
-        for i in range(d):
-            if lo is not None:
-                bracket = (float(lo[i]), float(hi[i]))
-            else:
-                radius = float(np.expm1(min(abs(z[i]), 30.0))) / d + 1.0
-                bracket = (-radius, radius)
-            reference = _golden_min(
-                lambda y: _coordinate_objective(y, x[i], g[i], eta, gamma1, gamma2, d),
-                *bracket,
-            )
-            worst = max(worst, abs(float(result[i]) - reference))
-    return worst
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="zomirror", description="zeroth-order mirror-descent benchmark runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -502,21 +412,7 @@ def main(argv=None) -> int:
     validate_parser = sub.add_parser("validate", help="parse a run spec without executing it")
     validate_parser.add_argument("--config", required=True, help="path to a JSON run spec")
 
-    check_parser = sub.add_parser("prox-check", help="brute-force check of the proximal step")
-    check_parser.add_argument("--trials", type=int, default=200, help="random instances to test")
-    check_parser.add_argument("--seed", type=int, default=0, help="instance stream seed")
-
     args = parser.parse_args(argv)
-
-    if args.command == "prox-check":
-        if args.trials < 1:
-            print("trials must be >= 1", file=sys.stderr)
-            return 2
-        worst = prox_check(args.trials, seed=args.seed)
-        verdict = "PASS" if worst <= PROX_CHECK_TOLERANCE else "FAIL"
-        print(f"prox-check: {args.trials} trials, worst coordinate error {worst:.3e}: {verdict}")
-        return 0 if verdict == "PASS" else 1
-
     try:
         spec = parse_run_spec(args.config)
     except Exception as exc:

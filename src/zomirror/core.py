@@ -79,12 +79,6 @@ class FeasibleSet:
             return x
         return np.clip(x, self.lo, self.hi)
 
-    def l1_radius(self) -> float | None:
-        """sup ||x||_1 over the set; None when unbounded. Diagnostic only."""
-        if not self.is_box:
-            return None
-        return float(np.sum(np.maximum(np.abs(self.lo), np.abs(self.hi))))
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -104,7 +98,6 @@ class Problem:
     exact_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     mean_loss: Callable[[np.ndarray], float] | None = None
     num_samples: int = 1
-    value_range: float | None = None
     start_point: np.ndarray | None = None
 
     def __post_init__(self) -> None:

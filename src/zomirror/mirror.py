@@ -88,7 +88,8 @@ def _w0_halley(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     w = np.where(z >= 0.0, np.log1p(np.maximum(z, 0.0)), z)
     near_branch = z < -0.36
-    if np.any(near_branch):
+    any_near = bool(np.any(near_branch))
+    if any_near:
         p = np.sqrt(2.0 * (1.0 + np.e * np.where(near_branch, z, 0.0)))
         w = np.where(near_branch, -1.0 + p - p * p / 3.0, w)
 
@@ -99,8 +100,12 @@ def _w0_halley(z: np.ndarray) -> np.ndarray:
         if np.all(np.abs(f) <= target):
             return w
         wp1 = w + 1.0
-        # Halley step; the wp1 = 0 corner (branch point) is caught by the
-        # residual test before the division can trigger.
+        if any_near:
+            # An element solved exactly on the branch point has wp1 = 0 and
+            # f = 0, so its Halley step would be 0/0 while the rest of the
+            # array still converges.  A unit wp1 makes that step exactly
+            # zero; elsewhere a zero residual already gives a zero step.
+            wp1 = np.where(f == 0.0, 1.0, wp1)
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         w = w - f / denom
     ew = np.exp(w)

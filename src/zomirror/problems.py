@@ -101,15 +101,6 @@ class SparseRegressionProblem:
             return self.matrix.T @ r / self.n_samples
         return self.matrix.T @ robust_loss_derivative(r) / self.n_samples
 
-    def lipschitz_bound(self) -> float:
-        """Gradient Lipschitz constant from the design spectrum.
-
-        least_squares: lambda_max(A^T A)/n exactly; robust_nonconvex:
-        2*lambda_max(A^T A)/n since |rho''| <= 2.
-        """
-        top = float(np.linalg.norm(self.matrix, 2)) ** 2 / self.n_samples
-        return top if self.kind == "least_squares" else 2.0 * top
-
     def to_problem(
         self,
         regularizer: ElasticNet | None = None,

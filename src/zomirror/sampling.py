@@ -31,7 +31,6 @@ from .core import NumericError, Problem
 __all__ = [
     "EstimatorConfig",
     "GradientEstimate",
-    "rademacher_vector",
     "two_point_estimate",
     "minibatch_gradient",
     "paired_storm_estimates",
@@ -51,39 +50,24 @@ _BLOCK_SIGNS = 8192
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Smoothing radius nu and batch size for gradient estimation.
-
-    delta is the probe scaling; it is fixed to 1 because Rademacher probes
-    already satisfy E[u u^T] = I.
-    """
+    """Smoothing radius nu and batch size for gradient estimation."""
 
     nu: float
     batch: int
-    delta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.batch < 1:
             raise ValueError("batch must be a positive integer")
-        if self.delta != 1.0:
-            raise ValueError("delta is fixed to 1 for Rademacher probes")
 
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """A dual-space estimate with its oracle-call cost and smoothing radius."""
+    """A dual-space estimate with its oracle-call cost."""
 
     vector: np.ndarray
     oracle_calls: int
-    nu_used: float
-
-
-def rademacher_vector(stream: np.random.Generator, d: int) -> np.ndarray:
-    """A vector of d independent fair +-1 draws from the given stream."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    return 2.0 * stream.integers(0, 2, size=d) - 1.0
 
 
 def _nonfinite(xi: int) -> NumericError:
@@ -150,9 +134,7 @@ def _batch_estimates(
             np.multiply(signs, np.array(coef)[:, None], out=scaled)
             for row in scaled:
                 total += row
-    return tuple(
-        GradientEstimate(vector=total / m, oracle_calls=2 * m, nu_used=nu) for total in totals
-    )
+    return tuple(GradientEstimate(vector=total / m, oracle_calls=2 * m) for total in totals)
 
 
 def minibatch_gradient(

@@ -4,18 +4,19 @@ Four algorithms share one driver: a mirror-descent step with adaptive
 stepsizes (zo-ada-expgrad), a combined-step variant that moves along a
 convex combination toward the prox target (zo-ada-expgrad-plus), the same
 combined step driven by recursive-momentum estimates (zo-expstorm), and a
-proximal SGD baseline in the Euclidean geometry (zo-psgd).  Every run is a
-pure function of (problem, config): each iteration's batch estimate draws
-its probe signs and sample ids from one stream keyed by (seed, iteration),
-and the reported output iterate x_tau is drawn uniformly from the
-trajectory using the run's own stream.
+proximal SGD baseline in the Euclidean geometry (zo-psgd).  ALGORITHM_TABLE
+is the one place that tells them apart.  Every run is a pure function of
+(problem, config): each iteration's batch estimate draws its probe signs
+and sample ids from one stream keyed by (seed, iteration), and the reported
+output iterate x_tau is drawn uniformly from the trajectory using the run's
+own stream.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,8 @@ from .sampling import (
 
 __all__ = [
     "ALGORITHMS",
+    "ALGORITHM_TABLE",
+    "Algorithm",
     "StepsizeState",
     "StormState",
     "RunConfig",
@@ -51,17 +54,14 @@ __all__ = [
     "fw_combined_step",
     "storm_schedule",
     "storm_momentum_update",
+    "run_algorithm",
     "run_zo_ada_expgrad",
     "run_zo_ada_expgrad_plus",
     "run_zo_expstorm",
     "run_zo_psgd",
-    "sample_output_iterate",
 ]
 
-ALGORITHMS = ("zo-ada-expgrad", "zo-ada-expgrad-plus", "zo-expstorm", "zo-psgd")
-
-# Traces retain full iterate lists only below this many stored floats;
-# larger runs fall back to deterministic replay for re-sampling.
+# Traces retain full iterate lists only below this many stored floats.
 _ITERATE_STORE_LIMIT = 4_000_000
 
 
@@ -70,14 +70,12 @@ class StepsizeState:
     """Stepsize recursion state: eta_t = eta_base * alpha_t.
 
     alpha never decreases and accum never shrinks, for every variant.
-    lambda_cap records the most recent lambda_t (diagnostic only).
     """
 
     variant: str
     eta_base: float
     alpha: float = 1.0
     accum: float = 0.0
-    lambda_cap: float = 0.0
 
     def __post_init__(self) -> None:
         if self.variant not in ("constant", "adaptive_md", "adaptive_fw", "storm"):
@@ -91,23 +89,22 @@ class StepsizeState:
 
 @dataclass
 class StormState:
-    """Recursive-momentum state: d_t plus the (tau, gamma, beta) schedule."""
+    """Recursive-momentum state: d_t and the current mixing weight gamma_t."""
 
     batch: int
     momentum: np.ndarray
-    tau: float = 1.0
     gamma: float = 1.0
-    beta: float = 1.0
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one solver run.
 
-    ``stepsize_variant`` is only meaningful for zo-ada-expgrad, which
-    accepts "adaptive_md" (default) or "constant"; the other algorithms
-    have a fixed schedule.  ``nu`` of None selects the default smoothing
-    for the algorithm's estimator.
+    ``stepsize_variant`` of None selects the algorithm's default; only
+    zo-ada-expgrad has a second one ("constant" beside "adaptive_md").
+    ``nu`` of None selects the default smoothing for the algorithm's
+    estimator.  A non-empty ``algorithm`` must name the algorithm of the
+    runner it is passed to.
     """
 
     T: int
@@ -149,18 +146,16 @@ class TraceRecord:
 class Trace:
     """Per-iteration records plus the sampled output iterate.
 
-    ``iterates`` holds x_1..x_T for small runs; large runs keep a replay
-    hook instead so re-sampling stays possible without O(T*d) memory.
-    ``tracking_sq`` and ``minibatch_tracking_sq`` are momentum diagnostics
-    (squared max-norm estimation error per iteration), present only when
-    the problem exposes an exact gradient.
+    ``iterates`` holds x_1..x_T, or None for runs whose T*d exceeds the
+    retention limit.  ``tracking_sq`` and ``minibatch_tracking_sq`` are
+    momentum diagnostics (squared max-norm estimation error per
+    iteration), present only when the problem exposes an exact gradient.
     """
 
     records: list[TraceRecord]
     sampled_index: int
     sampled_point: np.ndarray
     iterates: list[np.ndarray] | None = None
-    replay: Callable[[int], np.ndarray] | None = None
     tracking_sq: list[float] | None = None
     minibatch_tracking_sq: list[float] | None = None
 
@@ -203,7 +198,6 @@ def adaptive_stepsize_md_update(
     n_next = float(np.sum(np.abs(x_next)))
     lam = 1.0 / (max(n_t, n_next) + 1.0)
     move = float(np.sum(np.abs(x_next - x_t)))
-    steps.lambda_cap = lam
     steps.accum += (lam * steps.alpha * move) ** 2
     new_alpha = float(np.sqrt(steps.accum + 1.0))
     if new_alpha < steps.alpha:
@@ -254,7 +248,6 @@ def fw_combined_step(state: SolverState, d_t: np.ndarray) -> tuple[np.ndarray, n
     n_v = float(np.sum(np.abs(v)))
     lam = 1.0 / (max(n_x, n_v) + 1.0)
     move = float(np.sum(np.abs(v - state.x)))
-    steps.lambda_cap = lam
     steps.accum += (lam * alpha_t * move) ** 2
     if steps.variant == "adaptive_fw":
         alpha_next = max(float(np.sqrt(steps.accum)), 1.0)
@@ -275,13 +268,50 @@ def fw_combined_step(state: SolverState, d_t: np.ndarray) -> tuple[np.ndarray, n
     return v, x_next
 
 
-def _euclidean_prox(
-    x: np.ndarray, g: np.ndarray, eta: float, reg: ElasticNet, feasible_set: FeasibleSet
-) -> np.ndarray:
-    # min_y <g, y> + r(y) + (eta/2)*||y - x||_2^2: soft-threshold then clamp.
-    v = eta * x - g
+def _md_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
+    x_next = scmd_step(state, d_t)
+    if state.steps.variant == "adaptive_md":
+        adaptive_stepsize_md_update(state.steps, state.x, x_next)
+    return x_next
+
+
+def _combined_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
+    return fw_combined_step(state, d_t)[1]
+
+
+def _psgd_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
+    # min_y <d_t, y> + r(y) + (eta/2)*||y - x||_2^2: soft-threshold then clamp.
+    eta, reg = state.steps.current_eta(), state.regularizer
+    v = eta * state.x - d_t
     y = np.sign(v) * np.maximum(np.abs(v) - reg.gamma1, 0.0) / (reg.gamma2 + eta)
-    return feasible_set.clamp(y)
+    return state.feasible_set.clamp(y)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """What sets one method of the family apart from the others.
+
+    ``variants`` are the stepsize variants it accepts, the first being the
+    default.  ``paired`` methods step on recursive-momentum (STORM)
+    estimates built from paired batches at x_t and x_{t-1}; this also
+    picks the STORM smoothing radius and makes a run cost
+    2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``step`` maps the
+    direction d_t to x_{t+1}, updating the stepsize state on the way.
+    """
+
+    variants: tuple[str, ...]
+    paired: bool
+    step: Callable[[SolverState, np.ndarray], np.ndarray]
+
+
+ALGORITHM_TABLE = {
+    "zo-ada-expgrad": Algorithm(("adaptive_md", "constant"), False, _md_step),
+    "zo-ada-expgrad-plus": Algorithm(("adaptive_fw",), False, _combined_step),
+    "zo-expstorm": Algorithm(("storm",), True, _combined_step),
+    "zo-psgd": Algorithm(("constant",), False, _psgd_step),
+}
+
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
 def _objective(problem: Problem, x: np.ndarray, t: int) -> float:
@@ -315,134 +345,86 @@ def _start_point(problem: Problem) -> np.ndarray:
     return 0.5 * (fs.lo + fs.hi)
 
 
-def _resolve_variant(algorithm: str, requested: str | None) -> str:
-    defaults = {
-        "zo-ada-expgrad": "adaptive_md",
-        "zo-ada-expgrad-plus": "adaptive_fw",
-        "zo-expstorm": "storm",
-        "zo-psgd": "constant",
-    }
-    if requested is None:
-        return defaults[algorithm]
-    if algorithm == "zo-ada-expgrad" and requested in ("adaptive_md", "constant"):
-        return requested
-    if requested == defaults[algorithm]:
-        return requested
-    raise ValueError(f"algorithm {algorithm!r} does not support stepsize variant {requested!r}")
-
-
-def _expected_calls(algorithm: str, T: int, m: int) -> int:
-    if algorithm == "zo-expstorm":
-        return 2 * m + 4 * m * (T - 1)
-    return 2 * m * T
-
-
-def _run(problem: Problem, cfg: RunConfig, algorithm: str, upto: int | None = None):
-    """Drive one run; with ``upto`` set, advance silently and return x_upto."""
+def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
+    """Run the algorithm named by a tag of ALGORITHM_TABLE on the problem."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if cfg.algorithm and cfg.algorithm != algorithm:
+        raise ValueError(f"config names algorithm {cfg.algorithm!r}, but this runs {algorithm!r}")
+    algo = ALGORITHM_TABLE[algorithm]
+    variant = algo.variants[0] if cfg.stepsize_variant is None else cfg.stepsize_variant
+    if variant not in algo.variants:
+        raise ValueError(f"algorithm {algorithm!r} does not support stepsize variant {variant!r}")
     d = problem.dimension
     geo = MirrorGeometry(d)
-    variant = _resolve_variant(algorithm, cfg.stepsize_variant)
-    smoothing_kind = "storm" if algorithm == "zo-expstorm" else "minibatch"
+    smoothing_kind = "storm" if algo.paired else "minibatch"
     nu = cfg.nu if cfg.nu is not None else default_smoothing(d, cfg.T, smoothing_kind)
     est_cfg = EstimatorConfig(nu=nu, batch=cfg.batch)
-    metrics = upto is None
-
+    storm = StormState(batch=cfg.batch, momentum=np.zeros(d)) if algo.paired else None
     state = SolverState(
         geometry=geo,
         regularizer=problem.regularizer,
         feasible_set=problem.feasible_set,
         x=_start_point(problem),
         steps=StepsizeState(variant=variant, eta_base=cfg.eta_base),
-        storm=StormState(batch=cfg.batch, momentum=np.zeros(d))
-        if algorithm == "zo-expstorm"
-        else None,
+        storm=storm,
     )
 
-    track_momentum = (
-        metrics and algorithm == "zo-expstorm" and problem.exact_gradient is not None
-    )
+    track_momentum = algo.paired and problem.exact_gradient is not None
     tracking: list[float] | None = [] if track_momentum else None
     mb_tracking: list[float] | None = [] if track_momentum else None
-
-    tau = 0
+    iterates: list[np.ndarray] | None = [] if cfg.T * d <= _ITERATE_STORE_LIMIT else None
+    tau = 1 + int(rng.stream(cfg.seed, "tau").integers(cfg.T))
     sampled_point: np.ndarray | None = None
-    keep = metrics and cfg.T * d <= _ITERATE_STORE_LIMIT
-    iterates: list[np.ndarray] | None = [] if keep else None
-    if metrics:
-        tau = 1 + int(rng.stream(cfg.seed, "tau").integers(cfg.T))
 
     records: list[TraceRecord] = []
     calls = 0
     x_prev = state.x
-    last_t = cfg.T if metrics else upto - 1
-    for t in range(1, last_t + 1):
+    for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
         state.iteration = t
         alpha_t = state.steps.alpha
         eta_t = state.steps.current_eta()
         x_t = state.x
+        if iterates is not None:
+            iterates.append(x_t)
+        if t == tau:
+            sampled_point = x_t
 
-        objective = float("nan")
+        objective = _objective(problem, x_t, t)
         stationarity: float | None = None
-        grad: np.ndarray | None = None
-        if metrics:
-            if iterates is not None:
-                iterates.append(x_t)
-            if t == tau:
-                sampled_point = x_t
-            objective = _objective(problem, x_t, t)
-            map_due = (
-                problem.exact_gradient is not None
-                and (t - 1) % cfg.stationarity_eval_period == 0
+        map_due = (
+            problem.exact_gradient is not None and (t - 1) % cfg.stationarity_eval_period == 0
+        )
+        # One exact gradient per iteration serves both the gradient map and
+        # the momentum tracking diagnostics.
+        if map_due or track_momentum:
+            grad = _exact_gradient(problem, x_t, t)
+        if map_due:
+            result = gradient_map(
+                x_t, grad, eta_t, geo, problem.regularizer, problem.feasible_set
             )
-            # One exact gradient per iteration serves both the gradient map
-            # and the momentum tracking diagnostics.
-            if map_due or track_momentum:
-                grad = _exact_gradient(problem, x_t, t)
-            if map_due:
-                result = gradient_map(
-                    x_t,
-                    grad,
-                    eta_t,
-                    geo,
-                    problem.regularizer,
-                    problem.feasible_set,
-                )
-                stationarity = result.sq_l1_norm
+            stationarity = result.sq_l1_norm
 
-        if algorithm == "zo-expstorm":
-            storm = state.storm
-            storm.tau, storm.gamma, storm.beta = storm_schedule(t, cfg.batch)
-            if t == 1:
+        key = (cfg.seed, t)
+        if algo.paired and t > 1:
+            g_est, m_est = paired_storm_estimates(problem, x_t, x_prev, est_cfg, key)
+            calls += g_est.oracle_calls + m_est.oracle_calls
+            storm.gamma = storm_schedule(t, cfg.batch)[1]
+            d_vec = storm_momentum_update(storm, g_est.vector, m_est.vector)
+        else:
+            g_est = minibatch_gradient(problem, x_t, est_cfg, key)
+            calls += g_est.oracle_calls
+            d_vec = g_est.vector
+            if algo.paired:
                 # Unbiased start: no previous iterate to pair against, so the
                 # momentum mixes at gamma = 1 and collapses to the fresh batch.
                 storm.gamma = 1.0
-                g_est = minibatch_gradient(problem, x_t, est_cfg, (cfg.seed, t))
-                calls += g_est.oracle_calls
-                d_vec = storm_momentum_update(storm, g_est.vector, g_est.vector)
-            else:
-                g_est, m_est = paired_storm_estimates(problem, x_t, x_prev, est_cfg, (cfg.seed, t))
-                calls += g_est.oracle_calls + m_est.oracle_calls
-                d_vec = storm_momentum_update(storm, g_est.vector, m_est.vector)
-            if track_momentum:
-                tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
-                mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
-            _, x_next = fw_combined_step(state, d_vec)
-        else:
-            est = minibatch_gradient(problem, x_t, est_cfg, (cfg.seed, t))
-            calls += est.oracle_calls
-            if algorithm == "zo-ada-expgrad":
-                x_next = scmd_step(state, est.vector)
-                if variant == "adaptive_md":
-                    adaptive_stepsize_md_update(state.steps, x_t, x_next)
-            elif algorithm == "zo-ada-expgrad-plus":
-                _, x_next = fw_combined_step(state, est.vector)
-            elif algorithm == "zo-psgd":
-                x_next = _euclidean_prox(
-                    x_t, est.vector, eta_t, problem.regularizer, problem.feasible_set
-                )
-            else:
-                raise ValueError(f"unknown algorithm: {algorithm!r}")
+                d_vec = storm_momentum_update(storm, d_vec, d_vec)
+        if track_momentum:
+            tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
+            mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
+        x_next = algo.step(state, d_vec)
 
         if state.steps.alpha < alpha_t:
             raise RuntimeError("stepsize invariant violated: alpha decreased")
@@ -450,37 +432,29 @@ def _run(problem: Problem, cfg: RunConfig, algorithm: str, upto: int | None = No
             raise RuntimeError("feasibility invariant violated")
         x_prev = x_t
         state.x = x_next
-        if metrics:
-            records.append(
-                TraceRecord(
-                    iteration=t,
-                    oracle_calls=calls,
-                    objective=objective,
-                    stationarity_sq_l1=stationarity,
-                    alpha=alpha_t,
-                    eta=eta_t,
-                    wall_ms=(time.perf_counter() - tick) * 1000.0,
-                )
+        records.append(
+            TraceRecord(
+                iteration=t,
+                oracle_calls=calls,
+                objective=objective,
+                stationarity_sq_l1=stationarity,
+                alpha=alpha_t,
+                eta=eta_t,
+                wall_ms=(time.perf_counter() - tick) * 1000.0,
             )
+        )
 
-    if not metrics:
-        return state.x
-
-    if calls != _expected_calls(algorithm, cfg.T, cfg.batch):
+    m, T = cfg.batch, cfg.T
+    if calls != 2 * m * T + (2 * m * (T - 1) if algo.paired else 0):
         raise RuntimeError("oracle accounting invariant violated")
-    if sampled_point is None:
-        raise RuntimeError("output sampling failed to capture x_tau")
-
-    trace = Trace(
+    return Trace(
         records=records,
         sampled_index=tau,
         sampled_point=sampled_point,
         iterates=iterates,
-        replay=lambda index: _run(problem, cfg, algorithm, upto=index),
         tracking_sq=tracking,
         minibatch_tracking_sq=mb_tracking,
     )
-    return trace
 
 
 def run_zo_ada_expgrad(problem: Problem, cfg: RunConfig) -> Trace:
@@ -489,12 +463,12 @@ def run_zo_ada_expgrad(problem: Problem, cfg: RunConfig) -> Trace:
     Uses adaptive stepsizes by default; cfg.stepsize_variant = "constant"
     keeps eta_t = eta_base throughout.
     """
-    return _run(problem, cfg, "zo-ada-expgrad")
+    return run_algorithm(problem, cfg, "zo-ada-expgrad")
 
 
 def run_zo_ada_expgrad_plus(problem: Problem, cfg: RunConfig) -> Trace:
     """Combined-step loop: prox target plus convex averaging of iterates."""
-    return _run(problem, cfg, "zo-ada-expgrad-plus")
+    return run_algorithm(problem, cfg, "zo-ada-expgrad-plus")
 
 
 def run_zo_expstorm(problem: Problem, cfg: RunConfig) -> Trace:
@@ -503,28 +477,9 @@ def run_zo_expstorm(problem: Problem, cfg: RunConfig) -> Trace:
     Iteration 1 costs 2*batch oracle calls; later iterations cost 4*batch
     because the momentum needs paired estimates at consecutive iterates.
     """
-    return _run(problem, cfg, "zo-expstorm")
+    return run_algorithm(problem, cfg, "zo-expstorm")
 
 
 def run_zo_psgd(problem: Problem, cfg: RunConfig) -> Trace:
     """Euclidean proximal SGD baseline with a constant stepsize."""
-    return _run(problem, cfg, "zo-psgd")
-
-
-def sample_output_iterate(
-    trace: Trace, stream: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Draw a uniform index from {1..T} and return (index, x_index).
-
-    Uses the stored iterate list when the trace retained one, otherwise
-    the trace's deterministic replay hook.
-    """
-    T = len(trace.records)
-    if T < 1:
-        raise ValueError("trace has no records")
-    tau = 1 + int(stream.integers(T))
-    if trace.iterates is not None:
-        return tau, trace.iterates[tau - 1]
-    if trace.replay is not None:
-        return tau, trace.replay(tau)
-    raise ValueError("trace retains no iterates and has no replay hook")
+    return run_algorithm(problem, cfg, "zo-psgd")

@@ -1,4 +1,4 @@
-"""Run-spec parsing, execution artifacts, and the prox brute-force check."""
+"""Run-spec parsing, execution artifacts, and the command line."""
 
 import csv
 import json
@@ -8,17 +8,15 @@ import os
 import numpy as np
 import pytest
 
-from zomirror import rng
+from zomirror import cli, rng
 from zomirror.cli import (
-    PROX_CHECK_TOLERANCE,
     TRACE_HEADER,
     execute,
     main,
     parse_run_spec,
     problem_from_descriptor,
-    prox_check,
 )
-from zomirror.solvers import RunConfig, run_zo_ada_expgrad
+from zomirror.solvers import ALGORITHMS, RunConfig, run_zo_ada_expgrad
 
 
 def base_spec(out_dir, **overrides):
@@ -351,18 +349,6 @@ class TestExecute:
             execute(spec, jobs=0)
 
 
-class TestProxCheck:
-    def test_worst_error_below_tolerance(self):
-        assert prox_check(200) < PROX_CHECK_TOLERANCE
-
-    def test_deterministic(self):
-        assert prox_check(40, seed=5) == prox_check(40, seed=5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            prox_check(0)
-
-
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = write_spec(tmp_path, base_spec(tmp_path / "out"))
@@ -412,15 +398,18 @@ class TestMain:
         assert err == "ZOMIRROR_SEED must be an integer, got '1.5'\n"
         assert not out.exists()
 
-    def test_prox_check_subcommand(self, capsys):
-        assert main(["prox-check", "--trials", "25", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("prox-check: 25 trials, worst coordinate error ")
-        assert out.rstrip().endswith("PASS")
+    @pytest.mark.parametrize("tag", [["zo-psgd"], {"a": 1}])
+    def test_non_string_tag_rejected(self, tmp_path, capsys, tag):
+        # A list or an object is not a tag; it must not reach a dict lookup,
+        # where it would fail as unhashable instead.
+        doc = base_spec(tmp_path / "out")
+        doc["algorithms"][0]["tag"] = tag
+        assert main(["validate", "--config", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid run spec: algorithms[0]: unknown algorithm tag {tag!r}\n"
 
-    def test_prox_check_rejects_bad_trials(self, capsys):
-        assert main(["prox-check", "--trials", "0"]) == 2
-        assert "trials must be >= 1" in capsys.readouterr().err
+    def test_runners_cover_every_algorithm(self):
+        assert set(cli._RUNNERS) == set(ALGORITHMS)
 
     def test_run_rejects_bad_jobs(self, tmp_path, capsys):
         path = write_spec(tmp_path, base_spec(tmp_path / "out"))

@@ -64,7 +64,6 @@ class TestFeasibleSet:
         assert fs.contains(np.array([1e12, -1e12]))
         x = np.array([3.0, -4.0])
         assert fs.clamp(x) is x
-        assert fs.l1_radius() is None
 
     def test_box_membership_and_clamp(self):
         fs = FeasibleSet.box([-1.0, 0.0], [1.0, 2.0])
@@ -78,12 +77,6 @@ class TestFeasibleSet:
             FeasibleSet.box([1.0], [0.0])
         with pytest.raises(ValueError):
             FeasibleSet.box([0.0, 0.0], [1.0])
-
-    def test_l1_radius_covers_mixed_sign_corners(self):
-        # The worst corner picks the larger-magnitude bound per coordinate:
-        # lo=(-1,0), hi=(0,1) admits (-1,1) with l1 norm 2.
-        fs = FeasibleSet.box([-1.0, 0.0], [0.0, 1.0])
-        assert fs.l1_radius() == 2.0
 
     def test_contains_tolerance(self):
         fs = FeasibleSet.box([0.0], [1.0])

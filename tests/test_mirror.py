@@ -1,6 +1,7 @@
 """Mirror geometry: DGF, mirror maps, Bregman divergence, Lambert W, prox."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,17 @@ class TestLambertW:
         out = lambert_w0(np.array([0.0, 1.0, 10.0]))
         assert isinstance(out, np.ndarray)
         assert out[1] == pytest.approx(0.5671432904097838, abs=1e-13)
+
+    def test_array_with_branch_point(self):
+        # The branch-point element converges at once; the Halley step must
+        # not divide 0/0 on it while 10.0 is still converging.
+        z = np.array([-1.0 / math.e, 10.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = lambert_w0(z)
+        assert w[0] == -1.0
+        assert w[1] == pytest.approx(1.7455280027406994, rel=1e-13)
+        assert np.all(np.abs(w * np.exp(w) - z) <= 1e-12 * np.maximum(1.0, np.abs(z)))
 
     def test_scalar_returns_float(self):
         assert isinstance(lambert_w0(1.0), float)

@@ -156,14 +156,6 @@ class TestSparseRegressionDesign:
         avg = np.mean([design.sample_loss(x, i) for i in range(8)])
         assert avg == pytest.approx(design.mean_loss(x), rel=1e-13)
 
-    def test_lipschitz_bound_formula(self):
-        ls = sparse_regression_design(9, 14, 3, 0.1, "least_squares", 8)
-        top = float(np.linalg.norm(ls.matrix, 2)) ** 2 / 14
-        assert ls.lipschitz_bound() == pytest.approx(top, rel=1e-13)
-        rb = sparse_regression_design(9, 14, 3, 0.1, "robust_nonconvex", 8)
-        top_rb = float(np.linalg.norm(rb.matrix, 2)) ** 2 / 14
-        assert rb.lipschitz_bound() == pytest.approx(2.0 * top_rb, rel=1e-13)
-
     def test_to_problem_wiring(self):
         design = sparse_regression_design(5, 6, 2, 0.1, "least_squares", 9)
         prob = design.to_problem()
