@@ -51,6 +51,10 @@ __all__ = [
 
 TRACE_HEADER = ("iter", "oracle_calls", "objective", "stationarity_sq_l1", "alpha", "eta", "wall_ms")
 
+# Specs whose data matrix (n_samples x d for sparse regression, n_classes x d
+# for an explanation) would take more bytes than this fail at parse time.
+_MAX_DESIGN_BYTES = 1 << 32
+
 # Looked up per run, so a caller may wrap the runners in place.
 _RUNNERS = {tag: functools.partial(run_algorithm, algorithm=tag) for tag in ALGORITHMS}
 
@@ -110,6 +114,14 @@ def _as_number(doc: dict, key: str, context: str, minimum: float | None = None) 
     return float(v)
 
 
+def _check_design_size(rows: int, d: int, what: str) -> None:
+    if 8 * rows * d > _MAX_DESIGN_BYTES:
+        raise ValueError(
+            f"problem: the {what} x d = {rows} x {d} matrix needs {8 * rows * d:,} bytes, "
+            f"above the limit of {_MAX_DESIGN_BYTES:,}"
+        )
+
+
 def _parse_problem(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("'problem' must be an object")
@@ -122,18 +134,19 @@ def _parse_problem(doc: dict) -> dict:
             "problem",
         )
         d = _as_int(doc, "d", "problem", 1)
-        _as_int(doc, "n_samples", "problem", 1)
+        n = _as_int(doc, "n_samples", "problem", 1)
         k = _as_int(doc, "k", "problem", 1)
         if k > d:
             raise ValueError("problem: 'k' must not exceed 'd'")
+        _check_design_size(n, d, "n_samples")
         _as_number(doc, "noise_sigma", "problem", 0.0)
         if doc["loss"] not in LOSS_KINDS:
             raise ValueError(f"problem: unknown loss {doc['loss']!r}")
     elif kind == "explanation":
         _check_keys(doc, {"kind", "seed", "d", "mode"}, {"n_classes", "gamma1", "gamma2"}, "problem")
-        _as_int(doc, "d", "problem", 1)
-        if "n_classes" in doc:
-            _as_int(doc, "n_classes", "problem", 2)
+        d = _as_int(doc, "d", "problem", 1)
+        n_classes = _as_int(doc, "n_classes", "problem", 2) if "n_classes" in doc else 3
+        _check_design_size(n_classes, d, "n_classes")
         if doc["mode"] not in EXPLANATION_MODES:
             raise ValueError(f"problem: unknown mode {doc['mode']!r}")
     else:
@@ -357,15 +370,21 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
     """Run every (algorithm, seed) pair; return 0 iff all runs succeeded.
 
     Failures of individual runs are recorded in summary.json with status
-    "failed" and do not stop the remaining runs.
+    "failed" and do not stop the remaining runs.  When the problem itself
+    cannot be built, one line goes to stderr, nothing is written and the
+    result is 1.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     out = out_dir if out_dir is not None else spec.output_dir
-    os.makedirs(out, exist_ok=True)
     env_seed = _env_seed()
     global_seed = env_seed if env_seed is not None else spec.problem["seed"]
-    problem = problem_from_descriptor(spec.problem)
+    try:
+        problem = problem_from_descriptor(spec.problem)
+    except Exception as exc:
+        print(f"problem build failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    os.makedirs(out, exist_ok=True)
     tasks = [(algo, seed) for algo in spec.algorithms for seed in spec.seeds]
     results = {}
     if jobs > 1:

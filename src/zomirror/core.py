@@ -165,6 +165,7 @@ def gradient_map(
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
     mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
-    map_vector = eta * (x - mapped)
-    l1 = float(np.sum(np.abs(map_vector)))
+    map_vector = x - mapped
+    map_vector *= eta
+    l1 = float(np.abs(map_vector).sum())
     return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=l1 * l1)

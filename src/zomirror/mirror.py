@@ -8,6 +8,14 @@ is strictly convex, coordinate-separable, and symmetric.  Its gradient and
 conjugate gradient have closed forms, and the proximal step for an elastic
 net reduces per coordinate to a soft shrinkage in the dual followed by a
 scalar Lambert-W solve.
+
+The prox solves that Lambert equation over the whole vector in one array
+call, not over a gathered subset of active coordinates.  A coordinate
+that the l1 weight zeroes carries the argument ``log_arg = -inf``:
+exp(-inf) = 0 and W(0) = 0 exactly, so it meets the residual test at the
+start, every Halley step leaves it at exactly 0, and it cannot change how
+many steps the active coordinates take.  Its magnitude 0/b - 1/d is then
+clipped to 0, which is what the shrinkage gives it.
 """
 
 from __future__ import annotations
@@ -84,33 +92,55 @@ def bregman(geo: MirrorGeometry, y, x) -> float:
 
 
 def _w0_halley(z: np.ndarray) -> np.ndarray:
-    """Principal Lambert branch on an array; assumes z >= -1/e element-wise."""
-    z = np.asarray(z, dtype=float)
-    w = np.where(z >= 0.0, np.log1p(np.maximum(z, 0.0)), z)
-    near_branch = z < -0.36
-    any_near = bool(np.any(near_branch))
-    if any_near:
-        p = np.sqrt(2.0 * (1.0 + np.e * np.where(near_branch, z, 0.0)))
-        w = np.where(near_branch, -1.0 + p - p * p / 3.0, w)
+    """Principal Lambert branch on an array of one or more dimensions;
+    assumes z >= -1/e element-wise.
 
-    target = _W_TOL * np.maximum(1.0, np.abs(z))
-    for _ in range(_W_MAX_ITER):
-        ew = np.exp(w)
-        f = w * ew - z
-        if np.all(np.abs(f) <= target):
+    Every element takes Halley steps until all of them meet the residual
+    test; none is frozen early.  The steps run in place on buffers
+    allocated once per call.
+    """
+    near_branch = None
+    if z.min(initial=0.0) >= 0.0:
+        # The prox's case: log1p(max(z, 0)) is the general start on z >= 0.
+        w = np.maximum(z, 0.0)
+        np.log1p(w, out=w)
+    else:
+        w = np.where(z >= 0.0, np.log1p(np.maximum(z, 0.0)), z)
+        near = z < -0.36
+        if np.any(near):
+            near_branch = near
+            p = np.sqrt(2.0 * (1.0 + np.e * np.where(near, z, 0.0)))
+            w = np.where(near, -1.0 + p - p * p / 3.0, w)
+
+    target = np.abs(z)
+    np.maximum(target, 1.0, out=target)
+    target *= _W_TOL
+    ew, f, wp1, tmp = (np.empty_like(w) for _ in range(4))
+    met = np.empty(w.shape, dtype=bool)
+    for step in range(_W_MAX_ITER + 1):
+        np.exp(w, out=ew)
+        np.multiply(w, ew, out=f)
+        f -= z
+        if np.less_equal(np.abs(f, out=tmp), target, out=met).all():
             return w
-        wp1 = w + 1.0
-        if any_near:
+        if step == _W_MAX_ITER:
+            break
+        np.add(w, 1.0, out=wp1)
+        if near_branch is not None:
             # An element solved exactly on the branch point has wp1 = 0 and
             # f = 0, so its Halley step would be 0/0 while the rest of the
             # array still converges.  A unit wp1 makes that step exactly
             # zero; elsewhere a zero residual already gives a zero step.
-            wp1 = np.where(f == 0.0, 1.0, wp1)
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w = w - f / denom
-    ew = np.exp(w)
-    if np.all(np.abs(w * ew - z) <= target):
-        return w
+            np.copyto(wp1, 1.0, where=f == 0.0)
+        # w -= f / (ew * wp1 - (w + 2) * f / (2 * wp1))
+        ew *= wp1
+        np.add(w, 2.0, out=tmp)
+        tmp *= f
+        wp1 *= 2.0
+        tmp /= wp1
+        ew -= tmp
+        f /= ew
+        w -= f
     raise NumericError("lambert_w0 failed to converge")
 
 
@@ -125,7 +155,7 @@ def lambert_w0(z):
         raise ValueError("lambert_w0 domain is z >= -1/e")
     if np.any(arr > 1e300):
         raise NumericError("lambert_w0 overflow: z too large")
-    w = _w0_halley(arr)
+    w = _w0_halley(arr.reshape(-1)).reshape(arr.shape)
     if np.ndim(z) == 0:
         return float(w)
     return w
@@ -156,27 +186,43 @@ def prox_composite(
     if x_t.shape != g.shape or x_t.shape != (geo.dimension,):
         raise ValueError("x_t and g must both have shape (dimension,)")
 
-    z = mirror_map(geo, x_t) - g / eta
-    abs_z = np.abs(z)
-    if np.any(abs_z > _LN_CAP):
+    # z = mirror_map(x_t) - g/eta, built in place; s is the second buffer.
+    z = np.abs(x_t)
+    z *= geo.dimension
+    np.log1p(z, out=z)
+    s = np.sign(x_t)
+    z *= s
+    np.divide(g, eta, out=s)
+    z -= s
+    abs_z = np.abs(z, out=s)
+    # fmax skips NaN, so this is any(abs_z > _LN_CAP) in one reduction.
+    if np.fmax.reduce(abs_z) > _LN_CAP:
         raise NumericError("prox overflow: dual point too large")
+    sign_z = np.sign(z, out=z)
 
     # q_i = ln(d*|y_i| + 1) - gamma1/eta without forming y_i explicitly.
-    q = abs_z - reg.gamma1 / eta
-    active = q > 0.0
-    magnitude = np.zeros_like(z)
-    if np.any(active):
-        qa = q[active]
-        if reg.gamma2 == 0.0:
-            magnitude[active] = geo.inv_d * np.expm1(qa)
-        else:
-            b = reg.gamma2 / eta
-            ab = geo.inv_d * b
-            log_arg = np.log(ab) + ab + qa
-            if np.any(log_arg > _LN_CAP):
-                raise NumericError("prox overflow: Lambert argument too large")
-            magnitude[active] = _w0_halley(np.exp(log_arg)) / b - geo.inv_d
-            # Shrinkage never produces a negative magnitude; clip roundoff.
-            np.maximum(magnitude, 0.0, out=magnitude)
-    candidate = np.sign(z) * magnitude
-    return feasible_set.clamp(candidate)
+    q = abs_z
+    q -= reg.gamma1 / eta
+    if reg.gamma2 == 0.0:
+        # fmax sends q <= 0 and NaN to +0, and expm1(+0) = +0.
+        magnitude = np.expm1(np.fmax(q, 0.0, out=q), out=q)
+        magnitude *= geo.inv_d
+    else:
+        b = reg.gamma2 / eta
+        ab = geo.inv_d * b
+        active = q > 0.0
+        q += np.log(ab) + ab
+        log_arg = np.where(active, q, -np.inf)
+        if np.fmax.reduce(log_arg) > _LN_CAP:
+            raise NumericError("prox overflow: Lambert argument too large")
+        magnitude = _w0_halley(np.exp(log_arg, out=log_arg))
+        magnitude /= b
+        magnitude -= geo.inv_d
+        # Shrinkage never produces a negative magnitude; clip roundoff.
+        np.maximum(magnitude, 0.0, out=magnitude)
+        if not b > 0.0:
+            # gamma2/eta underflowed to 0 (or eta is NaN): W/b is 0/0 on
+            # every coordinate, and only the active ones carry it.
+            np.copyto(magnitude, 0.0, where=~active)
+    np.multiply(sign_z, magnitude, out=magnitude)
+    return feasible_set.clamp(magnitude)

@@ -56,12 +56,20 @@ def robust_loss_derivative(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseRegressionProblem:
-    """Planted sparse regression data: rows, targets, loss kind, solution."""
+    """Planted sparse regression data: rows, targets, loss kind, solution.
+
+    ``mean_loss(x)`` leaves its residual A x - b in a one-slot memo, and
+    the next ``gradient(x)`` takes it instead of recomputing it when the
+    slot holds this same array with the same bytes.  Reading and clearing
+    the slot is one swap, so a residual serves at most one gradient, and
+    runs sharing the problem across threads can only miss the memo.
+    """
 
     matrix: np.ndarray
     targets: np.ndarray
     kind: str
     planted: np.ndarray
+    _residual_slot: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
@@ -90,16 +98,24 @@ class SparseRegressionProblem:
         return sq / (1.0 + sq)
 
     def mean_loss(self, x: np.ndarray) -> float:
+        x = np.asarray(x)
         r = self.matrix @ x - self.targets
+        # The bytes of x guard the memo against changes to x in place.
+        self._residual_slot[0] = (x, x.tobytes(), r)
         if self.kind == "least_squares":
             return 0.5 * float(np.mean(np.square(r)))
         return float(np.mean(robust_loss(r)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        r = self.matrix @ x - self.targets
-        if self.kind == "least_squares":
-            return self.matrix.T @ r / self.n_samples
-        return self.matrix.T @ robust_loss_derivative(r) / self.n_samples
+        x = np.asarray(x)
+        memo, self._residual_slot[0] = self._residual_slot[0], None
+        if memo is not None and memo[0] is x and memo[1] == x.tobytes():
+            r = memo[2]
+        else:
+            r = self.matrix @ x - self.targets
+        grad = self.matrix.T @ (r if self.kind == "least_squares" else robust_loss_derivative(r))
+        grad /= self.n_samples
+        return grad
 
     def to_problem(
         self,

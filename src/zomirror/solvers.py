@@ -316,7 +316,10 @@ ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 def _objective(problem: Problem, x: np.ndarray, t: int) -> float:
     if problem.mean_loss is None:
-        return composite_value(problem, x, range(problem.num_samples))
+        try:
+            return composite_value(problem, x, range(problem.num_samples))
+        except NumericError as exc:
+            raise NumericError(f"{exc} at iteration {t} in objective") from exc
     value = float(problem.mean_loss(x))
     if not math.isfinite(value):
         raise NumericError(f"mean_loss returned a non-finite value at iteration {t}")
@@ -325,7 +328,7 @@ def _objective(problem: Problem, x: np.ndarray, t: int) -> float:
 
 def _exact_gradient(problem: Problem, x: np.ndarray, t: int) -> np.ndarray:
     grad = problem.exact_gradient(x)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError(f"exact_gradient returned a non-finite entry at iteration {t}")
     return grad
 
@@ -400,31 +403,40 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
         # the momentum tracking diagnostics.
         if map_due or track_momentum:
             grad = _exact_gradient(problem, x_t, t)
-        if map_due:
-            result = gradient_map(
-                x_t, grad, eta_t, geo, problem.regularizer, problem.feasible_set
-            )
-            stationarity = result.sq_l1_norm
+        # A NumericError from here on names the iteration and the layer.
+        layer = "gradient map"
+        try:
+            if map_due:
+                result = gradient_map(
+                    x_t, grad, eta_t, geo, problem.regularizer, problem.feasible_set
+                )
+                stationarity = result.sq_l1_norm
 
-        key = (cfg.seed, t)
-        if algo.paired and t > 1:
-            g_est, m_est = paired_storm_estimates(problem, x_t, x_prev, est_cfg, key)
-            calls += g_est.oracle_calls + m_est.oracle_calls
-            storm.gamma = storm_schedule(t, cfg.batch)[1]
-            d_vec = storm_momentum_update(storm, g_est.vector, m_est.vector)
-        else:
-            g_est = minibatch_gradient(problem, x_t, est_cfg, key)
-            calls += g_est.oracle_calls
-            d_vec = g_est.vector
-            if algo.paired:
-                # Unbiased start: no previous iterate to pair against, so the
-                # momentum mixes at gamma = 1 and collapses to the fresh batch.
-                storm.gamma = 1.0
-                d_vec = storm_momentum_update(storm, d_vec, d_vec)
-        if track_momentum:
-            tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
-            mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
-        x_next = algo.step(state, d_vec)
+            layer = "estimator"
+            key = (cfg.seed, t)
+            if algo.paired and t > 1:
+                g_est, m_est = paired_storm_estimates(problem, x_t, x_prev, est_cfg, key)
+                calls += g_est.oracle_calls + m_est.oracle_calls
+                storm.gamma = storm_schedule(t, cfg.batch)[1]
+                d_vec = storm_momentum_update(storm, g_est.vector, m_est.vector)
+            else:
+                g_est = minibatch_gradient(problem, x_t, est_cfg, key)
+                calls += g_est.oracle_calls
+                d_vec = g_est.vector
+                if algo.paired:
+                    # Unbiased start: no previous iterate to pair against, so
+                    # the momentum mixes at gamma = 1 and collapses to the
+                    # fresh batch.
+                    storm.gamma = 1.0
+                    d_vec = storm_momentum_update(storm, d_vec, d_vec)
+            if track_momentum:
+                tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
+                mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
+
+            layer = "step"
+            x_next = algo.step(state, d_vec)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at iteration {t} in {layer}") from exc
 
         if state.steps.alpha < alpha_t:
             raise RuntimeError("stepsize invariant violated: alpha decreased")

@@ -2,7 +2,11 @@
 
 Everything here is written from the mathematical definitions using only
 the standard library and numpy, deliberately avoiding the package's own
-helpers, so agreement between the two is meaningful evidence.
+helpers, so agreement between the two is meaningful evidence.  The one
+exception is the pair ``prox_composite_reference``/``w0_halley_reference``:
+frozen copies of an earlier, masked-gather formulation of the package's
+prox and Lambert-W kernels, kept to pin the rewritten kernels bit for bit.
+They raise the package's ``NumericError`` so that messages compare too.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import itertools
 import math
 
 import numpy as np
+
+from zomirror.core import FeasibleSet, NumericError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -157,3 +163,86 @@ def decimal_bregman_margin(d: int, y, x, prec: int = 50) -> float:
         norm = max(sum(abs(a) for a in xs), sum(abs(b) for b in ys))
         bound = gap * gap / (2 * (norm + 1))
         return float(breg - bound)
+
+
+def mean_loss_reference(matrix: np.ndarray, targets: np.ndarray, kind: str, x: np.ndarray) -> float:
+    """Mean row loss from its own residual: 0.5*mean(r^2) or mean(r^2/(1 + r^2))."""
+    r = matrix @ x - targets
+    sq = r * r
+    if kind == "least_squares":
+        return 0.5 * float(np.mean(sq))
+    return float(np.mean(sq / (1.0 + sq)))
+
+
+def gradient_reference(matrix: np.ndarray, targets: np.ndarray, kind: str, x: np.ndarray) -> np.ndarray:
+    """Exact mean gradient from its own residual: A^T r / n, or A^T rho'(r) / n."""
+    r = matrix @ x - targets
+    if kind == "least_squares":
+        return matrix.T @ r / len(targets)
+    return matrix.T @ (2.0 * r / np.square(1.0 + r * r)) / len(targets)
+
+
+# Frozen kernel copies (see the module docstring).  Their constants and the
+# mirror map are inlined with the values the package uses.
+_REF_LN_CAP = float(np.log(1e300))
+_REF_W_TOL = 1e-12
+_REF_W_MAX_ITER = 50
+
+
+def w0_halley_reference(z: np.ndarray) -> np.ndarray:
+    """Principal Lambert branch on an array; assumes z >= -1/e element-wise."""
+    z = np.asarray(z, dtype=float)
+    w = np.where(z >= 0.0, np.log1p(np.maximum(z, 0.0)), z)
+    near_branch = z < -0.36
+    any_near = bool(np.any(near_branch))
+    if any_near:
+        p = np.sqrt(2.0 * (1.0 + np.e * np.where(near_branch, z, 0.0)))
+        w = np.where(near_branch, -1.0 + p - p * p / 3.0, w)
+
+    target = _REF_W_TOL * np.maximum(1.0, np.abs(z))
+    for _ in range(_REF_W_MAX_ITER):
+        ew = np.exp(w)
+        f = w * ew - z
+        if np.all(np.abs(f) <= target):
+            return w
+        wp1 = w + 1.0
+        if any_near:
+            wp1 = np.where(f == 0.0, 1.0, wp1)
+        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        w = w - f / denom
+    ew = np.exp(w)
+    if np.all(np.abs(w * ew - z) <= target):
+        return w
+    raise NumericError("lambert_w0 failed to converge")
+
+
+def prox_composite_reference(
+    d: int, x_t, g, eta: float, gamma1: float, gamma2: float, feasible_set: FeasibleSet
+) -> np.ndarray:
+    """Composite mirror prox: gather the active coordinates, solve, scatter back."""
+    inv_d = 1.0 / d
+    x_t = np.asarray(x_t, dtype=float)
+    g = np.asarray(g, dtype=float)
+
+    z = np.log1p(d * np.abs(x_t)) * np.sign(x_t) - g / eta
+    abs_z = np.abs(z)
+    if np.any(abs_z > _REF_LN_CAP):
+        raise NumericError("prox overflow: dual point too large")
+
+    q = abs_z - gamma1 / eta
+    active = q > 0.0
+    magnitude = np.zeros_like(z)
+    if np.any(active):
+        qa = q[active]
+        if gamma2 == 0.0:
+            magnitude[active] = inv_d * np.expm1(qa)
+        else:
+            b = gamma2 / eta
+            ab = inv_d * b
+            log_arg = np.log(ab) + ab + qa
+            if np.any(log_arg > _REF_LN_CAP):
+                raise NumericError("prox overflow: Lambert argument too large")
+            magnitude[active] = w0_halley_reference(np.exp(log_arg)) / b - inv_d
+            np.maximum(magnitude, 0.0, out=magnitude)
+    candidate = np.sign(z) * magnitude
+    return feasible_set.clamp(candidate)

@@ -415,3 +415,36 @@ class TestMain:
         path = write_spec(tmp_path, base_spec(tmp_path / "out"))
         assert main(["run", "--config", path, "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, problem, rows",
+        [
+            ("validate", {"d": 10**7, "n_samples": 10**7}, "n_samples x d = 10000000 x 10000000"),
+            ("run", {"d": 10**7, "n_samples": 10**7}, "n_samples x d = 10000000 x 10000000"),
+            ("validate", {"kind": "explanation", "seed": 0, "d": 10**9, "mode": "PN"}, "n_classes x d = 3 x 1000000000"),
+        ],
+    )
+    def test_oversize_design_rejected_at_parse(self, tmp_path, capsys, command, problem, rows):
+        # Far more bytes than any machine has; parsing allocates none of them.
+        out = tmp_path / "out"
+        doc = base_spec(out)
+        if problem.get("kind") == "explanation":
+            doc["problem"] = problem
+        else:
+            doc["problem"].update(problem)
+        assert main([command, "--config", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid run spec: problem: the {rows} matrix")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_problem_build_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(doc):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr(cli, "problem_from_descriptor", fail)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_spec(tmp_path, base_spec(out)), "--no-timing"]) == 1
+        err = capsys.readouterr().err
+        assert err == "problem build failed: MemoryError: Unable to allocate 728. TiB for an array\n"
+        assert not out.exists()

@@ -1,6 +1,8 @@
 """Benchmark problems: sparse regression, tiny classifiers, explanations."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from zomirror import (
 from zomirror import rng
 from zomirror.problems import robust_loss, robust_loss_derivative
 
-from oracles import margin_reference, sample_loss_reference, softplus_ref
+from oracles import (
+    gradient_reference,
+    margin_reference,
+    mean_loss_reference,
+    sample_loss_reference,
+    softplus_ref,
+)
 
 RHO_SLOPE_CAP = 3.0 * math.sqrt(3.0) / 8.0
 
@@ -183,6 +191,88 @@ class TestSparseRegressionDesign:
         reg = ElasticNet(0.3, 0.1)
         prob = make_sparse_regression(5, 6, 2, 0.1, "least_squares", 9, regularizer=reg)
         assert prob.regularizer is reg
+
+
+KINDS = ["least_squares", "robust_nonconvex"]
+
+
+class TestResidualMemo:
+    """mean_loss leaves A x - b for the next exact gradient at the same x."""
+
+    @staticmethod
+    def design(kind):
+        return sparse_regression_design(40, 30, 5, 0.1, kind, seed=3)
+
+    @staticmethod
+    def points(n):
+        stream = rng.stream("memo-points")
+        return [stream.standard_normal(40) for _ in range(n)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradient_after_change_in_place_is_exact(self, kind):
+        design = self.design(kind)
+        prob = design.to_problem()
+        (x,) = self.points(1)
+        prob.mean_loss(x)
+        x[3] += 0.5
+        got = prob.exact_gradient(x)
+        want = gradient_reference(design.matrix, design.targets, kind, x.copy())
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_interleaved_points_give_serial_results(self, kind):
+        design = self.design(kind)
+        x1, x2 = self.points(2)
+        serial = []
+        for x in (x1, x2):
+            prob = design.to_problem()
+            serial.append((prob.mean_loss(x), prob.exact_gradient(x)))
+        shared = design.to_problem()
+        losses = [shared.mean_loss(x1), shared.mean_loss(x2)]
+        grads = [shared.exact_gradient(x1), shared.exact_gradient(x2)]
+        assert losses == [serial[0][0], serial[1][0]]
+        assert [g.tobytes() for g in grads] == [serial[0][1].tobytes(), serial[1][1].tobytes()]
+
+    def test_threads_sharing_one_problem_get_their_own_gradients(self):
+        # Runs under --jobs share one problem, and so its memo slot.
+        design = self.design("robust_nonconvex")
+        shared = design.to_problem()
+        points = self.points(6)
+        want = [
+            gradient_reference(design.matrix, design.targets, "robust_nonconvex", x).tobytes()
+            for x in points
+        ]
+        wrong = []
+
+        def work(i):
+            for _ in range(300):
+                shared.mean_loss(points[i])
+                if shared.exact_gradient(points[i]).tobytes() != want[i]:
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(points))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hooks_equal_plain_numpy_reference(self, kind):
+        design = self.design(kind)
+        prob = design.to_problem()
+        A, b = design.matrix, design.targets
+        for x in self.points(5):
+            want = gradient_reference(A, b, kind, x)
+            assert prob.exact_gradient(x).tobytes() == want.tobytes()  # no residual left
+            assert prob.mean_loss(x) == mean_loss_reference(A, b, kind, x)
+            assert prob.exact_gradient(x).tobytes() == want.tobytes()  # the left residual
 
 
 class TestTinyClassifier:

@@ -536,6 +536,47 @@ class TestSolverBehavior:
         with pytest.raises(NumericError, match="exact_gradient .* iteration 3$"):
             RUNNERS[tag](prob, RunConfig(T=4, batch=1))
 
+    # The fixture's mean loss may overflow on the way to the prox's guard.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "exact_gradient, seed, layer",
+        [(True, 1, "gradient map"), (False, 5, "step")],
+        ids=["gradient-map", "step"],
+    )
+    def test_prox_overflow_names_iteration_and_layer(self, exact_gradient, seed, layer):
+        # Unboxed at eta=1 the dual point passes the prox's guard at x_4:
+        # first in the gradient map, or in the step when no exact gradient
+        # asks for a gradient map.
+        prob = quadratic_problem([1.0, 2.0], noise=0.2)
+        if not exact_gradient:
+            prob = dataclasses.replace(prob, exact_gradient=None)
+        with pytest.raises(NumericError) as info:
+            run_zo_ada_expgrad_plus(prob, RunConfig(T=13, batch=2, eta_base=1.0, seed=seed))
+        assert str(info.value) == f"prox overflow: dual point too large at iteration 4 in {layer}"
+        assert str(info.value.__cause__) == "prox overflow: dual point too large"
+
+    @pytest.mark.parametrize("tag", ["zo-ada-expgrad", "zo-expstorm"])
+    def test_nonfinite_oracle_names_iteration_and_layer(self, tag):
+        # The estimator makes 2 calls per iteration at m=1 (4 when paired);
+        # call 3 is the first of iteration 2 either way.
+        calls = iter(range(1, 100))
+        prob = Problem(
+            dimension=2,
+            oracle=lambda x, xi: math.inf if next(calls) == 3 else 0.0,
+            mean_loss=lambda x: 0.0,
+        )
+        with pytest.raises(NumericError, match=r"^oracle .* xi=\d+ at iteration 2 in estimator$"):
+            RUNNERS[tag](prob, RunConfig(T=4, batch=1))
+
+    def test_nonfinite_oracle_objective_names_iteration(self):
+        # Without mean_loss the objective averages the oracle itself.
+        calls = iter(range(1, 100))
+        prob = zero_problem(d=2)
+        prob = dataclasses.replace(prob, oracle=lambda x, xi: math.inf if next(calls) == 4 else 0.0)
+        # Iteration 1 makes one objective call and two estimator calls.
+        with pytest.raises(NumericError, match=r"^oracle .* xi=0 at iteration 2 in objective$"):
+            run_zo_psgd(prob, RunConfig(T=3, batch=1))
+
 
 class TestOutputSampling:
     def test_single_iteration_always_returns_start(self):
