@@ -48,17 +48,12 @@ from .sampling import (
 from .solvers import (
     ALGORITHMS,
     RunConfig,
-    StepsizeState,
-    StormState,
     Trace,
     TraceRecord,
-    adaptive_stepsize_md_update,
-    fw_combined_step,
     run_zo_ada_expgrad,
     run_zo_ada_expgrad_plus,
     run_zo_expstorm,
     run_zo_psgd,
-    scmd_step,
     storm_momentum_update,
     storm_schedule,
 )
@@ -78,19 +73,15 @@ __all__ = [
     "Problem",
     "RunConfig",
     "SparseRegressionProblem",
-    "StepsizeState",
-    "StormState",
     "TinyClassifier",
     "Trace",
     "TraceRecord",
-    "adaptive_stepsize_md_update",
     "bregman",
     "composite_value",
     "default_smoothing",
     "dgf_value",
     "elastic_net_value",
     "explanation_loss",
-    "fw_combined_step",
     "gradient_map",
     "inverse_mirror_map",
     "lambert_w0",
@@ -107,7 +98,6 @@ __all__ = [
     "run_zo_ada_expgrad_plus",
     "run_zo_expstorm",
     "run_zo_psgd",
-    "scmd_step",
     "sparse_regression_design",
     "storm_momentum_update",
     "storm_schedule",

@@ -176,11 +176,12 @@ def _parse_algorithm(doc: dict, index: int) -> AlgorithmSpec:
         nu = _as_number(doc, "nu", context)
         if nu <= 0:
             raise ValueError(f"{context}: 'nu' must be positive")
-    variant = doc.get("variant", "adaptive")
+    rules = ALGORITHM_TABLE[tag].alpha_rules
+    variant = doc.get("variant", next(iter(rules)))
     if variant not in ("adaptive", "constant"):
         raise ValueError(f"{context}: 'variant' must be 'adaptive' or 'constant'")
-    if variant == "constant" and "constant" not in ALGORITHM_TABLE[tag].variants:
-        raise ValueError(f"{context}: tag {tag!r} has no constant-stepsize variant")
+    if variant not in rules:
+        raise ValueError(f"{context}: tag {tag!r} has no {variant}-stepsize variant")
     period = (
         _as_int(doc, "stationarity_eval_period", context, 1)
         if "stationarity_eval_period" in doc
@@ -334,7 +335,7 @@ def _execute_one(problem, algo: AlgorithmSpec, listed_seed: int, global_seed: in
             nu=algo.nu,
             seed=run_seed,
             algorithm=algo.tag,
-            stepsize_variant="constant" if algo.variant == "constant" else None,
+            stepsize_variant=algo.variant,
             stationarity_eval_period=algo.stationarity_eval_period,
         )
         trace = _RUNNERS[algo.tag](problem, cfg)

@@ -36,8 +36,8 @@ class ElasticNet:
     gamma2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("elastic net weights must be nonnegative")
+        if not (0.0 <= self.gamma1 < math.inf and 0.0 <= self.gamma2 < math.inf):
+            raise ValueError("elastic net weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def gradient_map(
     """
     from .mirror import prox_composite
 
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
     mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)

@@ -15,7 +15,10 @@ that the l1 weight zeroes carries the argument ``log_arg = -inf``:
 exp(-inf) = 0 and W(0) = 0 exactly, so it meets the residual test at the
 start, every Halley step leaves it at exactly 0, and it cannot change how
 many steps the active coordinates take.  Its magnitude 0/b - 1/d is then
-clipped to 0, which is what the shrinkage gives it.
+clipped to 0, which is what the shrinkage gives it.  A heavy quadratic
+weight gamma2/(eta*d) can push the Lambert argument exp(s) past the
+overflow guard although the prox itself is small; those coordinates solve
+w + ln(w) = s for w = W(exp(s)) instead.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ _LN_CAP = float(np.log(1e300))
 _W_TOL = 1e-12
 _W_MAX_ITER = 50
 _NEG_INV_E = -float(np.exp(-1.0))
+_MIN_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,14 @@ class MirrorGeometry:
         object.__setattr__(self, "inv_d", 1.0 / self.dimension)
 
 
+def _dgf_terms(geo: MirrorGeometry, x: np.ndarray) -> np.ndarray:
+    ax = np.abs(x)
+    return (ax + geo.inv_d) * np.log1p(geo.dimension * ax) - ax
+
+
 def dgf_value(geo: MirrorGeometry, x) -> float:
     """phi(x); nonnegative, zero only at the origin."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    d = geo.dimension
-    return float(np.sum((ax + geo.inv_d) * np.log1p(d * ax) - ax))
+    return float(np.sum(_dgf_terms(geo, np.asarray(x, dtype=float))))
 
 
 def mirror_map(geo: MirrorGeometry, x) -> np.ndarray:
@@ -83,12 +90,18 @@ def inverse_mirror_map(geo: MirrorGeometry, theta) -> np.ndarray:
 
 
 def bregman(geo: MirrorGeometry, y, x) -> float:
-    """B(y, x) = phi(y) - phi(x) - <grad phi(x), y - x>; always >= 0."""
+    """B(y, x) = phi(y) - phi(x) - <grad phi(x), y - x>; always >= 0.
+
+    Summed over coordinates, each clipped at 0: a coordinate's divergence
+    is nonnegative, and its terms cancel to roundoff, possibly below 0,
+    when y_i is within a few ulps of x_i.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape:
         raise ValueError("bregman arguments must have equal shapes")
-    return dgf_value(geo, y) - dgf_value(geo, x) - float(np.dot(mirror_map(geo, x), y - x))
+    terms = _dgf_terms(geo, y) - _dgf_terms(geo, x) - mirror_map(geo, x) * (y - x)
+    return float(np.sum(np.maximum(terms, 0.0)))
 
 
 def _w0_halley(z: np.ndarray) -> np.ndarray:
@@ -144,6 +157,24 @@ def _w0_halley(z: np.ndarray) -> np.ndarray:
     raise NumericError("lambert_w0 failed to converge")
 
 
+def _w0_of_exp(s: np.ndarray) -> np.ndarray:
+    """W(exp(s)) for s > _LN_CAP, where exp(s) itself may overflow.
+
+    w = W(exp(s)) is the root of w + ln(w) = s, found by Newton steps from
+    s - ln(s); the residual is driven below 1e-12 * s, the precision that
+    s itself carries.  An infinite s raises NumericError.
+    """
+    if not np.isfinite(s).all():
+        raise NumericError("prox overflow: Lambert argument too large")
+    w = s - np.log(s)
+    for _ in range(_W_MAX_ITER):
+        f = w + np.log(w) - s
+        if np.all(np.abs(f) <= _W_TOL * s):
+            return w
+        w -= f / (1.0 + 1.0 / w)
+    raise NumericError("lambert_w0 failed to converge")
+
+
 def lambert_w0(z):
     """Principal branch of the Lambert function: w with w * exp(w) = z.
 
@@ -179,7 +210,7 @@ def prox_composite(
     gamma2 = 0).  Box constraints clamp the result coordinate-wise, valid
     because each scalar objective is convex.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -203,26 +234,31 @@ def prox_composite(
     # q_i = ln(d*|y_i| + 1) - gamma1/eta without forming y_i explicitly.
     q = abs_z
     q -= reg.gamma1 / eta
-    if reg.gamma2 == 0.0:
-        # fmax sends q <= 0 and NaN to +0, and expm1(+0) = +0.
+    b = reg.gamma2 / eta
+    ab = geo.inv_d * b
+    if ab < _MIN_NORMAL:
+        # gamma2 = 0, or (1/d)*gamma2/eta underflows to 0 or to a subnormal
+        # too coarse for ln(ab); the quadratic term is then negligible and
+        # drops out.  fmax sends q <= 0 and NaN to +0, and expm1(+0) = +0.
         magnitude = np.expm1(np.fmax(q, 0.0, out=q), out=q)
         magnitude *= geo.inv_d
     else:
-        b = reg.gamma2 / eta
-        ab = geo.inv_d * b
         active = q > 0.0
         q += np.log(ab) + ab
         log_arg = np.where(active, q, -np.inf)
+        big = None
         if np.fmax.reduce(log_arg) > _LN_CAP:
-            raise NumericError("prox overflow: Lambert argument too large")
+            # exp(log_arg) would overflow on these coordinates, so they
+            # solve in log space; the Halley call sees them as W(0) = 0.
+            big = log_arg > _LN_CAP
+            big_arg = log_arg[big]
+            log_arg[big] = -np.inf
         magnitude = _w0_halley(np.exp(log_arg, out=log_arg))
+        if big is not None:
+            magnitude[big] = _w0_of_exp(big_arg)
         magnitude /= b
         magnitude -= geo.inv_d
         # Shrinkage never produces a negative magnitude; clip roundoff.
         np.maximum(magnitude, 0.0, out=magnitude)
-        if not b > 0.0:
-            # gamma2/eta underflowed to 0 (or eta is NaN): W/b is 0/0 on
-            # every coordinate, and only the active ones carry it.
-            np.copyto(magnitude, 0.0, where=~active)
     np.multiply(sign_z, magnitude, out=magnitude)
     return feasible_set.clamp(magnitude)

@@ -56,7 +56,7 @@ class EstimatorConfig:
     batch: int
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError("nu must be positive")
         if self.batch < 1:
             raise ValueError("batch must be a positive integer")

@@ -5,11 +5,13 @@ stepsizes (zo-ada-expgrad), a combined-step variant that moves along a
 convex combination toward the prox target (zo-ada-expgrad-plus), the same
 combined step driven by recursive-momentum estimates (zo-expstorm), and a
 proximal SGD baseline in the Euclidean geometry (zo-psgd).  ALGORITHM_TABLE
-is the one place that tells them apart.  Every run is a pure function of
-(problem, config): each iteration's batch estimate draws its probe signs
-and sample ids from one stream keyed by (seed, iteration), and the reported
-output iterate x_tau is drawn uniformly from the trajectory using the run's
-own stream.
+is the one place that tells them apart, stepsize rules included: each
+entry maps the stepsize words it accepts, "adaptive" and "constant", to
+its rule for alpha_{t+1}, with eta_t = eta_base * alpha_t.  Every run is a
+pure function of (problem, config): each iteration's batch estimate draws
+its probe signs and sample ids from one stream keyed by (seed, iteration),
+and the reported output iterate x_tau is drawn uniformly from the
+trajectory using the run's own stream.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 
 from . import rng
 from .core import (
-    ElasticNet,
-    FeasibleSet,
     NumericError,
     Problem,
     composite_value,
@@ -43,15 +43,10 @@ __all__ = [
     "ALGORITHMS",
     "ALGORITHM_TABLE",
     "Algorithm",
-    "StepsizeState",
-    "StormState",
     "RunConfig",
     "TraceRecord",
     "Trace",
-    "SolverState",
-    "scmd_step",
-    "adaptive_stepsize_md_update",
-    "fw_combined_step",
+    "stepsize_update",
     "storm_schedule",
     "storm_momentum_update",
     "run_algorithm",
@@ -64,47 +59,21 @@ __all__ = [
 # Traces retain full iterate lists only below this many stored floats.
 _ITERATE_STORE_LIMIT = 4_000_000
 
-
-@dataclass
-class StepsizeState:
-    """Stepsize recursion state: eta_t = eta_base * alpha_t.
-
-    alpha never decreases and accum never shrinks, for every variant.
-    """
-
-    variant: str
-    eta_base: float
-    alpha: float = 1.0
-    accum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("constant", "adaptive_md", "adaptive_fw", "storm"):
-            raise ValueError(f"unknown stepsize variant: {self.variant!r}")
-        if self.eta_base <= 0:
-            raise ValueError("eta_base must be positive")
-
-    def current_eta(self) -> float:
-        return self.eta_base * self.alpha
-
-
-@dataclass
-class StormState:
-    """Recursive-momentum state: d_t and the current mixing weight gamma_t."""
-
-    batch: int
-    momentum: np.ndarray
-    gamma: float = 1.0
+# alpha_{t+1} from (accum, t, m): the accumulator after iteration t's move,
+# the iteration and the batch size.
+AlphaRule = Callable[[float, int, int], float]
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one solver run.
 
-    ``stepsize_variant`` of None selects the algorithm's default; only
-    zo-ada-expgrad has a second one ("constant" beside "adaptive_md").
-    ``nu`` of None selects the default smoothing for the algorithm's
-    estimator.  A non-empty ``algorithm`` must name the algorithm of the
-    runner it is passed to.
+    ``stepsize_variant`` names one of the algorithm's stepsize rules in
+    ALGORITHM_TABLE: "adaptive" or "constant".  None selects the first,
+    which is "adaptive" for every algorithm; only zo-ada-expgrad and
+    zo-psgd accept "constant".  ``nu`` of None selects the default
+    smoothing for the algorithm's estimator.  A non-empty ``algorithm``
+    must name the algorithm of the runner it is passed to.
     """
 
     T: int
@@ -121,9 +90,9 @@ class RunConfig:
             raise ValueError("T must be a positive integer")
         if self.batch < 1:
             raise ValueError("batch must be a positive integer")
-        if self.eta_base <= 0:
+        if not self.eta_base > 0:
             raise ValueError("eta_base must be positive")
-        if self.nu is not None and self.nu <= 0:
+        if self.nu is not None and not self.nu > 0:
             raise ValueError("nu must be positive when given")
         if self.stationarity_eval_period < 1:
             raise ValueError("stationarity_eval_period must be a positive integer")
@@ -160,155 +129,119 @@ class Trace:
     minibatch_tracking_sq: list[float] | None = None
 
 
-@dataclass
-class SolverState:
-    """Mutable per-run state threaded through the step operations."""
+def storm_schedule(t: int, m: int) -> tuple[float, float]:
+    """(gamma, beta) at iteration t with batch m.
 
-    geometry: MirrorGeometry
-    regularizer: ElasticNet
-    feasible_set: FeasibleSet
-    x: np.ndarray
-    steps: StepsizeState
-    storm: StormState | None = None
-    iteration: int = 1
-
-
-def scmd_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
-    """One mirror-descent step: the prox of d_t at the current iterate."""
-    return prox_composite(
-        state.geometry,
-        state.x,
-        d_t,
-        state.steps.current_eta(),
-        state.regularizer,
-        state.feasible_set,
-    )
-
-
-def adaptive_stepsize_md_update(
-    steps: StepsizeState, x_t: np.ndarray, x_next: np.ndarray
-) -> StepsizeState:
-    """Accumulate the step just taken and grow alpha.
-
-    lambda_t = 1/(max(||x_t||_1, ||x_next||_1) + 1), the accumulator gains
-    (lambda_t * alpha_t * ||x_next - x_t||_1)^2, and the next alpha is
-    sqrt(accum + 1).
-    """
-    n_t = float(np.sum(np.abs(x_t)))
-    n_next = float(np.sum(np.abs(x_next)))
-    lam = 1.0 / (max(n_t, n_next) + 1.0)
-    move = float(np.sum(np.abs(x_next - x_t)))
-    steps.accum += (lam * steps.alpha * move) ** 2
-    new_alpha = float(np.sqrt(steps.accum + 1.0))
-    if new_alpha < steps.alpha:
-        raise RuntimeError("stepsize invariant violated: alpha decreased")
-    steps.alpha = new_alpha
-    return steps
-
-
-def storm_schedule(t: int, m: int) -> tuple[float, float, float]:
-    """(tau, gamma, beta) at iteration t with batch m.
-
-    tau = (1 + t/m)^(2/3) grows without bound, gamma = 2/(1 + tau) decays
-    toward zero, and beta = max(1, (tau - 1)/sqrt(tau)) is nondecreasing.
+    tau = (1 + t/m)^(2/3) grows without bound, so gamma = 2/(1 + tau)
+    decays toward zero and beta = max(1, (tau - 1)/sqrt(tau)) is
+    nondecreasing.
     """
     if t < 1 or m < 1:
         raise ValueError("t and m must be positive integers")
     tau = (1.0 + t / m) ** (2.0 / 3.0)
-    gamma = 2.0 / (1.0 + tau)
-    beta = max(1.0, (tau - 1.0) / np.sqrt(tau))
-    return tau, gamma, float(beta)
+    return 2.0 / (1.0 + tau), float(max(1.0, (tau - 1.0) / np.sqrt(tau)))
 
 
-def storm_momentum_update(state: StormState, g_t: np.ndarray, m_t: np.ndarray) -> np.ndarray:
-    """d_t = g_t + (1 - gamma_t) * (d_{t-1} - m_t); stores and returns d_t."""
+def storm_momentum_update(
+    d_prev: np.ndarray, g_t: np.ndarray, m_t: np.ndarray, gamma: float
+) -> np.ndarray:
+    """d_t = g_t + (1 - gamma_t) * (d_{t-1} - m_t)."""
     if g_t.shape != m_t.shape:
         raise ValueError("g_t and m_t must have equal shapes")
-    d_t = g_t + (1.0 - state.gamma) * (state.momentum - m_t)
-    state.momentum = d_t
-    return d_t
+    return g_t + (1.0 - gamma) * (d_prev - m_t)
 
 
-def fw_combined_step(state: SolverState, d_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prox target plus convex combination toward it.
+def _md_alpha(accum: float, t: int, m: int) -> float:
+    """Mirror descent: sqrt(accum + 1)."""
+    return math.sqrt(accum + 1.0)
 
-    v_t = prox(x_t, d_t, eta * alpha_t); the accumulator gains
-    (lambda_t * alpha_t * ||v_t - x_t||_1)^2 with lambda_t =
-    1/(max(||x_t||_1, ||v_t||_1) + 1); alpha_{t+1} is max(sqrt(accum), 1)
-    for the plain variant and sqrt(beta_{t+1} * (1 + accum)) for the
-    momentum variant; x_{t+1} = (1 - alpha_t/alpha_{t+1}) * x_t +
-    (alpha_t/alpha_{t+1}) * v_t.
+
+def _fw_alpha(accum: float, t: int, m: int) -> float:
+    """Combined step: max(sqrt(accum), 1)."""
+    return max(math.sqrt(accum), 1.0)
+
+
+def _storm_alpha(accum: float, t: int, m: int) -> float:
+    """Combined step on momentum estimates: sqrt(beta_{t+1} * (1 + accum))."""
+    return math.sqrt(storm_schedule(t + 1, m)[1] * (1.0 + accum))
+
+
+def stepsize_update(
+    x: np.ndarray,
+    y: np.ndarray,
+    alpha: float,
+    accum: float,
+    rule: AlphaRule | None,
+    t: int,
+    m: int,
+) -> tuple[float, float]:
+    """(alpha_{t+1}, accum) after the move from x_t to y.
+
+    lambda_t = 1/(max(||x_t||_1, ||y||_1) + 1), the accumulator gains
+    (lambda_t * alpha_t * ||y - x_t||_1)^2, and the rule maps it to
+    alpha_{t+1}, which must not fall below alpha_t.  A constant stepsize
+    (rule None) leaves both unchanged.
     """
-    steps = state.steps
-    alpha_t = steps.alpha
-    v = prox_composite(
-        state.geometry, state.x, d_t, steps.current_eta(), state.regularizer, state.feasible_set
-    )
-    n_x = float(np.sum(np.abs(state.x)))
-    n_v = float(np.sum(np.abs(v)))
-    lam = 1.0 / (max(n_x, n_v) + 1.0)
-    move = float(np.sum(np.abs(v - state.x)))
-    steps.accum += (lam * alpha_t * move) ** 2
-    if steps.variant == "adaptive_fw":
-        alpha_next = max(float(np.sqrt(steps.accum)), 1.0)
-    elif steps.variant == "storm":
-        if state.storm is None:
-            raise ValueError("storm stepsizes require StormState")
-        beta_next = storm_schedule(state.iteration + 1, state.storm.batch)[2]
-        alpha_next = float(np.sqrt(beta_next * (1.0 + steps.accum)))
-    else:
-        raise ValueError(f"combined step does not support variant {steps.variant!r}")
-    if alpha_next < alpha_t:
+    if rule is None:
+        return alpha, accum
+    lam = 1.0 / (max(float(np.sum(np.abs(x))), float(np.sum(np.abs(y)))) + 1.0)
+    accum += (lam * alpha * float(np.sum(np.abs(y - x)))) ** 2
+    alpha_next = rule(accum, t, m)
+    if alpha_next < alpha:
         raise RuntimeError("stepsize invariant violated: alpha decreased")
-    ratio = alpha_t / alpha_next
-    x_next = (1.0 - ratio) * state.x + ratio * v
+    return alpha_next, accum
+
+
+def _md_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
+    # x_{t+1} is the prox of d_t at x_t.
+    x_next = prox_composite(geo, x, d_t, eta, problem.regularizer, problem.feasible_set)
+    return (x_next, *stepsize_update(x, x_next, alpha, accum, rule, t, m))
+
+
+def _combined_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
+    # Prox target v_t, then x_{t+1} = (1 - r) * x_t + r * v_t with
+    # r = alpha_t/alpha_{t+1}.
+    v = prox_composite(geo, x, d_t, eta, problem.regularizer, problem.feasible_set)
+    alpha_next, accum = stepsize_update(x, v, alpha, accum, rule, t, m)
+    ratio = alpha / alpha_next
+    x_next = (1.0 - ratio) * x + ratio * v
     # Convex combinations preserve the box up to 1-ulp roundoff; clip it.
-    x_next = state.feasible_set.clamp(x_next)
-    steps.alpha = alpha_next
-    return v, x_next
+    return problem.feasible_set.clamp(x_next), alpha_next, accum
 
 
-def _md_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
-    x_next = scmd_step(state, d_t)
-    if state.steps.variant == "adaptive_md":
-        adaptive_stepsize_md_update(state.steps, state.x, x_next)
-    return x_next
-
-
-def _combined_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
-    return fw_combined_step(state, d_t)[1]
-
-
-def _psgd_step(state: SolverState, d_t: np.ndarray) -> np.ndarray:
+def _psgd_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
     # min_y <d_t, y> + r(y) + (eta/2)*||y - x||_2^2: soft-threshold then clamp.
-    eta, reg = state.steps.current_eta(), state.regularizer
-    v = eta * state.x - d_t
+    reg = problem.regularizer
+    v = eta * x - d_t
     y = np.sign(v) * np.maximum(np.abs(v) - reg.gamma1, 0.0) / (reg.gamma2 + eta)
-    return state.feasible_set.clamp(y)
+    return problem.feasible_set.clamp(y), alpha, accum
 
 
 @dataclass(frozen=True)
 class Algorithm:
     """What sets one method of the family apart from the others.
 
-    ``variants`` are the stepsize variants it accepts, the first being the
+    ``alpha_rules`` maps each stepsize word the method accepts to its
+    AlphaRule, or to None for a constant stepsize; the first key is the
     default.  ``paired`` methods step on recursive-momentum (STORM)
     estimates built from paired batches at x_t and x_{t-1}; this also
     picks the STORM smoothing radius and makes a run cost
-    2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``step`` maps the
-    direction d_t to x_{t+1}, updating the stepsize state on the way.
+    2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``step`` maps
+    (problem, geometry, x_t, d_t, eta_t, alpha_t, accum, rule, t, m) to
+    (x_{t+1}, alpha_{t+1}, accum), where rule is the run's AlphaRule.
     """
 
-    variants: tuple[str, ...]
+    alpha_rules: dict[str, AlphaRule | None]
     paired: bool
-    step: Callable[[SolverState, np.ndarray], np.ndarray]
+    step: Callable[..., tuple[np.ndarray, float, float]]
 
 
 ALGORITHM_TABLE = {
-    "zo-ada-expgrad": Algorithm(("adaptive_md", "constant"), False, _md_step),
-    "zo-ada-expgrad-plus": Algorithm(("adaptive_fw",), False, _combined_step),
-    "zo-expstorm": Algorithm(("storm",), True, _combined_step),
-    "zo-psgd": Algorithm(("constant",), False, _psgd_step),
+    "zo-ada-expgrad": Algorithm({"adaptive": _md_alpha, "constant": None}, False, _md_step),
+    "zo-ada-expgrad-plus": Algorithm({"adaptive": _fw_alpha}, False, _combined_step),
+    "zo-expstorm": Algorithm({"adaptive": _storm_alpha}, True, _combined_step),
+    # The Euclidean baseline keeps eta_t = eta_base under either word.
+    "zo-psgd": Algorithm({"adaptive": None, "constant": None}, False, _psgd_step),
 }
 
 ALGORITHMS = tuple(ALGORITHM_TABLE)
@@ -355,23 +288,15 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     if cfg.algorithm and cfg.algorithm != algorithm:
         raise ValueError(f"config names algorithm {cfg.algorithm!r}, but this runs {algorithm!r}")
     algo = ALGORITHM_TABLE[algorithm]
-    variant = algo.variants[0] if cfg.stepsize_variant is None else cfg.stepsize_variant
-    if variant not in algo.variants:
+    variant = next(iter(algo.alpha_rules)) if cfg.stepsize_variant is None else cfg.stepsize_variant
+    if variant not in algo.alpha_rules:
         raise ValueError(f"algorithm {algorithm!r} does not support stepsize variant {variant!r}")
-    d = problem.dimension
+    rule = algo.alpha_rules[variant]
+    d, m = problem.dimension, cfg.batch
     geo = MirrorGeometry(d)
     smoothing_kind = "storm" if algo.paired else "minibatch"
     nu = cfg.nu if cfg.nu is not None else default_smoothing(d, cfg.T, smoothing_kind)
-    est_cfg = EstimatorConfig(nu=nu, batch=cfg.batch)
-    storm = StormState(batch=cfg.batch, momentum=np.zeros(d)) if algo.paired else None
-    state = SolverState(
-        geometry=geo,
-        regularizer=problem.regularizer,
-        feasible_set=problem.feasible_set,
-        x=_start_point(problem),
-        steps=StepsizeState(variant=variant, eta_base=cfg.eta_base),
-        storm=storm,
-    )
+    est_cfg = EstimatorConfig(nu=nu, batch=m)
 
     track_momentum = algo.paired and problem.exact_gradient is not None
     tracking: list[float] | None = [] if track_momentum else None
@@ -382,13 +307,11 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
 
     records: list[TraceRecord] = []
     calls = 0
-    x_prev = state.x
+    alpha, accum = 1.0, 0.0
+    x_t = x_prev = _start_point(problem)
     for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
-        state.iteration = t
-        alpha_t = state.steps.alpha
-        eta_t = state.steps.current_eta()
-        x_t = state.x
+        alpha_t, eta_t = alpha, cfg.eta_base * alpha
         if iterates is not None:
             iterates.append(x_t)
         if t == tau:
@@ -417,33 +340,29 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             if algo.paired and t > 1:
                 g_est, m_est = paired_storm_estimates(problem, x_t, x_prev, est_cfg, key)
                 calls += g_est.oracle_calls + m_est.oracle_calls
-                storm.gamma = storm_schedule(t, cfg.batch)[1]
-                d_vec = storm_momentum_update(storm, g_est.vector, m_est.vector)
+                # d_vec still holds the momentum d_{t-1}.
+                gamma = storm_schedule(t, m)[0]
+                d_vec = storm_momentum_update(d_vec, g_est.vector, m_est.vector, gamma)
             else:
+                # A paired method's first step has no previous iterate to
+                # pair against, so its momentum starts at d_1 = g_1.
                 g_est = minibatch_gradient(problem, x_t, est_cfg, key)
                 calls += g_est.oracle_calls
                 d_vec = g_est.vector
-                if algo.paired:
-                    # Unbiased start: no previous iterate to pair against, so
-                    # the momentum mixes at gamma = 1 and collapses to the
-                    # fresh batch.
-                    storm.gamma = 1.0
-                    d_vec = storm_momentum_update(storm, d_vec, d_vec)
             if track_momentum:
                 tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
                 mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
 
             layer = "step"
-            x_next = algo.step(state, d_vec)
+            x_next, alpha, accum = algo.step(
+                problem, geo, x_t, d_vec, eta_t, alpha, accum, rule, t, m
+            )
         except NumericError as exc:
             raise NumericError(f"{exc} at iteration {t} in {layer}") from exc
 
-        if state.steps.alpha < alpha_t:
-            raise RuntimeError("stepsize invariant violated: alpha decreased")
         if not problem.feasible_set.contains(x_next):
             raise RuntimeError("feasibility invariant violated")
-        x_prev = x_t
-        state.x = x_next
+        x_prev, x_t = x_t, x_next
         records.append(
             TraceRecord(
                 iteration=t,
@@ -456,8 +375,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             )
         )
 
-    m, T = cfg.batch, cfg.T
-    if calls != 2 * m * T + (2 * m * (T - 1) if algo.paired else 0):
+    if calls != 2 * m * cfg.T + (2 * m * (cfg.T - 1) if algo.paired else 0):
         raise RuntimeError("oracle accounting invariant violated")
     return Trace(
         records=records,

@@ -448,3 +448,52 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "problem build failed: MemoryError: Unable to allocate 728. TiB for an array\n"
         assert not out.exists()
+
+
+# The (tag, variant) pairs a spec may name: every tag runs "adaptive", and
+# only these two also run "constant".
+ACCEPTED_VARIANTS = {(tag, "adaptive") for tag in ALGORITHMS} | {
+    ("zo-ada-expgrad", "constant"),
+    ("zo-psgd", "constant"),
+}
+
+
+def variant_spec(tmp_path, tag, variant):
+    doc = base_spec(tmp_path / f"{tag}-{variant}", seeds=[0])
+    doc["algorithms"] = [{"tag": tag, "T": 6, "m": 2, "eta": 2.0, "variant": variant}]
+    return write_spec(tmp_path, doc, f"{tag}-{variant}.json")
+
+
+class TestVariantTable:
+    @pytest.mark.parametrize("variant", ["adaptive", "constant"])
+    @pytest.mark.parametrize("tag", ALGORITHMS)
+    def test_validate_accepts_exactly_the_table_pairs(self, tmp_path, capsys, tag, variant):
+        rc = main(["validate", "--config", variant_spec(tmp_path, tag, variant)])
+        assert rc == (0 if (tag, variant) in ACCEPTED_VARIANTS else 2)
+        if rc == 2:
+            err = capsys.readouterr().err
+            assert err == f"invalid run spec: algorithms[0]: tag {tag!r} has no {variant}-stepsize variant\n"
+
+    @pytest.mark.parametrize("tag", sorted(tag for tag, variant in ACCEPTED_VARIANTS if variant == "constant"))
+    def test_constant_run_keeps_alpha_at_one(self, tmp_path, tag):
+        assert main(["run", "--config", variant_spec(tmp_path, tag, "constant"), "--no-timing"]) == 0
+        rows = read_csv(tmp_path / f"{tag}-constant" / f"{tag}_0.csv")
+        column = rows[0].index("alpha")
+        assert len(rows) == 7
+        assert all(float(row[column]) == 1.0 for row in rows[1:])
+
+    def test_psgd_words_write_identical_traces(self, tmp_path):
+        texts = []
+        for variant in ("adaptive", "constant"):
+            assert main(["run", "--config", variant_spec(tmp_path, "zo-psgd", variant), "--no-timing"]) == 0
+            texts.append((tmp_path / f"zo-psgd-{variant}" / "zo-psgd_0.csv").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_non_string_variant_rejected(self, tmp_path, capsys):
+        # A list is no variant word; it must not reach the lookup in the
+        # tag's rule table, where it would fail as unhashable instead.
+        doc = base_spec(tmp_path / "out")
+        doc["algorithms"][1]["variant"] = ["constant"]
+        assert main(["validate", "--config", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid run spec: algorithms[1]: 'variant' must be 'adaptive' or 'constant'\n"

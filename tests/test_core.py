@@ -56,6 +56,11 @@ class TestElasticNet:
         with pytest.raises(ValueError):
             ElasticNet(0.0, -1.0)
 
+    @pytest.mark.parametrize("weights", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (math.nan, math.inf)])
+    def test_rejects_nonfinite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ElasticNet(*weights)
+
 
 class TestFeasibleSet:
     def test_unconstrained_contains_everything(self):
@@ -154,6 +159,10 @@ class TestGradientMap:
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
             gradient_map(np.zeros(1), np.zeros(1), 0.0, self.geo, self.none, self.free)
+
+    def test_rejects_nan_eta(self):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            gradient_map(np.zeros(1), np.zeros(1), math.nan, self.geo, self.none, self.free)
 
     def test_scaling_identity(self):
         stream = rng.stream("test-gm", 0)

@@ -312,6 +312,23 @@ class TestProxComposite:
         with pytest.raises(NumericError, match="prox overflow: dual point too large"):
             prox_composite(geo, np.zeros(1), np.array([-800.0]), 1.0, ElasticNet(), FREE)
 
+    def test_heavy_quadratic_weight_solves_in_log_space(self):
+        # gamma2/(eta*d) = 1000 puts the Lambert argument exp(q + ln 1000 +
+        # 1000) past the overflow guard, yet the prox is small and well
+        # posed: g + gamma2*p + eta*ln(1 + p) = 0 at p > 0.
+        geo = MirrorGeometry(1)
+        eta, gamma2 = 1e-3, 1.0
+        g = np.array([-5.0 * eta])
+        p = prox_composite(geo, np.zeros(1), g, eta, ElasticNet(0.0, gamma2), FREE)[0]
+        assert 0.0 < p < 5.0 * eta / gamma2
+        assert abs(g[0] + gamma2 * p + eta * math.log1p(p)) <= 1e-10 * abs(g[0])
+
+    def test_lambert_guard_on_overflowing_ratio(self):
+        # gamma2/eta = inf leaves no finite Lambert argument to solve.
+        geo = MirrorGeometry(1)
+        with pytest.raises(NumericError, match="prox overflow: Lambert argument too large"):
+            prox_composite(geo, np.zeros(1), np.array([-1e-300]), 1e-300, ElasticNet(0.0, 1e300), FREE)
+
     def test_validation_errors(self):
         geo = MirrorGeometry(2)
         with pytest.raises(ValueError):

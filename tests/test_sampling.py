@@ -39,6 +39,10 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(nu=0.1, batch=0)
 
+    def test_rejects_nan_nu(self):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            EstimatorConfig(nu=math.nan, batch=1)
+
 
 class TestTwoPoint:
     def test_linear_oracle_is_exact_per_probe(self):

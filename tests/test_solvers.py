@@ -14,23 +14,19 @@ from zomirror import (
     NumericError,
     Problem,
     RunConfig,
-    StepsizeState,
-    StormState,
-    adaptive_stepsize_md_update,
     default_smoothing,
-    fw_combined_step,
     make_sparse_regression,
     minibatch_gradient,
+    prox_composite,
     run_zo_ada_expgrad,
     run_zo_ada_expgrad_plus,
     run_zo_expstorm,
     run_zo_psgd,
-    scmd_step,
     storm_momentum_update,
     storm_schedule,
 )
 from zomirror import rng
-from zomirror.solvers import SolverState
+from zomirror.solvers import ALGORITHM_TABLE, stepsize_update
 
 FREE = FeasibleSet.unconstrained()
 
@@ -40,6 +36,8 @@ RUNNERS = {
     "zo-expstorm": run_zo_expstorm,
     "zo-psgd": run_zo_psgd,
 }
+
+MD_RULE = ALGORITHM_TABLE["zo-ada-expgrad"].alpha_rules["adaptive"]
 
 
 def zero_problem(d=1, **kw):
@@ -78,27 +76,24 @@ def quadratic_problem(center, noise=0.0, seed=0, box=None):
     )
 
 
-def fresh_state(d=1, variant="adaptive_fw", eta=1.0, reg=None, fs=None, storm=None, x=None):
-    return SolverState(
-        geometry=MirrorGeometry(d),
-        regularizer=reg or ElasticNet(),
-        feasible_set=fs or FREE,
-        x=np.zeros(d) if x is None else np.asarray(x, dtype=float),
-        steps=StepsizeState(variant=variant, eta_base=eta),
-        storm=storm,
-    )
+def take_step(tag, d_t, x=None, eta=1.0, alpha=1.0, accum=0.0, variant="adaptive", t=1, m=1, fs=None):
+    """One step of the tag's table entry from x (the origin by default);
+    returns (x_next, alpha_next, accum)."""
+    algo = ALGORITHM_TABLE[tag]
+    d_t = np.asarray(d_t, dtype=float)
+    x = np.zeros(d_t.size) if x is None else np.asarray(x, dtype=float)
+    problem = zero_problem(d=d_t.size, feasible_set=fs or FREE)
+    geo = MirrorGeometry(d_t.size)
+    return algo.step(problem, geo, x, d_t, eta, alpha, accum, algo.alpha_rules[variant], t, m)
 
 
 class TestStepsizeState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepsizeState(variant="bogus", eta_base=1.0)
-        with pytest.raises(ValueError):
-            StepsizeState(variant="constant", eta_base=0.0)
-
     def test_current_eta(self):
-        s = StepsizeState(variant="adaptive_md", eta_base=2.0, alpha=3.0)
-        assert s.current_eta() == 6.0
+        # eta_t = eta_base * alpha_t on every record, while alpha grows.
+        prob = quadratic_problem([1.0, -1.0], box=2.0)
+        trace = run_zo_ada_expgrad(prob, RunConfig(T=8, batch=2, eta_base=2.0))
+        assert all(r.eta == 2.0 * r.alpha for r in trace.records)
+        assert trace.records[-1].alpha > 1.0
 
 
 class TestRunConfig:
@@ -110,6 +105,8 @@ class TestRunConfig:
             {"T": 1, "batch": 1, "eta_base": 0.0},
             {"T": 1, "batch": 1, "nu": -0.1},
             {"T": 1, "batch": 1, "stationarity_eval_period": 0},
+            {"T": 1, "batch": 1, "eta_base": math.nan},
+            {"T": 1, "batch": 1, "nu": math.nan},
         ],
     )
     def test_validation(self, kw):
@@ -117,13 +114,11 @@ class TestRunConfig:
             RunConfig(**kw)
 
     def test_variant_rejection_per_algorithm(self):
+        # Only "adaptive" and "constant" name stepsize rules, and only
+        # zo-ada-expgrad and zo-psgd have a "constant" one.
         prob = zero_problem()
-        bad = [
-            (run_zo_ada_expgrad, "adaptive_fw"),
-            (run_zo_ada_expgrad_plus, "constant"),
-            (run_zo_expstorm, "adaptive_fw"),
-            (run_zo_psgd, "adaptive_md"),
-        ]
+        bad = [(runner, word) for runner in RUNNERS.values() for word in ("adaptive_md", "adaptive_fw", "storm")]
+        bad += [(run_zo_ada_expgrad_plus, "constant"), (run_zo_expstorm, "constant")]
         for runner, variant in bad:
             cfg = RunConfig(T=1, batch=1, stepsize_variant=variant)
             with pytest.raises(ValueError, match="does not support stepsize variant"):
@@ -131,13 +126,8 @@ class TestRunConfig:
 
     def test_explicit_default_variants_accepted(self):
         prob = zero_problem()
-        ok = [
-            (run_zo_ada_expgrad, "adaptive_md"),
-            (run_zo_ada_expgrad, "constant"),
-            (run_zo_ada_expgrad_plus, "adaptive_fw"),
-            (run_zo_expstorm, "storm"),
-            (run_zo_psgd, "constant"),
-        ]
+        ok = [(runner, "adaptive") for runner in RUNNERS.values()]
+        ok += [(run_zo_ada_expgrad, "constant"), (run_zo_psgd, "constant")]
         for runner, variant in ok:
             runner(prob, RunConfig(T=1, batch=1, stepsize_variant=variant))
 
@@ -153,15 +143,13 @@ class TestRunConfig:
 
 class TestStormSchedule:
     def test_pinned_start(self):
-        tau, gamma, beta = storm_schedule(1, 1)
-        assert tau == pytest.approx(1.5874010519681996, rel=1e-15)
+        gamma, beta = storm_schedule(1, 1)
         assert gamma == pytest.approx(0.7729764191286187, rel=1e-13)
         assert beta == 1.0
 
     def test_exact_rational_point(self):
         # t=7, m=1: tau = 8^(2/3) = 4, gamma = 0.4, beta = 1.5.
-        tau, gamma, beta = storm_schedule(7, 1)
-        assert tau == pytest.approx(4.0, rel=1e-14)
+        gamma, beta = storm_schedule(7, 1)
         assert gamma == pytest.approx(0.4, rel=1e-14)
         assert beta == pytest.approx(1.5, rel=1e-14)
 
@@ -170,16 +158,15 @@ class TestStormSchedule:
         prev = storm_schedule(1, m)
         for t in range(2, 10_001, 7):
             cur = storm_schedule(t, m)
-            assert cur[0] > prev[0]
-            assert cur[1] < prev[1]
-            assert cur[2] >= prev[2]
+            assert cur[0] < prev[0]
+            assert cur[1] >= prev[1]
             prev = cur
-        assert storm_schedule(10_000, m)[1] < 0.03
+        assert storm_schedule(10_000, m)[0] < 0.03
 
     def test_gamma_stays_in_unit_interval(self):
         for t in (1, 2, 10, 1000):
             for m in (1, 8, 256):
-                gamma = storm_schedule(t, m)[1]
+                gamma = storm_schedule(t, m)[0]
                 assert 0.0 < gamma < 1.0
 
     def test_validation(self):
@@ -191,58 +178,49 @@ class TestStormSchedule:
 
 class TestStormMomentum:
     def test_hand_update(self):
-        state = StormState(batch=1, momentum=np.array([1.0, 0.0]), gamma=0.5)
-        d_t = storm_momentum_update(state, np.array([2.0, 2.0]), np.array([0.0, 1.0]))
+        d_t = storm_momentum_update(np.array([1.0, 0.0]), np.array([2.0, 2.0]), np.array([0.0, 1.0]), 0.5)
         assert d_t.tolist() == [2.5, 1.5]
-        assert state.momentum.tolist() == [2.5, 1.5]
 
     def test_gamma_one_forgets_history(self):
-        state = StormState(batch=1, momentum=np.array([50.0]), gamma=1.0)
-        d_t = storm_momentum_update(state, np.array([3.0]), np.array([-1.0]))
+        d_t = storm_momentum_update(np.array([50.0]), np.array([3.0]), np.array([-1.0]), 1.0)
         assert d_t.tolist() == [3.0]
 
     def test_shape_mismatch(self):
-        state = StormState(batch=1, momentum=np.zeros(2))
         with pytest.raises(ValueError):
-            storm_momentum_update(state, np.zeros(2), np.zeros(3))
+            storm_momentum_update(np.zeros(2), np.zeros(2), np.zeros(3), 0.5)
 
 
 class TestAdaptiveMdUpdate:
     def test_zero_move_square_root_rule(self):
         # With accum pre-loaded to 9 the next alpha is sqrt(9 + 1).
-        steps = StepsizeState(variant="adaptive_md", eta_base=1.0, alpha=1.0, accum=9.0)
-        adaptive_stepsize_md_update(steps, np.zeros(2), np.zeros(2))
-        assert steps.alpha == pytest.approx(math.sqrt(10.0), abs=1e-15)
+        alpha, accum = stepsize_update(np.zeros(2), np.zeros(2), 1.0, 9.0, MD_RULE, 1, 1)
+        assert alpha == pytest.approx(math.sqrt(10.0), abs=1e-15)
 
     def test_unit_move_from_origin(self):
-        steps = StepsizeState(variant="adaptive_md", eta_base=1.0)
-        adaptive_stepsize_md_update(steps, np.array([0.0]), np.array([1.0]))
-        assert steps.accum == pytest.approx(0.25, abs=1e-16)
-        assert steps.alpha == pytest.approx(math.sqrt(1.25), abs=1e-15)
+        alpha, accum = stepsize_update(np.array([0.0]), np.array([1.0]), 1.0, 0.0, MD_RULE, 1, 1)
+        assert accum == pytest.approx(0.25, abs=1e-16)
+        assert alpha == pytest.approx(math.sqrt(1.25), abs=1e-15)
 
     def test_alpha_never_decreases_on_random_walk(self):
-        steps = StepsizeState(variant="adaptive_md", eta_base=0.7)
+        alpha, accum = 1.0, 0.0
         stream = rng.stream("test-md-up", 0)
         x = np.zeros(4)
-        prev_alpha = steps.alpha
-        for _ in range(200):
+        for t in range(1, 201):
             nxt = x + stream.uniform(-1, 1, 4)
-            adaptive_stepsize_md_update(steps, x, nxt)
-            assert steps.alpha >= prev_alpha
-            prev_alpha = steps.alpha
+            prev_alpha = alpha
+            alpha, accum = stepsize_update(x, nxt, alpha, accum, MD_RULE, t, 1)
+            assert alpha >= prev_alpha
             x = nxt
 
     def test_guard_fires_on_corrupted_state(self):
-        steps = StepsizeState(variant="adaptive_md", eta_base=1.0, alpha=5.0, accum=0.0)
         with pytest.raises(RuntimeError, match="alpha decreased"):
-            adaptive_stepsize_md_update(steps, np.zeros(1), np.zeros(1))
+            stepsize_update(np.zeros(1), np.zeros(1), 5.0, 0.0, MD_RULE, 1, 1)
 
 
 class TestScmdStep:
     def test_unit_mirror_move(self):
-        state = fresh_state(variant="adaptive_md")
-        out = scmd_step(state, np.array([-math.log(2.0)]))
-        assert out[0] == pytest.approx(1.0, abs=1e-15)
+        x_next, _, _ = take_step("zo-ada-expgrad", [-math.log(2.0)])
+        assert x_next[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_joint_scaling_invariance(self):
         # Without an l1/l2 term the prox depends on g/eta only.
@@ -250,60 +228,43 @@ class TestScmdStep:
         for _ in range(20):
             x = stream.uniform(-1, 1, 3)
             g = stream.standard_normal(3)
-            a = fresh_state(d=3, variant="adaptive_md", eta=1.0, x=x)
-            b = fresh_state(d=3, variant="adaptive_md", eta=4.0, x=x)
-            assert np.allclose(scmd_step(a, g), scmd_step(b, 4.0 * g), atol=1e-12)
+            a = take_step("zo-ada-expgrad", g, x=x, eta=1.0, variant="constant")[0]
+            b = take_step("zo-ada-expgrad", 4.0 * g, x=x, eta=4.0, variant="constant")[0]
+            assert np.allclose(a, b, atol=1e-12)
 
 
 class TestFwCombinedStep:
     def test_hand_example_full_step(self):
         # From the origin with accum 0 the new alpha clamps to 1, so the
         # combination lands exactly on the prox target.
-        state = fresh_state(variant="adaptive_fw")
-        v, x_next = fw_combined_step(state, np.array([-math.log(2.0)]))
+        d_t = np.array([-math.log(2.0)])
+        v = prox_composite(MirrorGeometry(1), np.zeros(1), d_t, 1.0, ElasticNet(), FREE)
+        x_next, alpha, accum = take_step("zo-ada-expgrad-plus", d_t)
         assert v[0] == pytest.approx(1.0, abs=1e-15)
         assert x_next[0] == pytest.approx(1.0, abs=1e-15)
-        assert state.steps.alpha == 1.0
-        assert state.steps.accum == pytest.approx(0.25, abs=1e-16)
+        assert alpha == 1.0
+        assert accum == pytest.approx(0.25, abs=1e-16)
 
     def test_partial_step_when_accum_grows(self):
-        state = fresh_state(variant="adaptive_fw")
-        state.steps.accum = 8.75
-        v, x_next = fw_combined_step(state, np.array([-math.log(2.0)]))
+        x_next, alpha, _ = take_step("zo-ada-expgrad-plus", [-math.log(2.0)], accum=8.75)
         # accum gains 0.25 -> alpha_next = 3, ratio = 1/3.
-        assert state.steps.alpha == pytest.approx(3.0, rel=1e-15)
+        assert alpha == pytest.approx(3.0, rel=1e-15)
         assert x_next[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_storm_variant_uses_beta_schedule(self):
-        storm = StormState(batch=1, momentum=np.zeros(1))
-        state = fresh_state(variant="storm", storm=storm)
-        state.iteration = 9
-        v, x_next = fw_combined_step(state, np.array([-math.log(2.0)]))
-        beta_next = storm_schedule(10, 1)[2]
+        x_next, alpha, _ = take_step("zo-expstorm", [-math.log(2.0)], t=9, m=1)
+        beta_next = storm_schedule(10, 1)[1]
         alpha_next = math.sqrt(beta_next * 1.25)
-        assert state.steps.alpha == pytest.approx(alpha_next, rel=1e-14)
+        assert alpha == pytest.approx(alpha_next, rel=1e-14)
         assert x_next[0] == pytest.approx(1.0 / alpha_next, rel=1e-13)
 
-    def test_storm_variant_requires_state(self):
-        state = fresh_state(variant="storm", storm=None)
-        with pytest.raises(ValueError, match="require StormState"):
-            fw_combined_step(state, np.zeros(1))
-
-    def test_rejects_plain_md_variant(self):
-        state = fresh_state(variant="adaptive_md")
-        with pytest.raises(ValueError, match="does not support"):
-            fw_combined_step(state, np.zeros(1))
-
     def test_guard_fires_on_corrupted_state(self):
-        state = fresh_state(variant="adaptive_fw")
-        state.steps.alpha = 5.0
         with pytest.raises(RuntimeError, match="alpha decreased"):
-            fw_combined_step(state, np.zeros(1))
+            take_step("zo-ada-expgrad-plus", [0.0], alpha=5.0)
 
     def test_box_feasibility_preserved(self):
         fs = FeasibleSet.box([0.0], [0.25])
-        state = fresh_state(variant="adaptive_fw", fs=fs, x=[0.1])
-        _, x_next = fw_combined_step(state, np.array([-3.0]))
+        x_next, _, _ = take_step("zo-ada-expgrad-plus", [-3.0], x=[0.1], fs=fs)
         assert fs.contains(x_next)
 
 

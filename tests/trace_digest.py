@@ -15,6 +15,12 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   iterates and the tracking lists; a raising run contributes the message
   of the error that started the chain, so context added to a re-raised
   error does not change the digest.
+* ``paths``: 30 further runs through the stepsize and momentum paths
+  the ``traces`` set leaves out, on the d=50 least-squares problem (free
+  and boxed) and the PN explanation: zo-ada-expgrad and zo-psgd with
+  ``stepsize_variant="constant"``, all four methods at T=1, and all four
+  at nu=0.3 with ``stationarity_eval_period=3``.  These configs are ones
+  every checkout accepts, so two checkouts compare on them too.
 * ``prox``: 3,000 random ``prox_composite`` calls (both elastic-net
   branches, no box and boxes that contain, straddle or exclude zero, eta
   over six decades, d up to 2000) and 200 ``lambert_w0`` calls on mixed
@@ -23,7 +29,7 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   ``configs/acceptance.json`` and a four-method PN explanation spec, each
   at ``--jobs 1`` and ``--jobs 2``.
 
-The last line is one digest over all three.  This is a comparison tool,
+The last line is one digest over all four.  This is a comparison tool,
 not a test: it pins no hash, since any deliberate change of output moves
 it.
 """
@@ -114,10 +120,35 @@ def trace_runs(zm):
             yield f"{tag}/quadratic/seed={seed}", problem, zm.RunConfig(T=13, batch=2, seed=seed), runner
 
 
-def digest_traces(zm) -> tuple[str, int]:
+def path_runs(zm):
+    """Yield (label, problem, RunConfig, runner) for the constant-stepsize,
+    single-iteration and explicit-nu runs."""
+    runners = {
+        "zo-ada-expgrad": zm.run_zo_ada_expgrad,
+        "zo-ada-expgrad-plus": zm.run_zo_ada_expgrad_plus,
+        "zo-expstorm": zm.run_zo_expstorm,
+        "zo-psgd": zm.run_zo_psgd,
+    }
+    free = zm.make_sparse_regression(50, 60, 5, 0.1, "least_squares", seed=50, regularizer=zm.ElasticNet(0.005, 0.0))
+    boxed = dataclasses.replace(free, feasible_set=zm.FeasibleSet.box(-np.ones(50), np.ones(50)))
+    classifier = zm.make_tiny_classifier(50, 3, 3)
+    anchor = zm.rng.stream("digest-anchor").uniform(0.05, 0.95, size=50)
+    explanation = zm.make_explanation_problem(classifier, anchor, "PN")
+    for name, problem in (("free", free), ("box", boxed), ("PN", explanation)):
+        for tag, runner in runners.items():
+            eta = 7.0 if tag == "zo-psgd" else 0.5
+            if tag in ("zo-ada-expgrad", "zo-psgd"):
+                cfg = zm.RunConfig(T=25, batch=4, eta_base=eta, seed=5, stepsize_variant="constant")
+                yield f"{tag}/{name}/constant", problem, cfg, runner
+            yield f"{tag}/{name}/T=1", problem, zm.RunConfig(T=1, batch=4, eta_base=eta, seed=6), runner
+            cfg = zm.RunConfig(T=25, batch=4, eta_base=eta, nu=0.3, seed=7, stationarity_eval_period=3)
+            yield f"{tag}/{name}/nu=0.3/period=3", problem, cfg, runner
+
+
+def digest_traces(zm, runs) -> tuple[str, int]:
     h = hashlib.sha256()
     raised = 0
-    for label, problem, cfg, runner in trace_runs(zm):
+    for label, problem, cfg, runner in runs:
         h.update(label.encode())
         try:
             with np.errstate(all="ignore"):
@@ -212,10 +243,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import zomirror as zm
 
-    traces, raised = digest_traces(zm)
-    sections = {"traces": traces, "prox": digest_prox(zm), "cli": digest_cli(zm)}
+    traces, raised = digest_traces(zm, trace_runs(zm))
+    paths, paths_raised = digest_traces(zm, path_runs(zm))
+    sections = {"traces": traces, "paths": paths, "prox": digest_prox(zm), "cli": digest_cli(zm)}
     print(f"package {os.path.dirname(zm.__file__)}")
-    print(f"{raised} of the traced runs raised NumericError")
+    print(f"{raised} of the traced runs and {paths_raised} of the path runs raised NumericError")
     for name, value in sections.items():
         print(f"{name:7s} {value}")
     total = hashlib.sha256("".join(sections.values()).encode()).hexdigest()
