@@ -24,8 +24,8 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,10 +38,9 @@ from .problems import (
     make_sparse_regression,
     make_tiny_classifier,
 )
-from .solvers import ALGORITHM_TABLE, ALGORITHMS, RunConfig, run_algorithm
+from .solvers import ALGORITHMS, RunConfig, run_algorithm
 
 __all__ = [
-    "AlgorithmSpec",
     "RunSpec",
     "parse_run_spec",
     "problem_from_descriptor",
@@ -60,31 +59,16 @@ _RUNNERS = {tag: functools.partial(run_algorithm, algorithm=tag) for tag in ALGO
 
 
 @dataclass(frozen=True)
-class AlgorithmSpec:
-    """One algorithm entry of a run spec."""
-
-    tag: str
-    T: int
-    batch: int
-    eta: float = 1.0
-    nu: float | None = None
-    variant: str = "adaptive"
-    stationarity_eval_period: int = 1
-
-
-@dataclass(frozen=True)
 class RunSpec:
-    """Validated run specification; ``raw`` is the parsed JSON document."""
+    """Validated run specification: one RunConfig per algorithm entry, its
+    seed set per run; ``raw`` is the parsed JSON document."""
 
     problem: dict
-    algorithms: tuple[AlgorithmSpec, ...]
+    algorithms: tuple[RunConfig, ...]
     seeds: tuple[int, ...]
     output_dir: str
     emit_plot_data: bool
     raw: dict
-
-    def to_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True)
 
 
 def _check_keys(doc: dict, required: set, optional: set, context: str) -> None:
@@ -158,38 +142,34 @@ def _parse_problem(doc: dict) -> dict:
     return doc
 
 
-def _parse_algorithm(doc: dict, index: int) -> AlgorithmSpec:
+def _parse_algorithm(doc: dict, index: int) -> RunConfig:
+    """One algorithm entry as a RunConfig, which checks the tag and the
+    stepsize word; a key the entry leaves out keeps RunConfig's default."""
     context = f"algorithms[{index}]"
     if not isinstance(doc, dict):
         raise ValueError(f"{context} must be an object")
     _check_keys(doc, {"tag", "T", "m"}, {"eta", "nu", "variant", "stationarity_eval_period"}, context)
-    tag = doc["tag"]
-    if tag not in ALGORITHMS:
-        raise ValueError(f"{context}: unknown algorithm tag {tag!r}")
-    T = _as_int(doc, "T", context, 1)
-    batch = _as_int(doc, "m", context, 1)
-    eta = _as_number(doc, "eta", context) if "eta" in doc else 1.0
-    if eta <= 0:
-        raise ValueError(f"{context}: 'eta' must be positive")
-    nu = None
+    if doc["tag"] is None:  # RunConfig reads None as "no tag yet"
+        raise ValueError(f"{context}: unknown algorithm tag None")
+    fields = {"algorithm": doc["tag"], "T": _as_int(doc, "T", context, 1), "batch": _as_int(doc, "m", context, 1)}
+    if "eta" in doc:
+        fields["eta_base"] = _as_number(doc, "eta", context)
+        if fields["eta_base"] <= 0:
+            raise ValueError(f"{context}: 'eta' must be positive")
     if doc.get("nu") is not None:
-        nu = _as_number(doc, "nu", context)
-        if nu <= 0:
+        fields["nu"] = _as_number(doc, "nu", context)
+        if fields["nu"] <= 0:
             raise ValueError(f"{context}: 'nu' must be positive")
-    rules = ALGORITHM_TABLE[tag].alpha_rules
-    variant = doc.get("variant", next(iter(rules)))
-    if variant not in ("adaptive", "constant"):
-        raise ValueError(f"{context}: 'variant' must be 'adaptive' or 'constant'")
-    if variant not in rules:
-        raise ValueError(f"{context}: tag {tag!r} has no {variant}-stepsize variant")
-    period = (
-        _as_int(doc, "stationarity_eval_period", context, 1)
-        if "stationarity_eval_period" in doc
-        else 1
-    )
-    return AlgorithmSpec(
-        tag=tag, T=T, batch=batch, eta=eta, nu=nu, variant=variant, stationarity_eval_period=period
-    )
+    if "variant" in doc:
+        if doc["variant"] not in ("adaptive", "constant"):
+            raise ValueError(f"{context}: 'variant' must be 'adaptive' or 'constant'")
+        fields["stepsize_variant"] = doc["variant"]
+    if "stationarity_eval_period" in doc:
+        fields["stationarity_eval_period"] = _as_int(doc, "stationarity_eval_period", context, 1)
+    try:
+        return RunConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from None
 
 
 def _reject_constant(name: str) -> float:
@@ -216,7 +196,7 @@ def parse_run_spec(path: str) -> RunSpec:
     if not isinstance(algos_doc, list) or not algos_doc:
         raise ValueError("'algorithms' must be a nonempty list")
     algorithms = tuple(_parse_algorithm(doc, i) for i, doc in enumerate(algos_doc))
-    tags = [a.tag for a in algorithms]
+    tags = [a.algorithm for a in algorithms]
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate algorithm tags would collide on output files")
     seeds_doc = raw["seeds"]
@@ -318,27 +298,17 @@ def _trace_csv_text(records, no_timing: bool) -> str:
     return buf.getvalue()
 
 
-def _execute_one(problem, algo: AlgorithmSpec, listed_seed: int, global_seed: int, out: str, no_timing: bool):
-    run_seed = rng.derive_seed(global_seed, algo.tag, listed_seed)
-    filename = f"{algo.tag}_{listed_seed}.csv"
+def _execute_one(problem, cfg: RunConfig, listed_seed: int, global_seed: int, out: str, no_timing: bool):
+    run_seed = rng.derive_seed(global_seed, cfg.algorithm, listed_seed)
+    filename = f"{cfg.algorithm}_{listed_seed}.csv"
     entry = {
-        "algorithm": algo.tag,
+        "algorithm": cfg.algorithm,
         "seed": listed_seed,
         "run_seed": run_seed,
         "trace_file": filename,
     }
     try:
-        cfg = RunConfig(
-            T=algo.T,
-            batch=algo.batch,
-            eta_base=algo.eta,
-            nu=algo.nu,
-            seed=run_seed,
-            algorithm=algo.tag,
-            stepsize_variant=algo.variant,
-            stationarity_eval_period=algo.stationarity_eval_period,
-        )
-        trace = _RUNNERS[algo.tag](problem, cfg)
+        trace = _RUNNERS[cfg.algorithm](problem, replace(cfg, seed=run_seed))
         _atomic_write(os.path.join(out, filename), _trace_csv_text(trace.records, no_timing))
     except Exception as exc:
         entry["status"] = "failed"
@@ -372,8 +342,8 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
 
     Failures of individual runs are recorded in summary.json with status
     "failed" and do not stop the remaining runs.  When the problem itself
-    cannot be built, one line goes to stderr, nothing is written and the
-    result is 1.
+    cannot be built, or the output directory cannot be created, one line
+    goes to stderr, no run starts and the result is 1.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -385,34 +355,29 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
     except Exception as exc:
         print(f"problem build failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(out, exist_ok=True)
-    tasks = [(algo, seed) for algo in spec.algorithms for seed in spec.seeds]
-    results = {}
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    tasks = [(cfg, seed) for cfg in spec.algorithms for seed in spec.seeds]
+
+    def run(task):
+        cfg, seed = task
+        return _execute_one(problem, cfg, seed, global_seed, out, no_timing)
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_execute_one, problem, algo, seed, global_seed, out, no_timing): (
-                    algo.tag,
-                    seed,
-                )
-                for algo, seed in tasks
-            }
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
+            results = list(pool.map(run, tasks))
     else:
-        for algo, seed in tasks:
-            results[(algo.tag, seed)] = _execute_one(problem, algo, seed, global_seed, out, no_timing)
+        results = [run(task) for task in tasks]
 
-    entries = [results[(algo.tag, seed)][0] for algo, seed in tasks]
+    entries = [entry for entry, _ in results]
     if spec.emit_plot_data:
-        for algo in spec.algorithms:
-            curves = [
-                results[(algo.tag, seed)][1]
-                for seed in spec.seeds
-                if results[(algo.tag, seed)][1] is not None
-            ]
+        for cfg in spec.algorithms:
+            curves = [curve for (c, _), (_, curve) in zip(tasks, results) if c is cfg and curve is not None]
             if curves:
-                path = os.path.join(out, f"{algo.tag}_mean_curve.csv")
+                path = os.path.join(out, f"{cfg.algorithm}_mean_curve.csv")
                 _atomic_write(path, _mean_curve_text(np.vstack(curves)))
     summary = {"config": spec.raw, "global_seed": global_seed, "runs": entries}
     _atomic_write(os.path.join(out, "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")

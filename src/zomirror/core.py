@@ -161,8 +161,8 @@ def gradient_map(
     """
     from .mirror import prox_composite
 
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     x = np.asarray(x, dtype=float)
     mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
     map_vector = x - mapped

@@ -210,8 +210,8 @@ def prox_composite(
     gamma2 = 0).  Box constraints clamp the result coordinate-wise, valid
     because each scalar objective is convex.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
     if x_t.shape != g.shape or x_t.shape != (geo.dimension,):

@@ -56,8 +56,8 @@ class EstimatorConfig:
     batch: int
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         if self.batch < 1:
             raise ValueError("batch must be a positive integer")
 

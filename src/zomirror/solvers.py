@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -72,8 +72,10 @@ class RunConfig:
     ALGORITHM_TABLE: "adaptive" or "constant".  None selects the first,
     which is "adaptive" for every algorithm; only zo-ada-expgrad and
     zo-psgd accept "constant".  ``nu`` of None selects the default
-    smoothing for the algorithm's estimator.  A non-empty ``algorithm``
-    must name the algorithm of the runner it is passed to.
+    smoothing for the algorithm's estimator.  ``algorithm`` of None lets
+    the runner fill its own tag in.  A set tag must be in ALGORITHM_TABLE
+    and a set stepsize word must be in its row; both are checked here, and
+    a runner rejects a config that names another algorithm.
     """
 
     T: int
@@ -81,7 +83,7 @@ class RunConfig:
     eta_base: float = 1.0
     nu: float | None = None
     seed: int = 0
-    algorithm: str = ""
+    algorithm: str | None = None
     stepsize_variant: str | None = None
     stationarity_eval_period: int = 1
 
@@ -90,12 +92,18 @@ class RunConfig:
             raise ValueError("T must be a positive integer")
         if self.batch < 1:
             raise ValueError("batch must be a positive integer")
-        if not self.eta_base > 0:
-            raise ValueError("eta_base must be positive")
-        if self.nu is not None and not self.nu > 0:
-            raise ValueError("nu must be positive when given")
+        if not 0 < self.eta_base < math.inf:
+            raise ValueError("eta_base must be positive and finite")
+        if self.nu is not None and not 0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite when given")
         if self.stationarity_eval_period < 1:
             raise ValueError("stationarity_eval_period must be a positive integer")
+        # Tuples test membership with ==, so a tag or word that is not a
+        # string fails here rather than as unhashable in a dict lookup.
+        if self.algorithm not in (None, *ALGORITHMS):
+            raise ValueError(f"unknown algorithm tag {self.algorithm!r}")
+        if self.algorithm and self.stepsize_variant not in (None, *ALGORITHM_TABLE[self.algorithm].alpha_rules):
+            raise ValueError(f"tag {self.algorithm!r} has no {self.stepsize_variant}-stepsize variant")
 
 
 @dataclass(frozen=True)
@@ -283,15 +291,12 @@ def _start_point(problem: Problem) -> np.ndarray:
 
 def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     """Run the algorithm named by a tag of ALGORITHM_TABLE on the problem."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm: {algorithm!r}")
-    if cfg.algorithm and cfg.algorithm != algorithm:
+    if cfg.algorithm is None:
+        cfg = replace(cfg, algorithm=algorithm)
+    elif cfg.algorithm != algorithm:
         raise ValueError(f"config names algorithm {cfg.algorithm!r}, but this runs {algorithm!r}")
     algo = ALGORITHM_TABLE[algorithm]
-    variant = next(iter(algo.alpha_rules)) if cfg.stepsize_variant is None else cfg.stepsize_variant
-    if variant not in algo.alpha_rules:
-        raise ValueError(f"algorithm {algorithm!r} does not support stepsize variant {variant!r}")
-    rule = algo.alpha_rules[variant]
+    rule = algo.alpha_rules[cfg.stepsize_variant or next(iter(algo.alpha_rules))]
     d, m = problem.dimension, cfg.batch
     geo = MirrorGeometry(d)
     smoothing_kind = "storm" if algo.paired else "minibatch"

@@ -59,13 +59,13 @@ class TestParseRunSpec:
         doc = base_spec(tmp_path / "out")
         spec = parse_run_spec(write_spec(tmp_path, doc))
         assert spec.problem["kind"] == "sparse_regression"
-        assert [a.tag for a in spec.algorithms] == ["zo-ada-expgrad", "zo-psgd"]
+        assert [a.algorithm for a in spec.algorithms] == ["zo-ada-expgrad", "zo-psgd"]
         assert spec.algorithms[0].batch == 2
         assert spec.algorithms[0].nu is None
-        assert spec.algorithms[1].variant == "constant"
+        assert spec.algorithms[1].stepsize_variant == "constant"
         assert spec.seeds == (0, 1)
         assert spec.emit_plot_data is False
-        assert json.loads(spec.to_json()) == doc
+        assert spec.raw == doc
 
     def test_unknown_top_level_key(self, tmp_path):
         doc = base_spec(tmp_path, algorith=[])
@@ -88,6 +88,14 @@ class TestParseRunSpec:
         doc = base_spec(tmp_path)
         doc["algorithms"][0]["tag"] = "zo-sgd"
         with pytest.raises(ValueError, match="unknown algorithm tag"):
+            parse_run_spec(write_spec(tmp_path, doc))
+
+    def test_null_tag_rejected(self, tmp_path):
+        # RunConfig.algorithm = None means "filled in by the runner", so a
+        # null tag must fail at parse time, not as a late run failure.
+        doc = base_spec(tmp_path)
+        doc["algorithms"][0]["tag"] = None
+        with pytest.raises(ValueError, match=r"algorithms\[0\]: unknown algorithm tag None"):
             parse_run_spec(write_spec(tmp_path, doc))
 
     def test_duplicate_tags(self, tmp_path):
@@ -282,11 +290,7 @@ class TestExecute:
             ref = (tmp_path / "r1" / name).read_bytes()
             assert (tmp_path / "r2" / name).read_bytes() == ref, name
             r8 = (tmp_path / "r8" / name).read_bytes()
-            if name == "summary.json":
-                # Thread scheduling must not leak into the summary.
-                assert r8 == ref
-            else:
-                assert r8 == ref, name
+            assert r8 == ref, name
 
     def test_mean_curve_matches_per_seed_traces(self, tmp_path):
         out = tmp_path / "out"
@@ -448,6 +452,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "problem build failed: MemoryError: Unable to allocate 728. TiB for an array\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub, error", [("", "FileExistsError"), ("sub", "NotADirectoryError")])
+    def test_unusable_output_directory_exits_one(self, tmp_path, capsys, monkeypatch, sub, error):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        started = []
+        monkeypatch.setitem(cli._RUNNERS, "zo-psgd", lambda problem, cfg: started.append(cfg))
+        out = os.path.join(blocker, sub) if sub else str(blocker)
+        path = write_spec(tmp_path, base_spec(tmp_path / "ignored"))
+        assert main(["run", "--config", path, "--no-timing", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot create output directory: {error}: ")
+        assert err.count("\n") == 1
+        assert started == []
+        assert blocker.read_text() == ""
 
 
 # The (tag, variant) pairs a spec may name: every tag runs "adaptive", and

@@ -164,6 +164,11 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="eta must be positive"):
             gradient_map(np.zeros(1), np.zeros(1), math.nan, self.geo, self.none, self.free)
 
+    def test_rejects_infinite_eta(self):
+        # The map vector would be 0*inf: sq_l1_norm read inf or NaN.
+        with pytest.raises(ValueError, match="eta must be positive"):
+            gradient_map(np.full(3, 0.1), np.ones(3), math.inf, MirrorGeometry(3), self.none, self.free)
+
     def test_scaling_identity(self):
         stream = rng.stream("test-gm", 0)
         geo = MirrorGeometry(5)

@@ -112,7 +112,16 @@ def test_prox_matches_frozen_reference(seed, d, log_eta, gamma2, active, box, at
 
 @pytest.mark.parametrize(
     "eta, gamma2",
-    [(10.0, 5e-324), (1.0, 5e-324), (1e-300, 1e300), (math.nan, 0.0625), (math.nan, 0.0), (1.0, 3.5e-323)],
+    [
+        (10.0, 5e-324),
+        (1.0, 5e-324),
+        (1e-300, 1e300),
+        (math.nan, 0.0625),
+        (math.nan, 0.0),
+        (1.0, 3.5e-323),
+        (math.inf, 0.0625),
+        (math.inf, 0.0),
+    ],
     ids=[
         "gamma2-over-eta-underflows",
         "inv-d-times-b-underflows",
@@ -120,6 +129,8 @@ def test_prox_matches_frozen_reference(seed, d, log_eta, gamma2, active, box, at
         "nan-eta",
         "nan-eta-no-gamma2",
         "inv-d-times-b-subnormal",
+        "inf-eta",
+        "inf-eta-no-gamma2",
     ],
 )
 def test_prox_degenerate_ratios_match_frozen_reference(eta, gamma2):
@@ -128,7 +139,7 @@ def test_prox_degenerate_ratios_match_frozen_reference(eta, gamma2):
     term drops out: the result is the gamma2 = 0 prox and lies within
     acceptance 01's 1e-6 of the golden-section reference (the frozen copy
     returns zeros, NaN or, at 7 subnormal units, an error of 0.06 there).
-    A NaN eta is rejected."""
+    A NaN or infinite eta is rejected."""
     d = 7
     gen = np.random.default_rng(5)
     x = gen.standard_normal(d)
@@ -137,7 +148,7 @@ def test_prox_degenerate_ratios_match_frozen_reference(eta, gamma2):
     def prox(gamma2):
         return prox_composite(MirrorGeometry(d), x, g, eta, ElasticNet(0.3, gamma2), FeasibleSet())
 
-    if math.isnan(eta):
+    if not math.isfinite(eta):
         with pytest.raises(ValueError, match="eta must be positive"):
             prox(gamma2)
     elif gamma2 / eta / d < sys.float_info.min:

@@ -38,6 +38,8 @@ class TestEstimatorConfig:
             EstimatorConfig(nu=0.0, batch=1)
         with pytest.raises(ValueError):
             EstimatorConfig(nu=0.1, batch=0)
+        with pytest.raises(ValueError, match="nu must be positive"):
+            EstimatorConfig(nu=math.inf, batch=1)
 
     def test_rejects_nan_nu(self):
         with pytest.raises(ValueError, match="nu must be positive"):

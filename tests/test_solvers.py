@@ -107,6 +107,12 @@ class TestRunConfig:
             {"T": 1, "batch": 1, "stationarity_eval_period": 0},
             {"T": 1, "batch": 1, "eta_base": math.nan},
             {"T": 1, "batch": 1, "nu": math.nan},
+            {"T": 1, "batch": 1, "eta_base": math.inf},
+            {"T": 1, "batch": 1, "nu": math.inf},
+            {"T": 1, "batch": 1, "algorithm": "zo-expstorm", "stepsize_variant": "constant"},
+            {"T": 1, "batch": 1, "algorithm": ["zo-psgd"]},
+            {"T": 1, "batch": 1, "algorithm": ""},
+            {"T": 1, "batch": 1, "algorithm": "zo-psgd", "stepsize_variant": ["constant"]},
         ],
     )
     def test_validation(self, kw):
@@ -121,7 +127,7 @@ class TestRunConfig:
         bad += [(run_zo_ada_expgrad_plus, "constant"), (run_zo_expstorm, "constant")]
         for runner, variant in bad:
             cfg = RunConfig(T=1, batch=1, stepsize_variant=variant)
-            with pytest.raises(ValueError, match="does not support stepsize variant"):
+            with pytest.raises(ValueError, match=f"has no {variant}-stepsize variant"):
                 runner(prob, cfg)
 
     def test_explicit_default_variants_accepted(self):
@@ -136,9 +142,10 @@ class TestRunConfig:
         for name, runner in RUNNERS.items():
             runner(prob, RunConfig(T=1, batch=1, algorithm=name))
             other = next(tag for tag in RUNNERS if tag != name)
-            for wrong in (other, "nonsense"):
-                with pytest.raises(ValueError, match=f"names algorithm {wrong!r}, but this runs {name!r}"):
-                    runner(prob, RunConfig(T=1, batch=1, algorithm=wrong))
+            with pytest.raises(ValueError, match=f"names algorithm {other!r}, but this runs {name!r}"):
+                runner(prob, RunConfig(T=1, batch=1, algorithm=other))
+        with pytest.raises(ValueError, match="unknown algorithm tag 'nonsense'"):
+            RunConfig(T=1, batch=1, algorithm="nonsense")
 
 
 class TestStormSchedule:

@@ -26,8 +26,11 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   over six decades, d up to 2000) and 200 ``lambert_w0`` calls on mixed
   arrays that hold the branch point.
 * ``cli``: every file written by ``zomirror run --no-timing`` for
-  ``configs/acceptance.json`` and a four-method PN explanation spec, each
-  at ``--jobs 1`` and ``--jobs 2``.
+  ``configs/acceptance.json``, a four-method PN explanation spec and a
+  four-method sparse-regression spec whose entries set every optional
+  algorithm key (``eta``, ``nu``, ``variant`` with ``"constant"`` where
+  the tag accepts it, ``stationarity_eval_period``), each at ``--jobs 1``
+  and ``--jobs 2``.
 
 The last line is one digest over all four.  This is a comparison tool,
 not a test: it pins no hash, since any deliberate change of output moves
@@ -215,16 +218,33 @@ PN_SPEC = {
     "emit_plot_data": True,
 }
 
+OPTIONAL_KEYS_SPEC = {
+    "problem": {
+        "kind": "sparse_regression", "seed": 5, "d": 50, "n_samples": 60, "k": 5,
+        "noise_sigma": 0.1, "loss": "least_squares", "gamma1": 0.005, "gamma2": 1e-4,
+    },
+    "algorithms": [
+        {"tag": "zo-ada-expgrad", "T": 30, "m": 4, "eta": 0.5, "nu": 0.3, "variant": "constant", "stationarity_eval_period": 3},
+        {"tag": "zo-ada-expgrad-plus", "T": 30, "m": 4, "eta": 0.5, "nu": 0.3, "variant": "adaptive", "stationarity_eval_period": 3},
+        {"tag": "zo-expstorm", "T": 30, "m": 4, "eta": 0.5, "nu": 0.3, "variant": "adaptive", "stationarity_eval_period": 3},
+        {"tag": "zo-psgd", "T": 30, "m": 4, "eta": 7.0, "nu": 0.3, "variant": "constant", "stationarity_eval_period": 3},
+    ],
+    "seeds": [0, 1],
+    "output_dir": "runs/optional-keys",
+    "emit_plot_data": True,
+}
+
 
 def digest_cli(zm) -> str:
     from zomirror import cli
 
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        pn_path = os.path.join(tmp, "pn.json")
-        with open(pn_path, "w", encoding="utf-8") as fh:
-            json.dump(PN_SPEC, fh)
-        specs = (("acceptance", os.path.join(ROOT, "configs", "acceptance.json")), ("pn", pn_path))
+        specs = [("acceptance", os.path.join(ROOT, "configs", "acceptance.json"))]
+        for name, doc in (("pn", PN_SPEC), ("optional-keys", OPTIONAL_KEYS_SPEC)):
+            specs.append((name, os.path.join(tmp, f"{name}.json")))
+            with open(specs[-1][1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
         for name, path in specs:
             for jobs in (1, 2):
                 out = os.path.join(tmp, f"{name}-{jobs}")
