@@ -226,9 +226,10 @@ def parse_run_spec(path: str) -> RunSpec:
 
 
 def problem_from_descriptor(doc: dict) -> Problem:
-    """Build the Problem named by a validated problem descriptor."""
+    """Build the Problem named by a validated problem descriptor; a weight
+    the descriptor leaves out keeps the problem builder's default."""
+    weights = {key: doc[key] for key in ("gamma1", "gamma2") if key in doc}
     if doc["kind"] == "sparse_regression":
-        reg = ElasticNet(gamma1=doc.get("gamma1", 0.0), gamma2=doc.get("gamma2", 0.0))
         return make_sparse_regression(
             d=doc["d"],
             n_samples=doc["n_samples"],
@@ -236,19 +237,13 @@ def problem_from_descriptor(doc: dict) -> Problem:
             noise_sigma=doc["noise_sigma"],
             kind=doc["loss"],
             seed=doc["seed"],
-            regularizer=reg,
+            regularizer=ElasticNet(**weights),
         )
     d = doc["d"]
     seed = doc["seed"]
     classifier = make_tiny_classifier(d, doc.get("n_classes", 3), seed)
     anchor = rng.stream("anchor", seed, d).uniform(0.05, 0.95, size=d)
-    return make_explanation_problem(
-        classifier,
-        anchor,
-        doc["mode"],
-        gamma1=doc.get("gamma1", 0.0625),
-        gamma2=doc.get("gamma2", 0.0625),
-    )
+    return make_explanation_problem(classifier, anchor, doc["mode"], **weights)
 
 
 def _env_seed() -> int | None:

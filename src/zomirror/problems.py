@@ -11,6 +11,7 @@ an elastic net, so no exact gradient is published for them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,9 @@ __all__ = [
 LOSS_KINDS = ("least_squares", "robust_nonconvex")
 
 EXPLANATION_MODES = ("PP", "PN")
+
+# Default weight of both elastic-net terms of an explanation objective.
+_EXPLANATION_GAMMA = 0.0625
 
 # Stable softplus: beyond these the dropped term is below 1e-13 absolute.
 _SOFTPLUS_HI = 30.0
@@ -69,7 +73,7 @@ class SparseRegressionProblem:
     targets: np.ndarray
     kind: str
     planted: np.ndarray
-    _residual_slot: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+    _residual_slot: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
@@ -79,6 +83,7 @@ class SparseRegressionProblem:
             raise ValueError("targets must have one entry per design row")
         if self.planted.shape != (d,):
             raise ValueError("planted solution must match the design width")
+        object.__setattr__(self, "_residual_slot", [None])
 
     @property
     def n_samples(self) -> int:
@@ -88,9 +93,10 @@ class SparseRegressionProblem:
     def dimension(self) -> int:
         return self.matrix.shape[1]
 
-    def sample_loss(self, x: np.ndarray, index: int) -> float:
+    def sample_loss(self, x: np.ndarray, xi: int) -> float:
         # Python-float arithmetic: the same roundings as the numpy forms,
         # without their per-call overhead.
+        index = xi % self.matrix.shape[0]
         r = float(self.matrix[index] @ x) - float(self.targets[index])
         if self.kind == "least_squares":
             return 0.5 * r * r
@@ -124,7 +130,7 @@ class SparseRegressionProblem:
     ) -> Problem:
         return Problem(
             dimension=self.dimension,
-            oracle=lambda x, xi: self.sample_loss(x, xi % self.n_samples),
+            oracle=self.sample_loss,
             regularizer=regularizer if regularizer is not None else ElasticNet(),
             feasible_set=feasible_set if feasible_set is not None else FeasibleSet(),
             exact_gradient=self.gradient,
@@ -232,8 +238,6 @@ class ExplanationProblem:
     classifier: TinyClassifier
     anchor: np.ndarray
     mode: str
-    gamma1: float = 0.0625
-    gamma2: float = 0.0625
     k0: int = field(init=False)
     box: FeasibleSet = field(init=False)
 
@@ -244,8 +248,6 @@ class ExplanationProblem:
             raise ValueError("anchor must match the classifier dimension")
         if not np.all(np.isfinite(self.anchor)):
             raise ValueError("anchor must be finite")
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("regularizer weights must be nonnegative")
         logits = self.classifier.forward(self.anchor)
         order = np.argsort(logits)
         if logits[order[-1]] == logits[order[-2]]:
@@ -309,27 +311,21 @@ def make_explanation_problem(
     classifier: TinyClassifier,
     anchor: np.ndarray,
     mode: str,
-    gamma1: float = 0.0625,
-    gamma2: float = 0.0625,
+    gamma1: float = _EXPLANATION_GAMMA,
+    gamma2: float = _EXPLANATION_GAMMA,
 ) -> Problem:
     """Wrap an explanation objective as a black-box Problem.
 
     The oracle is deterministic (num_samples = 1) and no exact gradient is
     published, so runs report objective values only.
     """
-    ep = ExplanationProblem(
-        classifier=classifier,
-        anchor=np.array(anchor, dtype=float),
-        mode=mode,
-        gamma1=gamma1,
-        gamma2=gamma2,
-    )
+    ep = ExplanationProblem(classifier=classifier, anchor=np.array(anchor, dtype=float), mode=mode)
     return Problem(
         dimension=classifier.dimension,
-        oracle=lambda x, xi: explanation_loss(ep, x, xi),
+        oracle=functools.partial(explanation_loss, ep),
         regularizer=ElasticNet(gamma1=gamma1, gamma2=gamma2),
         feasible_set=ep.box,
-        mean_loss=lambda x: explanation_loss(ep, x, 0),
+        mean_loss=functools.partial(explanation_loss, ep, xi=0),
         num_samples=1,
         start_point=ep.start_point(),
     )

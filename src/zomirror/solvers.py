@@ -88,16 +88,15 @@ class RunConfig:
     stationarity_eval_period: int = 1
 
     def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError("T must be a positive integer")
-        if self.batch < 1:
-            raise ValueError("batch must be a positive integer")
+        for name in ("T", "batch", "stationarity_eval_period"):
+            value = getattr(self, name)
+            # An int or numpy integer; bool is an int subclass but no count.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
         if not 0 < self.eta_base < math.inf:
             raise ValueError("eta_base must be positive and finite")
         if self.nu is not None and not 0 < self.nu < math.inf:
             raise ValueError("nu must be positive and finite when given")
-        if self.stationarity_eval_period < 1:
-            raise ValueError("stationarity_eval_period must be a positive integer")
         # Tuples test membership with ==, so a tag or word that is not a
         # string fails here rather than as unhashable in a dict lookup.
         if self.algorithm not in (None, *ALGORITHMS):
@@ -255,23 +254,13 @@ ALGORITHM_TABLE = {
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
-def _objective(problem: Problem, x: np.ndarray, t: int) -> float:
+def _objective(problem: Problem, x: np.ndarray) -> float:
     if problem.mean_loss is None:
-        try:
-            return composite_value(problem, x, range(problem.num_samples))
-        except NumericError as exc:
-            raise NumericError(f"{exc} at iteration {t} in objective") from exc
+        return composite_value(problem, x, range(problem.num_samples))
     value = float(problem.mean_loss(x))
     if not math.isfinite(value):
-        raise NumericError(f"mean_loss returned a non-finite value at iteration {t}")
+        raise NumericError("mean_loss returned a non-finite value")
     return value + elastic_net_value(problem.regularizer, x)
-
-
-def _exact_gradient(problem: Problem, x: np.ndarray, t: int) -> np.ndarray:
-    grad = problem.exact_gradient(x)
-    if not np.isfinite(grad).all():
-        raise NumericError(f"exact_gradient returned a non-finite entry at iteration {t}")
-    return grad
 
 
 def _start_point(problem: Problem) -> np.ndarray:
@@ -322,18 +311,24 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
         if t == tau:
             sampled_point = x_t
 
-        objective = _objective(problem, x_t, t)
         stationarity: float | None = None
         map_due = (
             problem.exact_gradient is not None and (t - 1) % cfg.stationarity_eval_period == 0
         )
-        # One exact gradient per iteration serves both the gradient map and
-        # the momentum tracking diagnostics.
-        if map_due or track_momentum:
-            grad = _exact_gradient(problem, x_t, t)
-        # A NumericError from here on names the iteration and the layer.
-        layer = "gradient map"
+        # A NumericError from any layer names the iteration and the layer.
         try:
+            layer = "objective"
+            objective = _objective(problem, x_t)
+
+            # One exact gradient per iteration serves both the gradient map
+            # and the momentum tracking diagnostics.
+            layer = "exact gradient"
+            if map_due or track_momentum:
+                grad = problem.exact_gradient(x_t)
+                if not np.isfinite(grad).all():
+                    raise NumericError("exact_gradient returned a non-finite entry")
+
+            layer = "gradient map"
             if map_due:
                 result = gradient_map(
                     x_t, grad, eta_t, geo, problem.regularizer, problem.feasible_set
@@ -380,8 +375,6 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             )
         )
 
-    if calls != 2 * m * cfg.T + (2 * m * (cfg.T - 1) if algo.paired else 0):
-        raise RuntimeError("oracle accounting invariant violated")
     return Trace(
         records=records,
         sampled_index=tau,

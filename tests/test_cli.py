@@ -4,10 +4,14 @@ import csv
 import json
 import math
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zomirror
 from zomirror import cli, rng
 from zomirror.cli import (
     TRACE_HEADER,
@@ -57,11 +61,14 @@ def read_csv(path):
 class TestParseRunSpec:
     def test_round_trip(self, tmp_path):
         doc = base_spec(tmp_path / "out")
+        doc["algorithms"][0]["stationarity_eval_period"] = 3
         spec = parse_run_spec(write_spec(tmp_path, doc))
         assert spec.problem["kind"] == "sparse_regression"
         assert [a.algorithm for a in spec.algorithms] == ["zo-ada-expgrad", "zo-psgd"]
         assert spec.algorithms[0].batch == 2
         assert spec.algorithms[0].nu is None
+        assert spec.algorithms[0].stationarity_eval_period == 3
+        assert spec.algorithms[1].stationarity_eval_period == 1
         assert spec.algorithms[1].stepsize_variant == "constant"
         assert spec.seeds == (0, 1)
         assert spec.emit_plot_data is False
@@ -194,6 +201,27 @@ class TestProblemFromDescriptor:
         )
         assert prob.regularizer.gamma1 == 0.0625
         assert prob.exact_gradient is None
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "sparse_regression", "seed": 1, "d": 6, "n_samples": 5, "k": 2,
+             "noise_sigma": 0.1, "loss": "robust_nonconvex", "gamma1": 0.01},
+            {"kind": "explanation", "seed": 2, "d": 4, "mode": "PN", "gamma2": 0.5},
+        ],
+        ids=["sparse-regression", "explanation"],
+    )
+    def test_problem_pickles_with_its_hooks(self, doc):
+        prob = problem_from_descriptor(doc)
+        clone = pickle.loads(pickle.dumps(prob))
+        x = np.linspace(0.05, 0.2, doc["d"])
+        for xi in (0, 3, 2**63 - 1):
+            assert clone.oracle(x, xi) == prob.oracle(x, xi)
+        assert clone.mean_loss(x) == prob.mean_loss(x)
+        if prob.exact_gradient is not None:
+            assert np.array_equal(clone.exact_gradient(x), prob.exact_gradient(x))
+        assert clone.regularizer == prob.regularizer
+        assert clone.num_samples == prob.num_samples
 
 
 class TestExecute:
@@ -367,6 +395,49 @@ class TestMain:
         assert main(["validate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid run spec: missing key 'loss'")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("algorithms", 0, "T"), 1.5, "algorithms[0]: 'T' must be an integer"),
+            (("algorithms", 0, "m"), 0, "algorithms[0]: 'm' must be >= 1"),
+            (("problem", "noise_sigma"), "0.1", "problem: 'noise_sigma' must be a number"),
+            (("problem", "noise_sigma"), -0.1, "problem: 'noise_sigma' must be >= 0.0"),
+            (("problem",), [], "'problem' must be an object"),
+            (("problem", "loss"), "hinge", "problem: unknown loss 'hinge'"),
+            (("algorithms", 0), "zo-psgd", "algorithms[0] must be an object"),
+            (("algorithms", 0, "nu"), 0.0, "algorithms[0]: 'nu' must be positive"),
+            ((), [], "run spec must be a JSON object"),
+            (("algorithms",), [], "'algorithms' must be a nonempty list"),
+            (("seeds",), [], "'seeds' must be a nonempty list"),
+            (("output_dir",), "", "'output_dir' must be a nonempty string"),
+            (("emit_plot_data",), 1, "'emit_plot_data' must be a boolean"),
+        ],
+    )
+    def test_invalid_spec_is_one_line(self, tmp_path, capsys, path, value, message):
+        doc = base_spec(tmp_path / "out")
+        if path:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            doc = value
+        assert main(["validate", "--config", write_spec(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"invalid run spec: {message}\n"
+
+    def test_module_entry_point_validates(self):
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.json")
+        src = os.path.dirname(os.path.dirname(zomirror.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "zomirror", "validate", "--config", config],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok: sparse_regression problem, 4 algorithm(s), 3 seed(s)\n"
 
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "cli-out"

@@ -362,9 +362,7 @@ class TestExplanationProblem:
         with pytest.raises(ValueError, match="finite"):
             ExplanationProblem(classifier=clf, anchor=np.array([np.inf]), mode="PP")
         with pytest.raises(ValueError):
-            ExplanationProblem(
-                classifier=clf, anchor=np.array([0.3]), mode="PP", gamma1=-0.1
-            )
+            make_explanation_problem(clf, np.array([0.3]), "PP", gamma1=-0.1)
 
     def test_pp_cost_hand_example(self):
         clf = two_class([[0.0, 0.0], [0.0, 0.0]], [2.0, 1.0])

@@ -113,11 +113,19 @@ class TestRunConfig:
             {"T": 1, "batch": 1, "algorithm": ["zo-psgd"]},
             {"T": 1, "batch": 1, "algorithm": ""},
             {"T": 1, "batch": 1, "algorithm": "zo-psgd", "stepsize_variant": ["constant"]},
+            {"T": 2.5, "batch": 1},
+            {"T": 1, "batch": 1.5},
+            {"T": 4, "batch": 1, "stationarity_eval_period": 1.5},
+            {"T": True, "batch": 1},
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             RunConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        cfg = RunConfig(T=np.int64(3), batch=np.int32(2), stationarity_eval_period=np.uint8(2))
+        assert run_zo_psgd(zero_problem(), cfg).records[-1].iteration == 3
 
     def test_variant_rejection_per_algorithm(self):
         # Only "adaptive" and "constant" name stepsize rules, and only
@@ -488,7 +496,7 @@ class TestSolverBehavior:
     def test_nonfinite_mean_loss_raises_with_iteration(self):
         values = iter([1.0, math.inf, 1.0])
         prob = zero_problem(d=2, mean_loss=lambda x: next(values))
-        with pytest.raises(NumericError, match="mean_loss .* iteration 2$"):
+        with pytest.raises(NumericError, match="mean_loss .* iteration 2 in objective$"):
             run_zo_ada_expgrad(prob, RunConfig(T=3, batch=1))
 
     @pytest.mark.parametrize("tag", ["zo-ada-expgrad", "zo-expstorm"])
@@ -501,7 +509,7 @@ class TestSolverBehavior:
             return np.array([0.0, math.nan]) if next(calls) == 3 else np.zeros(2)
 
         prob = zero_problem(d=2, exact_gradient=grad)
-        with pytest.raises(NumericError, match="exact_gradient .* iteration 3$"):
+        with pytest.raises(NumericError, match="exact_gradient .* iteration 3 in exact gradient$"):
             RUNNERS[tag](prob, RunConfig(T=4, batch=1))
 
     # The fixture's mean loss may overflow on the way to the prox's guard.

@@ -12,14 +12,18 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   and PN explanations (8), and on an unboxed quadratic at two seeds (8).
   Some of the unboxed runs raise ``NumericError``.  Each run contributes
   its records (``wall_ms`` zeroed), the sampled index and point, the
-  iterates and the tracking lists; a raising run contributes the message
-  of the error that started the chain, so context added to a re-raised
-  error does not change the digest.
-* ``paths``: 30 further runs through the stepsize and momentum paths
+  iterates and the tracking lists; a raising run contributes its error
+  message with a trailing `` in <layer>`` removed, so the digest pins the
+  failing iteration while the layer wording may change.
+* ``paths``: 36 further runs through the stepsize and momentum paths
   the ``traces`` set leaves out, on the d=50 least-squares problem (free
   and boxed) and the PN explanation: zo-ada-expgrad and zo-psgd with
   ``stepsize_variant="constant"``, all four methods at T=1, and all four
-  at nu=0.3 with ``stationarity_eval_period=3``.  These configs are ones
+  at nu=0.3 with ``stationarity_eval_period=3``; then six runs that each
+  raise in one layer of the run loop: a non-finite ``mean_loss``, a
+  non-finite oracle in the oracle-averaged objective, a NaN exact
+  gradient, a prox overflow in the gradient map, a non-finite oracle in
+  the estimator and a prox overflow in the step.  These configs are ones
   every checkout accepts, so two checkouts compare on them too.
 * ``prox``: 3,000 random ``prox_composite`` calls (both elastic-net
   branches, no box and boxes that contain, straddle or exclude zero, eta
@@ -42,9 +46,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -57,6 +63,11 @@ def _root_message(exc: BaseException) -> str:
     while exc.__cause__ is not None:
         exc = exc.__cause__
     return f"{type(exc).__name__}: {exc}"
+
+
+def _run_message(exc: BaseException) -> str:
+    message = re.sub(r"( at iteration \d+) in [a-z ]+$", r"\1", str(exc))
+    return f"{type(exc).__name__}: {message}"
 
 
 def _array_bytes(a) -> bytes:
@@ -93,6 +104,12 @@ def _quadratic(zm, center, noise_seed):
     )
 
 
+def _fails_on_call(n, bad, good):
+    """A hook that returns ``bad`` on its n-th call and ``good`` otherwise."""
+    calls = itertools.count(1)
+    return lambda *args: bad if next(calls) == n else good
+
+
 def trace_runs(zm):
     """Yield (label, problem, RunConfig, runner) for the fixed run set."""
     runners = {
@@ -125,7 +142,7 @@ def trace_runs(zm):
 
 def path_runs(zm):
     """Yield (label, problem, RunConfig, runner) for the constant-stepsize,
-    single-iteration and explicit-nu runs."""
+    single-iteration and explicit-nu runs, then one raising run per layer."""
     runners = {
         "zo-ada-expgrad": zm.run_zo_ada_expgrad,
         "zo-ada-expgrad-plus": zm.run_zo_ada_expgrad_plus,
@@ -146,6 +163,22 @@ def path_runs(zm):
             yield f"{tag}/{name}/T=1", problem, zm.RunConfig(T=1, batch=4, eta_base=eta, seed=6), runner
             cfg = zm.RunConfig(T=25, batch=4, eta_base=eta, nu=0.3, seed=7, stationarity_eval_period=3)
             yield f"{tag}/{name}/nu=0.3/period=3", problem, cfg, runner
+    # One raising run per layer.  Iteration 1 makes one oracle call in the
+    # oracle-averaged objective and two in the estimator at batch 1.
+    zero = zm.Problem(dimension=2, oracle=lambda x, xi: 0.0)
+    quadratic = _quadratic(zm, [1.0, 2.0], 0)
+    failing = [
+        ("objective/mean_loss", zm.run_zo_ada_expgrad, {"mean_loss": _fails_on_call(2, math.inf, 1.0)}),
+        ("objective/oracle", zm.run_zo_psgd, {"oracle": _fails_on_call(4, math.inf, 0.0)}),
+        ("exact-gradient", zm.run_zo_expstorm, {"exact_gradient": _fails_on_call(3, np.array([0.0, math.nan]), np.zeros(2))}),
+        ("estimator", zm.run_zo_expstorm, {"oracle": _fails_on_call(3, math.inf, 0.0), "mean_loss": lambda x: 0.0}),
+    ]
+    for name, runner, hooks in failing:
+        yield f"fail/{name}", dataclasses.replace(zero, **hooks), zm.RunConfig(T=4, batch=1), runner
+    # Unboxed at eta=1 the dual point passes the prox's guard at x_4.
+    yield "fail/gradient-map", quadratic, zm.RunConfig(T=13, batch=2, seed=1), zm.run_zo_ada_expgrad
+    problem = dataclasses.replace(quadratic, exact_gradient=None)
+    yield "fail/step", problem, zm.RunConfig(T=13, batch=2, seed=5), zm.run_zo_ada_expgrad
 
 
 def digest_traces(zm, runs) -> tuple[str, int]:
@@ -158,7 +191,7 @@ def digest_traces(zm, runs) -> tuple[str, int]:
                 trace = runner(problem, cfg)
         except zm.NumericError as exc:
             raised += 1
-            h.update(_root_message(exc).encode())
+            h.update(_run_message(exc).encode())
             continue
         h.update(_trace_bytes(trace))
     return h.hexdigest(), raised
