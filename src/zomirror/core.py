@@ -87,8 +87,10 @@ class Problem:
     ``oracle(x, xi)`` must be deterministic given its arguments and defined
     on all of R^d (probe points may leave a box set).  Sample ids ``xi`` are
     63-bit integers; data-backed problems map them to rows by ``xi mod
-    num_samples``.  ``exact_gradient`` and ``mean_loss`` are evaluation-only
-    hooks present on synthetic problems.
+    num_samples``.  The oracle's ``x`` may be a view into a buffer that the
+    estimator reuses, so an oracle must neither keep it nor write to it.
+    ``exact_gradient`` and ``mean_loss`` are evaluation-only hooks present
+    on synthetic problems.
     """
 
     dimension: int

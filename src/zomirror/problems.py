@@ -94,10 +94,10 @@ class SparseRegressionProblem:
         return self.matrix.shape[1]
 
     def sample_loss(self, x: np.ndarray, xi: int) -> float:
-        # Python-float arithmetic: the same roundings as the numpy forms,
-        # without their per-call overhead.
+        # Python-float arithmetic and ndarray.dot: the same roundings as
+        # the numpy forms and the @ operator, without their per-call overhead.
         index = xi % self.matrix.shape[0]
-        r = float(self.matrix[index] @ x) - float(self.targets[index])
+        r = float(self.matrix[index].dot(x)) - float(self.targets[index])
         if self.kind == "least_squares":
             return 0.5 * r * r
         sq = r * r
@@ -210,7 +210,7 @@ class TinyClassifier:
         return self.weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ x + self.bias
+        return self.weights.dot(x) + self.bias
 
 
 def make_tiny_classifier(d: int, n_classes: int = 3, seed: int = 0) -> TinyClassifier:

@@ -16,11 +16,24 @@ x_prev).  Each element's term is added to a running total in that same
 order.  The packed signs are expanded to floats one block of whole rows
 at a time, each block holding at most 8,192 signs (a single row when d
 is larger), so an estimate holds O(d) floats however large m*d is.
+
+Each thread keeps one Philox generator, re-keyed per estimate with
+rng.rekey, and one workspace: a float buffer for a block of sign rows and
+a block of forward points per point, grown when a larger block needs more
+room.  A thread keeps at most 192 KB of workspace between estimates; when
+d > 8,192 (one row per block) an estimate allocates its own buffer of up
+to 3d floats and drops it at the end.  The forward points handed to the
+oracle are rows of that buffer, overwritten by the next block, so an
+oracle must not keep its x.  An estimate takes the workspace out of the
+thread's slot while it runs, so an oracle that runs an estimate itself
+gets a workspace of its own; all of an estimate's draws come before its
+first oracle call, so the generator can be shared.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +56,24 @@ _XI_BOUND = 2**63
 # Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
 _BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
-# Most signs expanded per row block: 64 KB of floats, below glibc's 128 KB
-# mmap threshold, so block temporaries are recycled from the heap.
+# Most signs expanded per row block: 64 KB of floats.  A workspace holds a
+# block of signs and one block of forward points per point.
 _BLOCK_SIGNS = 8192
+
+# Largest workspace a thread keeps between estimates: a full block of signs
+# (plus the byte overhang) and two of forward points, 192 KB.
+_KEPT_FLOATS = 16 + 3 * _BLOCK_SIGNS
+
+
+class _ThreadState(threading.local):
+    """Per thread: the probe generator and the idle workspace, if any."""
+
+    def __init__(self) -> None:
+        self.generator = np.random.Generator(np.random.Philox(0))
+        self.workspace = None
+
+
+_thread = _ThreadState()
 
 
 @dataclass(frozen=True)
@@ -103,37 +131,54 @@ def _batch_estimates(
 
     Per element the oracle sees each point's forward point, then the point
     itself; each point's terms are summed in ascending element order.  The
-    packed signs are expanded one row block at a time, and the block's
-    step buffer is reused for the scaled rows once its oracle calls are
-    done.
+    packed signs are expanded one row block at a time into the thread's
+    workspace, and each point's forward-point block is reused for its
+    scaled rows once the block's oracle calls are done.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
     oracle = problem.oracle
-    stream = rng.stream(*key)
+    stream = rng.rekey(_thread.generator, *key)
     packed = np.frombuffer(stream.bytes(-(-m * d // 8)), dtype=np.uint8)
     xis = stream.integers(_XI_BOUND, size=m).tolist()
     totals = [np.zeros(d) for _ in points]
     rows = max(1, _BLOCK_SIGNS // d)
-    for j0 in range(0, m, rows):
-        j1 = min(j0 + rows, m)
-        lo, hi = j0 * d, j1 * d
-        bits = _BYTE_SIGNS.take(packed[lo // 8 : -(-hi // 8)], axis=0).ravel()
-        signs = bits[lo % 8 : lo % 8 + hi - lo].reshape(j1 - j0, d)
-        steps = nu * signs
-        coefs = [[] for _ in points]
-        for step, xi in zip(steps, xis[j0:j1]):
-            for x, coef in zip(points, coefs):
-                forward = oracle(x + step, xi)
-                if not math.isfinite(forward):
-                    raise _nonfinite(xi)
-                base = oracle(x, xi)
-                if not math.isfinite(base):
-                    raise _nonfinite(xi)
-                coef.append((forward - base) / nu)
-        for total, coef, scaled in zip(totals, coefs, (steps, signs)):
-            np.multiply(signs, np.array(coef)[:, None], out=scaled)
-            for row in scaled:
-                total += row
+    # The sign slot holds the block's bytes expanded whole, which adds up
+    # to 7 signs at either end of the block's rows.
+    sign_room = rows * d + 16
+    need = sign_room + len(points) * rows * d
+    idle, _thread.workspace = _thread.workspace, None
+    workspace = idle if idle is not None and idle.size >= need else np.empty(need)
+    try:
+        for j0 in range(0, m, rows):
+            j1 = min(j0 + rows, m)
+            lo, hi = j0 * d, j1 * d
+            chunk = packed[lo // 8 : -(-hi // 8)]
+            bits = workspace[: 8 * chunk.size].reshape(chunk.size, 8)
+            _BYTE_SIGNS.take(chunk, axis=0, out=bits, mode="clip")
+            signs = workspace[lo % 8 : lo % 8 + hi - lo].reshape(j1 - j0, d)
+            blocks = []
+            for i, x in enumerate(points):
+                start = sign_room + i * (hi - lo)
+                block = workspace[start : start + hi - lo].reshape(j1 - j0, d)
+                np.multiply(signs, nu, out=block)
+                block += x
+                blocks.append(block)
+            coefs = [[] for _ in points]
+            for j, xi in enumerate(xis[j0:j1]):
+                for x, block, coef in zip(points, blocks, coefs):
+                    forward = oracle(block[j], xi)
+                    if not math.isfinite(forward):
+                        raise _nonfinite(xi)
+                    base = oracle(x, xi)
+                    if not math.isfinite(base):
+                        raise _nonfinite(xi)
+                    coef.append((forward - base) / nu)
+            for total, coef, scaled in zip(totals, coefs, blocks):
+                np.multiply(signs, np.array(coef)[:, None], out=scaled)
+                for row in scaled:
+                    total += row
+    finally:
+        _thread.workspace = workspace if workspace.size <= _KEPT_FLOATS else idle
     return tuple(GradientEstimate(vector=total / m, oracle_calls=2 * m) for total in totals)
 
 

@@ -64,6 +64,11 @@ _ITERATE_STORE_LIMIT = 4_000_000
 AlphaRule = Callable[[float, int, int], float]
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; bool is an int subclass but no count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one solver run.
@@ -90,9 +95,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("T", "batch", "stationarity_eval_period"):
             value = getattr(self, name)
-            # An int or numpy integer; bool is an int subclass but no count.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if not _is_integer(self.seed):
+            raise ValueError("seed must be an integer")
         if not 0 < self.eta_base < math.inf:
             raise ValueError("eta_base must be positive and finite")
         if self.nu is not None and not 0 < self.nu < math.inf:

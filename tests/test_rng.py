@@ -61,3 +61,22 @@ def test_distinct_paths_decorrelate():
     a = rng.stream(0, "u").standard_normal(2000)
     b = rng.stream(0, "v").standard_normal(2000)
     assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.1
+
+
+def test_rekey_matches_stream():
+    # One generator, partly drawn between re-keys (whole and half-used
+    # 64-bit words, a buffered uint32), must restart on each key's stream.
+    gen = rng.stream("scratch")
+    paths = [(seed, "t", it) for seed in range(20) for it in range(15)]
+    paths += [(np.int64(7), np.uint32(3)), (np.int8(-2), "x"), (2**62, "tail"), ()]
+    # Keys whose high 64-bit word has its top bit set, and keys without.
+    assert {rng._digest(p)[15] >= 0x80 for p in paths} == {False, True}
+    for i, parts in enumerate(paths):
+        gen.bytes(i % 5)
+        if i % 3:
+            gen.integers(2**32, dtype=np.uint32)
+        assert rng.rekey(gen, *parts) is gen
+        fresh = rng.stream(*parts)
+        assert gen.bytes(13) == fresh.bytes(13)
+        assert np.array_equal(gen.integers(2**63, size=5), fresh.integers(2**63, size=5))
+        assert gen.standard_normal(3).tolist() == fresh.standard_normal(3).tolist()

@@ -8,6 +8,7 @@ raw bytes, so a sum that drops the zero start (and leaves a -0.0) fails.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zomirror import EstimatorConfig, Problem, minibatch_gradient, paired_storm_estimates
-from zomirror import rng
+from zomirror import rng, sampling
 
 # 8,192 sign floats per row block: d above that is one row per block, and
 # 2731, 4096 and 4097 put two, two and one rows in a block.
@@ -111,3 +112,89 @@ def test_estimators_match_sequential_replay(case):
     assert same_bits(est.vector, replay(problem, x, cfg, key))
     assert same_bits(cur.vector, est.vector)
     assert same_bits(prev.vector, replay(problem, x_prev, cfg, key))
+
+
+# The thread's workspace grows with d and is shared by consecutive
+# estimates, by estimates nested in an oracle (which must not overwrite the
+# outer estimate's forward points) and, one each, by concurrent threads.
+
+
+def both_estimates(problem, x, x_prev, cfg, key):
+    est = minibatch_gradient(problem, x, cfg, key)
+    cur, prev = paired_storm_estimates(problem, x, x_prev, cfg, key)
+    return est.vector, cur.vector, prev.vector
+
+
+def check_against_replay(problem, x, x_prev, cfg, key):
+    est, cur, prev = both_estimates(problem, x, x_prev, cfg, key)
+    assert same_bits(est, replay(problem, x, cfg, key))
+    assert same_bits(cur, est)
+    assert same_bits(prev, replay(problem, x_prev, cfg, key))
+
+
+def test_workspace_follows_dimension_changes():
+    for d, m in ((3, 5), (2000, 7), (9000, 3), (3, 5)):
+        problem, _ = make_oracle("quadratic", d, np.array([0.4, -1.0, 0.3]))
+        x = np.resize([0.1, -0.2, 0.7], d)
+        check_against_replay(problem, x, x + 0.25, EstimatorConfig(nu=0.1, batch=m), (d, m))
+        # Past 8,192 signs per row the estimate's buffer is not kept.
+        assert sampling._thread.workspace.size <= sampling._KEPT_FLOATS
+
+
+def test_oracle_that_runs_an_estimate():
+    d = 40
+    inner, _ = make_oracle("linear", d, np.array([1.0, -2.0, 0.5]))
+    inner_cfg = EstimatorConfig(nu=0.5, batch=300)
+
+    def oracle(x, xi):
+        g = minibatch_gradient(inner, x * 0.5, inner_cfg, (xi % 4,)).vector
+        return 0.5 * float(x @ x) + float(g @ x)
+
+    problem = Problem(dimension=d, oracle=oracle)
+    x = np.linspace(-1.0, 1.0, d)
+    check_against_replay(problem, x, x[::-1].copy(), EstimatorConfig(nu=0.1, batch=250), (9, 2))
+
+
+def held_at_first_call(oracle, barrier):
+    """The oracle, waiting at its first call until the other thread does too."""
+    first = [True]
+
+    def held(x, xi):
+        if first[0]:
+            first[0] = False
+            barrier.wait(timeout=30)
+        return oracle(x, xi)
+
+    return held
+
+
+def test_threads_with_interleaved_estimates():
+    jobs = [(d, m, key) for d, m in ((5, 9), (3000, 4), (700, 30)) for key in ((1, 1), (2, 7))]
+
+    def run_all(dims, barrier):
+        out = []
+        for d, m, key in dims:
+            problem, _ = make_oracle("quadratic", d, np.array([0.5, 1.5]))
+            if barrier is not None:
+                # Both threads are inside an estimate at the same time.
+                problem = Problem(dimension=d, oracle=held_at_first_call(problem.oracle, barrier))
+            x = np.resize([0.3, -0.4], d)
+            out.append(both_estimates(problem, x, x - 0.1, EstimatorConfig(nu=0.01, batch=m), key))
+        return out
+
+    sequential = [run_all(jobs, None), run_all(jobs[::-1], None)]
+    barrier = threading.Barrier(2)
+    threaded = [None, None]
+
+    def worker(slot, dims):
+        threaded[slot] = run_all(dims, barrier)
+
+    threads = [threading.Thread(target=worker, args=(0, jobs)), threading.Thread(target=worker, args=(1, jobs[::-1]))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got, want in zip(threaded, sequential):
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert all(same_bits(u, v) for u, v in zip(a, b))

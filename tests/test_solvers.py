@@ -117,6 +117,8 @@ class TestRunConfig:
             {"T": 1, "batch": 1.5},
             {"T": 4, "batch": 1, "stationarity_eval_period": 1.5},
             {"T": True, "batch": 1},
+            {"T": 1, "batch": 1, "seed": 1.5},
+            {"T": 1, "batch": 1, "seed": True},
         ],
     )
     def test_validation(self, kw):

@@ -29,6 +29,11 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   branches, no box and boxes that contain, straddle or exclude zero, eta
   over six decades, d up to 2000) and 200 ``lambert_w0`` calls on mixed
   arrays that hold the branch point.
+* ``estimates``: ``minibatch_gradient`` and ``paired_storm_estimates``
+  (vectors and call counts) on the least-squares, robust and PN oracles
+  at d in {1, 7, 8191, 8192, 8193}.  Where a row block holds more than
+  one probe row, m is twice the rows per block plus 3, so the last of
+  three blocks is partial; at one row per block m is 3.
 * ``cli``: every file written by ``zomirror run --no-timing`` for
   ``configs/acceptance.json``, a four-method PN explanation spec and a
   four-method sparse-regression spec whose entries set every optional
@@ -36,7 +41,7 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   the tag accepts it, ``stationarity_eval_period``), each at ``--jobs 1``
   and ``--jobs 2``.
 
-The last line is one digest over all four.  This is a comparison tool,
+The last line is one digest over all five.  This is a comparison tool,
 not a test: it pins no hash, since any deliberate change of output moves
 it.
 """
@@ -240,6 +245,29 @@ def digest_prox(zm) -> str:
     return h.hexdigest()
 
 
+def digest_estimates(zm) -> str:
+    h = hashlib.sha256()
+    for d in (1, 7, 8191, 8192, 8193):
+        rows = max(1, 8192 // d)
+        m = 2 * rows + 3 if rows > 1 else 3
+        x = zm.rng.stream("digest-estimates", d).uniform(-0.5, 0.5, size=d)
+        x_prev = x + 0.01
+        anchor = zm.rng.stream("digest-estimates-anchor", d).uniform(0.05, 0.95, size=d)
+        problems = {
+            kind: zm.make_sparse_regression(d, 5, 1, 0.1, kind, seed=d)
+            for kind in ("least_squares", "robust_nonconvex")
+        }
+        problems["PN"] = zm.make_explanation_problem(zm.make_tiny_classifier(d, 3, 1), anchor, "PN")
+        cfg = zm.EstimatorConfig(nu=0.01, batch=m)
+        for name, problem in problems.items():
+            h.update(f"{name}/d={d}/m={m}".encode())
+            estimates = (zm.minibatch_gradient(problem, x, cfg, (d, 1)),)
+            estimates += zm.paired_storm_estimates(problem, x, x_prev, cfg, (d, 2))
+            for est in estimates:
+                h.update(_array_bytes(est.vector) + repr(est.oracle_calls).encode())
+    return h.hexdigest()
+
+
 PN_SPEC = {
     "problem": {"kind": "explanation", "seed": 3, "d": 50, "mode": "PN", "n_classes": 3},
     "algorithms": [
@@ -298,13 +326,19 @@ def main(argv=None) -> int:
 
     traces, raised = digest_traces(zm, trace_runs(zm))
     paths, paths_raised = digest_traces(zm, path_runs(zm))
-    sections = {"traces": traces, "paths": paths, "prox": digest_prox(zm), "cli": digest_cli(zm)}
+    sections = {
+        "traces": traces,
+        "paths": paths,
+        "prox": digest_prox(zm),
+        "estimates": digest_estimates(zm),
+        "cli": digest_cli(zm),
+    }
     print(f"package {os.path.dirname(zm.__file__)}")
     print(f"{raised} of the traced runs and {paths_raised} of the path runs raised NumericError")
     for name, value in sections.items():
-        print(f"{name:7s} {value}")
+        print(f"{name:9s} {value}")
     total = hashlib.sha256("".join(sections.values()).encode()).hexdigest()
-    print(f"total   {total}")
+    print(f"{'total':9s} {total}")
     return 0
 
 
