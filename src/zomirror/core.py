@@ -25,7 +25,17 @@ __all__ = [
 
 
 class NumericError(RuntimeError):
-    """A computation produced a non-finite value or would overflow."""
+    """A computation produced a non-finite value or would overflow.
+
+    A run loop that re-raises the error sets ``iteration`` (1-based) and
+    ``layer`` (such as "estimator" or "step") to where it arose; both are
+    None on an error raised outside a run.
+    """
+
+    def __init__(self, message: str = "", *, iteration: int | None = None, layer: str | None = None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.layer = layer
 
 
 @dataclass(frozen=True)

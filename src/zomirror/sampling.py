@@ -3,11 +3,13 @@
 A probe direction u has independent +-1 coordinates, so E[u u^T] = I and
 (1/nu)*(l(x + nu*u; xi) - l(x; xi))*u is an unbiased estimate of the
 gradient of the smoothed loss l_nu.  Each batch estimate draws all of its
-(u, xi) pairs from one stream keyed by (run key..., iteration): first the
-m*d signs as ceil(m*d/8) packed bytes, read row-major with np.unpackbits
-(bit 1 is +1, bit 0 is -1), then the m sample ids in one
-integers(2**63, size=m) call.  Every estimate is therefore a pure function
-of its key path.
+(u, xi) pairs from one stream keyed by (run key..., iteration), as
+ceil(ceil(m*d/8)/8) + m raw 64-bit words in one call.  The leading words,
+read as little-endian bytes and cut to ceil(m*d/8), hold the m*d signs
+row-major in np.unpackbits order (bit 1 is +1, bit 0 is -1); each of the
+last m words shifted right by one is a sample id.  These are the draws of
+Generator.bytes followed by Generator.integers(2**63, size=m), so every
+estimate is a pure function of its key path.
 
 The batch estimators call the scalar oracle per element in ascending
 element order: the forward point x + nu*u_j, then the base point x, both
@@ -15,19 +17,27 @@ with sample id xi_j (a paired STORM step does this at x_t, then at
 x_prev).  Each element's term is added to a running total in that same
 order.  The packed signs are expanded to floats one block of whole rows
 at a time, each block holding at most 8,192 signs (a single row when d
-is larger), so an estimate holds O(d) floats however large m*d is.
+is larger), so an estimate holds O(d) floats however large m*d is.  A
+copy of the total sits in the row just before the block's sign rows, and
+one einsum over that stack adds the block's terms to the total in row
+order.  Each sign is +-1, so every product is exact and the contraction
+equals the sequential sum bit for bit; a single column (d = 1) is summed
+pairwise by einsum, so there the rows are added one by one.
 
 Each thread keeps one Philox generator, re-keyed per estimate with
-rng.rekey, and one workspace: a float buffer for a block of sign rows and
-a block of forward points per point, grown when a larger block needs more
-room.  A thread keeps at most 192 KB of workspace between estimates; when
-d > 8,192 (one row per block) an estimate allocates its own buffer of up
-to 3d floats and drops it at the end.  The forward points handed to the
-oracle are rows of that buffer, overwritten by the next block, so an
-oracle must not keep its x.  An estimate takes the workspace out of the
-thread's slot while it runs, so an oracle that runs an estimate itself
-gets a workspace of its own; all of an estimate's draws come before its
-first oracle call, so the generator can be shared.
+rng.rekey, and one workspace: a float buffer for the total row, a block
+of sign rows and a block of forward points per point, grown when a larger
+block needs more room.  A thread keeps at most 256 KB of workspace
+between estimates; when d > 8,192 (one row per block) an estimate
+allocates its own buffer of up to 4d + 16 floats and drops it at the end.
+The forward points handed to the oracle are rows of that buffer,
+overwritten by the next block, so an oracle must not keep its x.  An
+estimate takes the workspace out of the thread's slot while it runs, so
+an oracle that runs an estimate itself gets a workspace of its own; all
+of an estimate's draws come before its first oracle call, so the
+generator can be shared.  An estimate with a non-finite entry, such as a
+finite oracle difference that overflows when divided by a tiny nu,
+raises NumericError.
 """
 
 from __future__ import annotations
@@ -50,19 +60,17 @@ __all__ = [
     "default_smoothing",
 ]
 
-# Largest sample id; data-backed oracles take xi modulo their row count.
-_XI_BOUND = 2**63
-
 # Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
 _BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
 # Most signs expanded per row block: 64 KB of floats.  A workspace holds a
-# block of signs and one block of forward points per point.
+# total row, a block of signs and one block of forward points per point.
 _BLOCK_SIGNS = 8192
 
-# Largest workspace a thread keeps between estimates: a full block of signs
-# (plus the byte overhang) and two of forward points, 192 KB.
-_KEPT_FLOATS = 16 + 3 * _BLOCK_SIGNS
+# Largest workspace a thread keeps between estimates: a total row of up to
+# a block's size, a full block of signs (plus the byte overhang) and two of
+# forward points, 256 KB.
+_KEPT_FLOATS = 16 + 4 * _BLOCK_SIGNS
 
 
 class _ThreadState(threading.local):
@@ -124,6 +132,20 @@ def two_point_estimate(
     return ((forward - base) / nu) * u
 
 
+def _draw(stream: np.random.Generator, m: int, d: int) -> tuple[np.ndarray, list[int]]:
+    """The packed signs and the sample ids of an m-element batch at width d.
+
+    One raw call gives what stream.bytes(ceil(m*d/8)) and then
+    stream.integers(2**63, size=m) would: the bytes are the little-endian
+    bytes of whole words, and integers keeps a word's top 63 bits.
+    """
+    n_bytes = -(-m * d // 8)
+    words = -(-n_bytes // 8)
+    raw = stream.bit_generator.random_raw(words + m)
+    packed = raw[:words].astype("<u8", copy=False).view(np.uint8)[:n_bytes]
+    return packed, (raw[words:] >> 1).tolist()
+
+
 def _batch_estimates(
     problem: Problem, points: tuple, cfg: EstimatorConfig, key: tuple
 ) -> tuple[GradientEstimate, ...]:
@@ -132,19 +154,17 @@ def _batch_estimates(
     Per element the oracle sees each point's forward point, then the point
     itself; each point's terms are summed in ascending element order.  The
     packed signs are expanded one row block at a time into the thread's
-    workspace, and each point's forward-point block is reused for its
-    scaled rows once the block's oracle calls are done.
+    workspace, and once the block's oracle calls are done one einsum per
+    point adds the block's terms to that point's total.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
     oracle = problem.oracle
-    stream = rng.rekey(_thread.generator, *key)
-    packed = np.frombuffer(stream.bytes(-(-m * d // 8)), dtype=np.uint8)
-    xis = stream.integers(_XI_BOUND, size=m).tolist()
+    packed, xis = _draw(rng.rekey(_thread.generator, *key), m, d)
     totals = [np.zeros(d) for _ in points]
     rows = max(1, _BLOCK_SIGNS // d)
-    # The sign slot holds the block's bytes expanded whole, which adds up
-    # to 7 signs at either end of the block's rows.
-    sign_room = rows * d + 16
+    # The sign slot starts after the total row and holds the block's bytes
+    # expanded whole, which adds up to 7 signs at either end of its rows.
+    sign_room = d + rows * d + 16
     need = sign_room + len(points) * rows * d
     idle, _thread.workspace = _thread.workspace, None
     workspace = idle if idle is not None and idle.size >= need else np.empty(need)
@@ -153,9 +173,11 @@ def _batch_estimates(
             j1 = min(j0 + rows, m)
             lo, hi = j0 * d, j1 * d
             chunk = packed[lo // 8 : -(-hi // 8)]
-            bits = workspace[: 8 * chunk.size].reshape(chunk.size, 8)
+            bits = workspace[d : d + 8 * chunk.size].reshape(chunk.size, 8)
             _BYTE_SIGNS.take(chunk, axis=0, out=bits, mode="clip")
-            signs = workspace[lo % 8 : lo % 8 + hi - lo].reshape(j1 - j0, d)
+            # Row 0 is the total row, the rest are the block's sign rows.
+            stack = workspace[lo % 8 : d + lo % 8 + hi - lo].reshape(j1 - j0 + 1, d)
+            signs = stack[1:]
             blocks = []
             for i, x in enumerate(points):
                 start = sign_room + i * (hi - lo)
@@ -163,7 +185,7 @@ def _batch_estimates(
                 np.multiply(signs, nu, out=block)
                 block += x
                 blocks.append(block)
-            coefs = [[] for _ in points]
+            coefs = [[1.0] for _ in points]
             for j, xi in enumerate(xis[j0:j1]):
                 for x, block, coef in zip(points, blocks, coefs):
                     forward = oracle(block[j], xi)
@@ -173,13 +195,25 @@ def _batch_estimates(
                     if not math.isfinite(base):
                         raise _nonfinite(xi)
                     coef.append((forward - base) / nu)
-            for total, coef, scaled in zip(totals, coefs, blocks):
-                np.multiply(signs, np.array(coef)[:, None], out=scaled)
-                for row in scaled:
-                    total += row
+            for total, coef in zip(totals, coefs):
+                if d > 1:
+                    stack[0] = total
+                    np.einsum("j,ji->i", coef, stack, out=total)
+                else:
+                    for c, u in zip(coef[1:], signs):
+                        total += c * u
     finally:
         _thread.workspace = workspace if workspace.size <= _KEPT_FLOATS else idle
-    return tuple(GradientEstimate(vector=total / m, oracle_calls=2 * m) for total in totals)
+    estimates = []
+    for total in totals:
+        # A fresh vector, not the total divided in place: a total that
+        # outlives the estimate fragmented the heap and raised
+        # robust-d2000's peak RSS by ~4.5 MB.
+        vector = total / m
+        if not np.isfinite(vector).all():
+            raise NumericError(f"batch estimate has a non-finite entry (nu={nu!r})")
+        estimates.append(GradientEstimate(vector=vector, oracle_calls=2 * m))
+    return tuple(estimates)
 
 
 def minibatch_gradient(

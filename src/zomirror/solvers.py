@@ -321,7 +321,8 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
         map_due = (
             problem.exact_gradient is not None and (t - 1) % cfg.stationarity_eval_period == 0
         )
-        # A NumericError from any layer names the iteration and the layer.
+        # A NumericError from any layer names the iteration and the layer,
+        # in its message and in its attributes.
         try:
             layer = "objective"
             objective = _objective(problem, x_t)
@@ -364,7 +365,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
                 problem, geo, x_t, d_vec, eta_t, alpha, accum, rule, t, m
             )
         except NumericError as exc:
-            raise NumericError(f"{exc} at iteration {t} in {layer}") from exc
+            raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
 
         if not problem.feasible_set.contains(x_next):
             raise RuntimeError("feasibility invariant violated")

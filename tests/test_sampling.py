@@ -164,6 +164,16 @@ class TestMinibatch:
         est = minibatch_gradient(prob, np.zeros(5), cfg, ("test-mb", "law"))
         assert np.max(np.abs(est.vector - a)) < 0.25
 
+    def test_overflowing_difference_raises(self):
+        # A finite oracle difference over a tiny nu overflows to +-inf, and
+        # the row sums turn inf + (-inf) into NaN.
+        prob = Problem(dimension=4, oracle=lambda x, xi: 1e300 if x[0] > 0 else 0.0)
+        cfg = EstimatorConfig(nu=1e-20, batch=8)
+        with pytest.raises(NumericError, match=r"^batch estimate has a non-finite entry"):
+            minibatch_gradient(prob, np.zeros(4), cfg, (0, 1))
+        with pytest.raises(NumericError, match=r"^batch estimate has a non-finite entry"):
+            paired_storm_estimates(prob, np.zeros(4), np.ones(4), cfg, (0, 1))
+
 
 class TestPairedStorm:
     def test_shared_probes_collapse_at_equal_points(self):

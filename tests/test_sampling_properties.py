@@ -114,6 +114,60 @@ def test_estimators_match_sequential_replay(case):
     assert same_bits(prev.vector, replay(problem, x_prev, cfg, key))
 
 
+# Each block adds its terms to the total in one einsum over [total; signs],
+# which must equal adding c_j * u_j row by row.  Coefficients spread over
+# 300 decades make any other summation order visible.  A block holds
+# 8,192 // d rows, so at d = 3, 8191 and 8193 later blocks start mid-byte
+# (lo % 8 != 0); d = 1 takes the row loop instead of the einsum.
+CONTRACTION_DIMENSIONS = [1, 2, 3, 8191, 8192, 8193]
+
+
+@st.composite
+def contraction_cases(draw):
+    d = draw(st.sampled_from(CONTRACTION_DIMENSIONS))
+    rows = max(1, 8192 // d)
+    m = draw(st.sampled_from(sorted({1, max(1, rows - 1), rows + 1, 2 * rows + 3})))
+    exponents = draw(st.lists(st.floats(-150, 150), min_size=1, max_size=8))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(exponents), max_size=len(exponents)))
+    x = np.array(draw(st.lists(st.floats(-2, 2), min_size=1, max_size=6)))
+    key = (draw(st.integers(0, 2**32)), draw(st.integers(1, 500)))
+    return d, m, np.array(signs) * 10.0 ** np.array(exponents), x, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(contraction_cases())
+@example((3, 2733, np.array([1e150, -1e-150, 3.0]), np.array([0.5, -0.25]), (4, 9)))
+@example((8191, 3, np.array([-1e100, 1e100, 1e-100]), np.array([0.3]), (1, 1)))
+def test_block_contraction_matches_sequential_sum(case):
+    d, m, scales, x, key = case
+    a = np.resize([1.0, -0.5, 0.25], d)
+
+    def oracle(point, xi):
+        return float(scales[xi % scales.size]) * float(a @ point)
+
+    problem = Problem(dimension=d, oracle=oracle)
+    cfg = EstimatorConfig(nu=0.5, batch=m)
+    x = np.resize(x, d)
+    x_prev = x[::-1] + 0.125
+    est = minibatch_gradient(problem, x, cfg, key)
+    cur, prev = paired_storm_estimates(problem, x, x_prev, cfg, key)
+    assert same_bits(est.vector, replay(problem, x, cfg, key))
+    assert same_bits(cur.vector, est.vector)
+    assert same_bits(prev.vector, replay(problem, x_prev, cfg, key))
+
+
+def test_one_raw_draw_equals_bytes_then_integers():
+    # The estimator's single random_raw call against the two Generator
+    # calls it replaces, over byte counts of every residue mod 8.
+    for k in range(50):
+        m, d = 1 + k % 9, 1 + (k * 37) % 61
+        key = (k, "draw")
+        packed, xis = sampling._draw(rng.stream(*key), m, d)
+        stream = rng.stream(*key)
+        assert packed.tobytes() == stream.bytes(math.ceil(m * d / 8))
+        assert xis == stream.integers(2**63, size=m).tolist()
+
+
 # The thread's workspace grows with d and is shared by consecutive
 # estimates, by estimates nested in an oracle (which must not overwrite the
 # outer estimate's forward points) and, one each, by concurrent threads.

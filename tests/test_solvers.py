@@ -532,6 +532,8 @@ class TestSolverBehavior:
             run_zo_ada_expgrad_plus(prob, RunConfig(T=13, batch=2, eta_base=1.0, seed=seed))
         assert str(info.value) == f"prox overflow: dual point too large at iteration 4 in {layer}"
         assert str(info.value.__cause__) == "prox overflow: dual point too large"
+        assert (info.value.iteration, info.value.layer) == (4, layer)
+        assert (info.value.__cause__.iteration, info.value.__cause__.layer) == (None, None)
 
     @pytest.mark.parametrize("tag", ["zo-ada-expgrad", "zo-expstorm"])
     def test_nonfinite_oracle_names_iteration_and_layer(self, tag):
@@ -543,8 +545,20 @@ class TestSolverBehavior:
             oracle=lambda x, xi: math.inf if next(calls) == 3 else 0.0,
             mean_loss=lambda x: 0.0,
         )
-        with pytest.raises(NumericError, match=r"^oracle .* xi=\d+ at iteration 2 in estimator$"):
+        with pytest.raises(NumericError, match=r"^oracle .* xi=\d+ at iteration 2 in estimator$") as info:
             RUNNERS[tag](prob, RunConfig(T=4, batch=1))
+        assert (info.value.iteration, info.value.layer) == (2, "estimator")
+
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "box"])
+    def test_overflowing_estimate_raises_in_estimator(self, boxed):
+        # coef = 1e300/1e-20 overflows and the row sums make NaN.  Unchecked,
+        # the free run finished at [-inf nan nan nan] and the boxed run
+        # failed its feasibility invariant.
+        fs = FeasibleSet.box(-np.ones(4), np.ones(4)) if boxed else FREE
+        prob = Problem(dimension=4, oracle=lambda x, xi: 1e300 if x[0] > 0 else 0.0, feasible_set=fs)
+        with pytest.raises(NumericError, match=r"^batch estimate .* at iteration 1 in estimator$") as info:
+            run_zo_psgd(prob, RunConfig(T=3, batch=8, nu=1e-20))
+        assert (info.value.iteration, info.value.layer) == (1, "estimator")
 
     def test_nonfinite_oracle_objective_names_iteration(self):
         # Without mean_loss the objective averages the oracle itself.

@@ -31,9 +31,11 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   arrays that hold the branch point.
 * ``estimates``: ``minibatch_gradient`` and ``paired_storm_estimates``
   (vectors and call counts) on the least-squares, robust and PN oracles
-  at d in {1, 7, 8191, 8192, 8193}.  Where a row block holds more than
-  one probe row, m is twice the rows per block plus 3, so the last of
-  three blocks is partial; at one row per block m is 3.
+  at d in {1, 2, 7, 8191, 8192, 8193}.  Where a row block holds more
+  than one probe row, m is twice the rows per block plus 3, so the last
+  of three blocks is partial; at one row per block m is 3.  Then both on
+  the least-squares and robust oracles at the benchmark shapes
+  (d=500, m=32) and (d=2000, m=16).
 * ``cli``: every file written by ``zomirror run --no-timing`` for
   ``configs/acceptance.json``, a four-method PN explanation spec and a
   four-method sparse-regression spec whose entries set every optional
@@ -245,9 +247,17 @@ def digest_prox(zm) -> str:
     return h.hexdigest()
 
 
+def _digest_estimate_pair(zm, h, label, problem, cfg, x, x_prev, d):
+    h.update(label.encode())
+    estimates = (zm.minibatch_gradient(problem, x, cfg, (d, 1)),)
+    estimates += zm.paired_storm_estimates(problem, x, x_prev, cfg, (d, 2))
+    for est in estimates:
+        h.update(_array_bytes(est.vector) + repr(est.oracle_calls).encode())
+
+
 def digest_estimates(zm) -> str:
     h = hashlib.sha256()
-    for d in (1, 7, 8191, 8192, 8193):
+    for d in (1, 2, 7, 8191, 8192, 8193):
         rows = max(1, 8192 // d)
         m = 2 * rows + 3 if rows > 1 else 3
         x = zm.rng.stream("digest-estimates", d).uniform(-0.5, 0.5, size=d)
@@ -260,11 +270,14 @@ def digest_estimates(zm) -> str:
         problems["PN"] = zm.make_explanation_problem(zm.make_tiny_classifier(d, 3, 1), anchor, "PN")
         cfg = zm.EstimatorConfig(nu=0.01, batch=m)
         for name, problem in problems.items():
-            h.update(f"{name}/d={d}/m={m}".encode())
-            estimates = (zm.minibatch_gradient(problem, x, cfg, (d, 1)),)
-            estimates += zm.paired_storm_estimates(problem, x, x_prev, cfg, (d, 2))
-            for est in estimates:
-                h.update(_array_bytes(est.vector) + repr(est.oracle_calls).encode())
+            _digest_estimate_pair(zm, h, f"{name}/d={d}/m={m}", problem, cfg, x, x_prev, d)
+    # The benchmark shapes: acceptance 08 (d=500, m=32) and 09 (d=2000, m=16).
+    for d, m, n, k in ((500, 32, 250, 10), (2000, 16, 400, 20)):
+        x = zm.rng.stream("digest-estimates", d).uniform(-0.5, 0.5, size=d)
+        cfg = zm.EstimatorConfig(nu=zm.default_smoothing(d, 300, "minibatch"), batch=m)
+        for kind in ("least_squares", "robust_nonconvex"):
+            problem = zm.make_sparse_regression(d, n, k, 0.1, kind, seed=d)
+            _digest_estimate_pair(zm, h, f"{kind}/d={d}/m={m}/bench", problem, cfg, x, x + 1e-3, d)
     return h.hexdigest()
 
 
