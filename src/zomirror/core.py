@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; bool is an int subclass but no count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class NumericError(RuntimeError):
     """A computation produced a non-finite value or would overflow.
 
@@ -71,7 +76,7 @@ class FeasibleSet:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have equal shapes")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ValueError("box requires lo_i <= hi_i for all i")
         return FeasibleSet(lo=lo, hi=hi)
 
@@ -97,8 +102,9 @@ class Problem:
     ``oracle(x, xi)`` must be deterministic given its arguments and defined
     on all of R^d (probe points may leave a box set).  Sample ids ``xi`` are
     63-bit integers; data-backed problems map them to rows by ``xi mod
-    num_samples``.  The oracle's ``x`` may be a view into a buffer that the
-    estimator reuses, so an oracle must neither keep it nor write to it.
+    num_samples``.  The oracle's ``x`` may be a row of an estimate's own
+    buffer, which the estimate's next block overwrites, so an oracle must
+    neither keep it nor write to it.
     ``exact_gradient`` and ``mean_loss`` are evaluation-only hooks present
     on synthetic problems.
     """
@@ -113,10 +119,13 @@ class Problem:
     start_point: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be a positive integer")
+        for name in ("dimension", "num_samples"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        box = self.feasible_set
+        if box.is_box and not np.shape(box.lo) == np.shape(box.hi) == (self.dimension,):
+            raise ValueError(f"box bounds must have shape ({self.dimension},)")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElasticNet, FeasibleSet, NumericError
+from .core import ElasticNet, FeasibleSet, NumericError, _is_integer
 
 __all__ = [
     "MirrorGeometry",
@@ -55,7 +55,7 @@ class MirrorGeometry:
     inv_d: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
+        if not _is_integer(self.dimension) or self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
         object.__setattr__(self, "inv_d", 1.0 / self.dimension)
 

@@ -25,19 +25,14 @@ equals the sequential sum bit for bit; a single column (d = 1) is summed
 pairwise by einsum, so there the rows are added one by one.
 
 Each thread keeps one Philox generator, re-keyed per estimate with
-rng.rekey, and one workspace: a float buffer for the total row, a block
-of sign rows and a block of forward points per point, grown when a larger
-block needs more room.  A thread keeps at most 256 KB of workspace
-between estimates; when d > 8,192 (one row per block) an estimate
-allocates its own buffer of up to 4d + 16 floats and drops it at the end.
-The forward points handed to the oracle are rows of that buffer,
-overwritten by the next block, so an oracle must not keep its x.  An
-estimate takes the workspace out of the thread's slot while it runs, so
-an oracle that runs an estimate itself gets a workspace of its own; all
-of an estimate's draws come before its first oracle call, so the
-generator can be shared.  An estimate with a non-finite entry, such as a
-finite oracle difference that overflows when divided by a tiny nu,
-raises NumericError.
+rng.rekey; all of an estimate's draws come before its first oracle call,
+so an oracle that runs an estimate itself can share it.  Each estimate
+allocates its own buffers for a block's [total; sign rows] stack and for
+each point's block of forward points.  The x handed to the oracle for a
+forward point is a row of such a buffer, overwritten by the next block,
+so an oracle must neither keep nor write it.  An estimate with a
+non-finite entry, such as a finite oracle difference that overflows when
+divided by a tiny nu, raises NumericError.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import NumericError, Problem
+from .core import NumericError, Problem, _is_integer
 
 __all__ = [
     "EstimatorConfig",
@@ -63,22 +58,15 @@ __all__ = [
 # Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
 _BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
-# Most signs expanded per row block: 64 KB of floats.  A workspace holds a
-# total row, a block of signs and one block of forward points per point.
+# Most signs expanded per row block: 64 KB of floats.
 _BLOCK_SIGNS = 8192
-
-# Largest workspace a thread keeps between estimates: a total row of up to
-# a block's size, a full block of signs (plus the byte overhang) and two of
-# forward points, 256 KB.
-_KEPT_FLOATS = 16 + 4 * _BLOCK_SIGNS
 
 
 class _ThreadState(threading.local):
-    """Per thread: the probe generator and the idle workspace, if any."""
+    """Per thread: the probe generator, re-keyed for each estimate."""
 
     def __init__(self) -> None:
         self.generator = np.random.Generator(np.random.Philox(0))
-        self.workspace = None
 
 
 _thread = _ThreadState()
@@ -94,7 +82,7 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.nu < math.inf:
             raise ValueError("nu must be positive and finite")
-        if self.batch < 1:
+        if not _is_integer(self.batch) or self.batch < 1:
             raise ValueError("batch must be a positive integer")
 
 
@@ -123,13 +111,17 @@ def two_point_estimate(
     """(1/nu) * (l(x + nu*u; xi) - l(x; xi)) * u; exactly two oracle calls.
 
     The oracle must be defined on all of R^d: the probe point x + nu*u may
-    leave a box feasible set and is evaluated without projection.
+    leave a box feasible set and is evaluated without projection.  A
+    non-finite oracle value or estimate entry raises NumericError.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     forward = _oracle(problem, x + nu * u, xi)
     base = _oracle(problem, x, xi)
-    return ((forward - base) / nu) * u
+    estimate = ((forward - base) / nu) * u
+    if not np.isfinite(estimate).all():
+        raise NumericError(f"two-point estimate has a non-finite entry (nu={nu!r})")
+    return estimate
 
 
 def _draw(stream: np.random.Generator, m: int, d: int) -> tuple[np.ndarray, list[int]]:
@@ -153,57 +145,49 @@ def _batch_estimates(
 
     Per element the oracle sees each point's forward point, then the point
     itself; each point's terms are summed in ascending element order.  The
-    packed signs are expanded one row block at a time into the thread's
-    workspace, and once the block's oracle calls are done one einsum per
+    packed signs are expanded one row block at a time into the estimate's
+    own buffer, and once the block's oracle calls are done one einsum per
     point adds the block's terms to that point's total.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
     oracle = problem.oracle
     packed, xis = _draw(rng.rekey(_thread.generator, *key), m, d)
     totals = [np.zeros(d) for _ in points]
-    rows = max(1, _BLOCK_SIGNS // d)
-    # The sign slot starts after the total row and holds the block's bytes
-    # expanded whole, which adds up to 7 signs at either end of its rows.
-    sign_room = d + rows * d + 16
-    need = sign_room + len(points) * rows * d
-    idle, _thread.workspace = _thread.workspace, None
-    workspace = idle if idle is not None and idle.size >= need else np.empty(need)
-    try:
-        for j0 in range(0, m, rows):
-            j1 = min(j0 + rows, m)
-            lo, hi = j0 * d, j1 * d
-            chunk = packed[lo // 8 : -(-hi // 8)]
-            bits = workspace[d : d + 8 * chunk.size].reshape(chunk.size, 8)
-            _BYTE_SIGNS.take(chunk, axis=0, out=bits, mode="clip")
-            # Row 0 is the total row, the rest are the block's sign rows.
-            stack = workspace[lo % 8 : d + lo % 8 + hi - lo].reshape(j1 - j0 + 1, d)
-            signs = stack[1:]
-            blocks = []
-            for i, x in enumerate(points):
-                start = sign_room + i * (hi - lo)
-                block = workspace[start : start + hi - lo].reshape(j1 - j0, d)
-                np.multiply(signs, nu, out=block)
-                block += x
-                blocks.append(block)
-            coefs = [[1.0] for _ in points]
-            for j, xi in enumerate(xis[j0:j1]):
-                for x, block, coef in zip(points, blocks, coefs):
-                    forward = oracle(block[j], xi)
-                    if not math.isfinite(forward):
-                        raise _nonfinite(xi)
-                    base = oracle(x, xi)
-                    if not math.isfinite(base):
-                        raise _nonfinite(xi)
-                    coef.append((forward - base) / nu)
-            for total, coef in zip(totals, coefs):
-                if d > 1:
-                    stack[0] = total
-                    np.einsum("j,ji->i", coef, stack, out=total)
-                else:
-                    for c, u in zip(coef[1:], signs):
-                        total += c * u
-    finally:
-        _thread.workspace = workspace if workspace.size <= _KEPT_FLOATS else idle
+    rows = min(m, max(1, _BLOCK_SIGNS // d))
+    # A total row, then a block's bytes expanded whole, which adds up to 7
+    # signs at either end of its rows.
+    flat = np.empty(d + rows * d + 16)
+    forwards = [np.empty((rows, d)) for _ in points]
+    for j0 in range(0, m, rows):
+        j1 = min(j0 + rows, m)
+        lo, hi = j0 * d, j1 * d
+        chunk = packed[lo // 8 : -(-hi // 8)]
+        bits = flat[d : d + 8 * chunk.size].reshape(chunk.size, 8)
+        _BYTE_SIGNS.take(chunk, axis=0, out=bits, mode="clip")
+        # Row 0 is the total row, the rest are the block's sign rows.
+        stack = flat[lo % 8 : d + lo % 8 + hi - lo].reshape(j1 - j0 + 1, d)
+        signs = stack[1:]
+        blocks = [forward[: j1 - j0] for forward in forwards]
+        for x, block in zip(points, blocks):
+            np.multiply(signs, nu, out=block)
+            block += x
+        coefs = [[1.0] for _ in points]
+        for j, xi in enumerate(xis[j0:j1]):
+            for x, block, coef in zip(points, blocks, coefs):
+                forward = oracle(block[j], xi)
+                if not math.isfinite(forward):
+                    raise _nonfinite(xi)
+                base = oracle(x, xi)
+                if not math.isfinite(base):
+                    raise _nonfinite(xi)
+                coef.append((forward - base) / nu)
+        for total, coef in zip(totals, coefs):
+            if d > 1:
+                stack[0] = total
+                np.einsum("j,ji->i", coef, stack, out=total)
+            else:
+                for c, u in zip(coef[1:], signs):
+                    total += c * u
     estimates = []
     for total in totals:
         # A fresh vector, not the total divided in place: a total that

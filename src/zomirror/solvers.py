@@ -27,6 +27,7 @@ from . import rng
 from .core import (
     NumericError,
     Problem,
+    _is_integer,
     composite_value,
     elastic_net_value,
     gradient_map,
@@ -62,11 +63,6 @@ _ITERATE_STORE_LIMIT = 4_000_000
 # alpha_{t+1} from (accum, t, m): the accumulator after iteration t's move,
 # the iteration and the batch size.
 AlphaRule = Callable[[float, int, int], float]
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer; bool is an int subclass but no count or seed."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,11 @@ class TestFeasibleSet:
         with pytest.raises(ValueError):
             FeasibleSet.box([0.0, 0.0], [1.0])
 
+    @pytest.mark.parametrize("lo, hi", [([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [math.nan, 1.0])])
+    def test_box_rejects_nan_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="box requires lo_i <= hi_i"):
+            FeasibleSet.box(lo, hi)
+
     def test_contains_tolerance(self):
         fs = FeasibleSet.box([0.0], [1.0])
         assert not fs.contains(np.array([1.0 + 1e-12]))
@@ -95,6 +100,19 @@ class TestProblem:
             zero_problem(d=0)
         with pytest.raises(ValueError):
             zero_problem(num_samples=0)
+        # Floats and bools are no counts, even where they compare as one.
+        for bad in (2.5, True, 2.0):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                zero_problem(d=bad)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="num_samples must be a positive integer"):
+                zero_problem(num_samples=bad)
+
+    def test_box_must_match_dimension(self):
+        with pytest.raises(ValueError, match=r"box bounds must have shape \(3,\)"):
+            zero_problem(d=3, feasible_set=FeasibleSet.box([0.0, 0.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"box bounds must have shape \(1,\)"):
+            zero_problem(d=1, feasible_set=FeasibleSet.box(0.0, 1.0))
 
     def test_oracle_deterministic(self):
         prob = make_sparse_regression(4, 6, 2, 0.3, "least_squares", seed=3)

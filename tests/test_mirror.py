@@ -108,6 +108,9 @@ class TestMirrorMaps:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             MirrorGeometry(0)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                MirrorGeometry(bad)
 
 
 class TestBregman:

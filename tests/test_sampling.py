@@ -40,6 +40,9 @@ class TestEstimatorConfig:
             EstimatorConfig(nu=0.1, batch=0)
         with pytest.raises(ValueError, match="nu must be positive"):
             EstimatorConfig(nu=math.inf, batch=1)
+        for bad in (2.5, True, 3.0):
+            with pytest.raises(ValueError, match="batch must be a positive integer"):
+                EstimatorConfig(nu=0.1, batch=bad)
 
     def test_rejects_nan_nu(self):
         with pytest.raises(ValueError, match="nu must be positive"):
@@ -82,6 +85,13 @@ class TestTwoPoint:
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
             two_point_estimate(quadratic_problem(), np.zeros(2), np.ones(2), 0.0, 0)
+
+    def test_overflowing_difference_raises(self):
+        # The difference 1e300 over nu = 1e-20 overflows to +-inf per entry.
+        prob = Problem(dimension=4, oracle=lambda x, xi: 1e300 if x[0] > 0 else 0.0)
+        u = np.array([1.0, -1.0, 1.0, 1.0])
+        with pytest.raises(NumericError, match=r"^two-point estimate has a non-finite entry \(nu=1e-20\)"):
+            two_point_estimate(prob, np.zeros(4), u, 1e-20, 0)
 
     def test_nonfinite_oracle_reports_sample(self):
         prob = Problem(dimension=1, oracle=lambda x, xi: math.nan)

@@ -168,9 +168,10 @@ def test_one_raw_draw_equals_bytes_then_integers():
         assert xis == stream.integers(2**63, size=m).tolist()
 
 
-# The thread's workspace grows with d and is shared by consecutive
-# estimates, by estimates nested in an oracle (which must not overwrite the
-# outer estimate's forward points) and, one each, by concurrent threads.
+# Each estimate expands its signs and forward points into buffers of its
+# own, sized by d: consecutive estimates at changing d, estimates nested in
+# an oracle (which must not overwrite the outer estimate's forward points)
+# and estimates on concurrent threads all match the sequential replay.
 
 
 def both_estimates(problem, x, x_prev, cfg, key):
@@ -186,13 +187,11 @@ def check_against_replay(problem, x, x_prev, cfg, key):
     assert same_bits(prev, replay(problem, x_prev, cfg, key))
 
 
-def test_workspace_follows_dimension_changes():
+def test_estimates_follow_dimension_changes():
     for d, m in ((3, 5), (2000, 7), (9000, 3), (3, 5)):
         problem, _ = make_oracle("quadratic", d, np.array([0.4, -1.0, 0.3]))
         x = np.resize([0.1, -0.2, 0.7], d)
         check_against_replay(problem, x, x + 0.25, EstimatorConfig(nu=0.1, batch=m), (d, m))
-        # Past 8,192 signs per row the estimate's buffer is not kept.
-        assert sampling._thread.workspace.size <= sampling._KEPT_FLOATS
 
 
 def test_oracle_that_runs_an_estimate():

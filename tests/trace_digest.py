@@ -35,7 +35,10 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   than one probe row, m is twice the rows per block plus 3, so the last
   of three blocks is partial; at one row per block m is 3.  Then both on
   the least-squares and robust oracles at the benchmark shapes
-  (d=500, m=32) and (d=2000, m=16).
+  (d=500, m=32) and (d=2000, m=16); a d=7, m=9 estimate whose oracle runs
+  a minibatch estimate of the same shape at each point it is given; and
+  the benchmark-shape estimates again from two threads at once, both
+  inside an estimate at the same time.
 * ``cli``: every file written by ``zomirror run --no-timing`` for
   ``configs/acceptance.json``, a four-method PN explanation spec and a
   four-method sparse-regression spec whose entries set every optional
@@ -60,6 +63,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -247,12 +251,62 @@ def digest_prox(zm) -> str:
     return h.hexdigest()
 
 
-def _digest_estimate_pair(zm, h, label, problem, cfg, x, x_prev, d):
-    h.update(label.encode())
+def _estimate_pair_bytes(zm, problem, cfg, x, x_prev, d) -> bytes:
     estimates = (zm.minibatch_gradient(problem, x, cfg, (d, 1)),)
     estimates += zm.paired_storm_estimates(problem, x, x_prev, cfg, (d, 2))
-    for est in estimates:
-        h.update(_array_bytes(est.vector) + repr(est.oracle_calls).encode())
+    return b"".join(_array_bytes(est.vector) + repr(est.oracle_calls).encode() for est in estimates)
+
+
+def _digest_estimate_pair(zm, h, label, problem, cfg, x, x_prev, d):
+    h.update(label.encode() + _estimate_pair_bytes(zm, problem, cfg, x, x_prev, d))
+
+
+def _nested_problem(zm, d, m):
+    """An oracle that runs a minibatch estimate of its own, of the same shape
+    (d, m), at the point it is given."""
+    inner = zm.make_sparse_regression(d, 5, 1, 0.1, "least_squares", seed=d)
+    inner_cfg = zm.EstimatorConfig(nu=0.05, batch=m)
+
+    def oracle(x, xi):
+        g = zm.minibatch_gradient(inner, x, inner_cfg, (xi % 3,)).vector
+        return inner.oracle(x, xi) + float(g @ x)
+
+    return zm.Problem(dimension=d, oracle=oracle)
+
+
+def _threaded_estimate_bytes(zm, jobs) -> bytes:
+    """The estimate pairs of ``jobs`` run on two threads at once, one in
+    reverse order, each in job order: thread 0's, then thread 1's."""
+    barrier = threading.Barrier(2)
+    out = [None, None]
+
+    def worker(slot, order):
+        first = [True]
+
+        def held(problem):
+            # Both threads wait at their first oracle call, so both are
+            # inside an estimate at the same time.
+            def oracle(x, xi):
+                if first[0]:
+                    first[0] = False
+                    barrier.wait(timeout=60)
+                return problem.oracle(x, xi)
+
+            return dataclasses.replace(problem, oracle=oracle)
+
+        out[slot] = {label: _estimate_pair_bytes(zm, held(problem), *rest) for label, problem, *rest in order}
+
+    threads = [threading.Thread(target=worker, args=(0, jobs)), threading.Thread(target=worker, args=(1, jobs[::-1]))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(switch)
+    return b"".join(label.encode() + done[label] for done in out for label, *_ in jobs)
 
 
 def digest_estimates(zm) -> str:
@@ -272,12 +326,20 @@ def digest_estimates(zm) -> str:
         for name, problem in problems.items():
             _digest_estimate_pair(zm, h, f"{name}/d={d}/m={m}", problem, cfg, x, x_prev, d)
     # The benchmark shapes: acceptance 08 (d=500, m=32) and 09 (d=2000, m=16).
+    bench = []
     for d, m, n, k in ((500, 32, 250, 10), (2000, 16, 400, 20)):
         x = zm.rng.stream("digest-estimates", d).uniform(-0.5, 0.5, size=d)
         cfg = zm.EstimatorConfig(nu=zm.default_smoothing(d, 300, "minibatch"), batch=m)
         for kind in ("least_squares", "robust_nonconvex"):
             problem = zm.make_sparse_regression(d, n, k, 0.1, kind, seed=d)
-            _digest_estimate_pair(zm, h, f"{kind}/d={d}/m={m}/bench", problem, cfg, x, x + 1e-3, d)
+            bench.append((f"{kind}/d={d}/m={m}/bench", problem, cfg, x, x + 1e-3, d))
+    for label, *job in bench:
+        _digest_estimate_pair(zm, h, label, *job)
+    # An estimate inside the oracle of another.
+    x = zm.rng.stream("digest-estimates", 7).uniform(-0.5, 0.5, size=7)
+    _digest_estimate_pair(zm, h, "nested/d=7/m=9", _nested_problem(zm, 7, 9), zm.EstimatorConfig(nu=0.01, batch=9), x, x + 0.01, 7)
+    # The benchmark shapes again, from two threads at once.
+    h.update(_threaded_estimate_bytes(zm, bench))
     return h.hexdigest()
 
 
