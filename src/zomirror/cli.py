@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import ElasticNet, Problem
+from .core import ElasticNet, Problem, _is_integer
 from .problems import (
+    _DEFAULT_N_CLASSES,
     EXPLANATION_MODES,
     LOSS_KINDS,
     make_explanation_problem,
@@ -82,7 +83,7 @@ def _check_keys(doc: dict, required: set, optional: set, context: str) -> None:
 
 def _as_int(doc: dict, key: str, context: str, minimum: int | None = None) -> int:
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_integer(v):
         raise ValueError(f"{context}: {key!r} must be an integer")
     if minimum is not None and v < minimum:
         raise ValueError(f"{context}: {key!r} must be >= {minimum}")
@@ -129,7 +130,7 @@ def _parse_problem(doc: dict) -> dict:
     elif kind == "explanation":
         _check_keys(doc, {"kind", "seed", "d", "mode"}, {"n_classes", "gamma1", "gamma2"}, "problem")
         d = _as_int(doc, "d", "problem", 1)
-        n_classes = _as_int(doc, "n_classes", "problem", 2) if "n_classes" in doc else 3
+        n_classes = _as_int(doc, "n_classes", "problem", 2) if "n_classes" in doc else _DEFAULT_N_CLASSES
         _check_design_size(n_classes, d, "n_classes")
         if doc["mode"] not in EXPLANATION_MODES:
             raise ValueError(f"problem: unknown mode {doc['mode']!r}")
@@ -202,23 +203,23 @@ def parse_run_spec(path: str) -> RunSpec:
     seeds_doc = raw["seeds"]
     if not isinstance(seeds_doc, list) or not seeds_doc:
         raise ValueError("'seeds' must be a nonempty list")
-    seeds = []
-    for s in seeds_doc:
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise ValueError("'seeds' entries must be integers")
-        seeds.append(s)
+    if not all(_is_integer(s) for s in seeds_doc):
+        raise ValueError("'seeds' entries must be integers")
+    seeds = tuple(seeds_doc)
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seeds would collide on output files")
     output_dir = raw["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
         raise ValueError("'output_dir' must be a nonempty string")
+    if "\0" in output_dir:
+        raise ValueError("'output_dir' must not contain a NUL character")
     emit = raw.get("emit_plot_data", False)
     if not isinstance(emit, bool):
         raise ValueError("'emit_plot_data' must be a boolean")
     return RunSpec(
         problem=problem,
         algorithms=algorithms,
-        seeds=tuple(seeds),
+        seeds=seeds,
         output_dir=output_dir,
         emit_plot_data=emit,
         raw=raw,
@@ -241,7 +242,7 @@ def problem_from_descriptor(doc: dict) -> Problem:
         )
     d = doc["d"]
     seed = doc["seed"]
-    classifier = make_tiny_classifier(d, doc.get("n_classes", 3), seed)
+    classifier = make_tiny_classifier(d, doc.get("n_classes", _DEFAULT_N_CLASSES), seed)
     anchor = rng.stream("anchor", seed, d).uniform(0.05, 0.95, size=d)
     return make_explanation_problem(classifier, anchor, doc["mode"], **weights)
 
@@ -338,7 +339,9 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
     Failures of individual runs are recorded in summary.json with status
     "failed" and do not stop the remaining runs.  When the problem itself
     cannot be built, or the output directory cannot be created, one line
-    goes to stderr, no run starts and the result is 1.
+    goes to stderr, no run starts and the result is 1.  The only
+    ValueError it raises, before any of that, is for ``jobs`` below 1 or
+    a ZOMIRROR_SEED that is not an integer, in that order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -352,7 +355,7 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
         return 1
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot create output directory: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     tasks = [(cfg, seed) for cfg in spec.algorithms for seed in spec.seeds]
@@ -406,15 +409,11 @@ def main(argv=None) -> int:
         )
         return 0
 
-    if args.jobs < 1:
-        print("jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
-        _env_seed()
+        return execute(spec, jobs=args.jobs, no_timing=args.no_timing, out_dir=args.out)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return execute(spec, jobs=args.jobs, no_timing=args.no_timing, out_dir=args.out)
 
 
 if __name__ == "__main__":

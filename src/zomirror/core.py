@@ -29,6 +29,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (see _is_integer) of at least 1."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
+def _check_scale(name: str, value) -> None:
+    """Reject a scale that is not positive and finite (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 class NumericError(RuntimeError):
     """A computation produced a non-finite value or would overflow.
 
@@ -119,10 +131,8 @@ class Problem:
     start_point: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("dimension", "num_samples"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        _check_count("dimension", self.dimension)
+        _check_count("num_samples", self.num_samples)
         box = self.feasible_set
         if box.is_box and not np.shape(box.lo) == np.shape(box.hi) == (self.dimension,):
             raise ValueError(f"box bounds must have shape ({self.dimension},)")
@@ -152,6 +162,10 @@ def elastic_net_value(reg: ElasticNet, x: np.ndarray) -> float:
     return value
 
 
+def _nonfinite(xi: int) -> NumericError:
+    return NumericError(f"oracle returned a non-finite value for sample xi={xi}")
+
+
 def composite_value(problem: Problem, x: np.ndarray, samples: Sequence[int]) -> float:
     """Mean of oracle(x, xi) over the given sample ids plus the regularizer."""
     x = np.asarray(x, dtype=float)
@@ -161,7 +175,7 @@ def composite_value(problem: Problem, x: np.ndarray, samples: Sequence[int]) -> 
     for xi in samples:
         value = problem.oracle(x, int(xi))
         if not math.isfinite(value):
-            raise NumericError(f"oracle returned a non-finite value for sample xi={int(xi)}")
+            raise _nonfinite(int(xi))
         total += value
     return total / len(samples) + elastic_net_value(problem.regularizer, x)
 
@@ -182,11 +196,9 @@ def gradient_map(
     """
     from .mirror import prox_composite
 
-    if not 0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
-    x = np.asarray(x, dtype=float)
+    # prox_composite checks eta first of all.
     mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
-    map_vector = x - mapped
+    map_vector = np.asarray(x, dtype=float) - mapped
     map_vector *= eta
     l1 = float(np.abs(map_vector).sum())
     return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=l1 * l1)

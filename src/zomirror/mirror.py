@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElasticNet, FeasibleSet, NumericError, _is_integer
+from .core import ElasticNet, FeasibleSet, NumericError, _check_count, _check_scale
 
 __all__ = [
     "MirrorGeometry",
@@ -55,8 +55,7 @@ class MirrorGeometry:
     inv_d: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.dimension) or self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        _check_count("dimension", self.dimension)
         object.__setattr__(self, "inv_d", 1.0 / self.dimension)
 
 
@@ -210,8 +209,7 @@ def prox_composite(
     gamma2 = 0).  Box constraints clamp the result coordinate-wise, valid
     because each scalar objective is convex.
     """
-    if not 0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
+    _check_scale("eta", eta)
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
     if x_t.shape != g.shape or x_t.shape != (geo.dimension,):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core import ElasticNet, FeasibleSet, Problem
+from .core import ElasticNet, FeasibleSet, Problem, _check_count
 
 __all__ = [
     "SparseRegressionProblem",
@@ -39,8 +39,10 @@ LOSS_KINDS = ("least_squares", "robust_nonconvex")
 
 EXPLANATION_MODES = ("PP", "PN")
 
-# Default weight of both elastic-net terms of an explanation objective.
+# Defaults of an explanation objective: the weight of both elastic-net
+# terms and the number of classes of its classifier.
 _EXPLANATION_GAMMA = 0.0625
+_DEFAULT_N_CLASSES = 3
 
 # Stable softplus: beyond these the dropped term is below 1e-13 absolute.
 _SOFTPLUS_HI = 30.0
@@ -123,16 +125,11 @@ class SparseRegressionProblem:
         grad /= self.n_samples
         return grad
 
-    def to_problem(
-        self,
-        regularizer: ElasticNet | None = None,
-        feasible_set: FeasibleSet | None = None,
-    ) -> Problem:
+    def to_problem(self, regularizer: ElasticNet | None = None) -> Problem:
         return Problem(
             dimension=self.dimension,
             oracle=self.sample_loss,
             regularizer=regularizer if regularizer is not None else ElasticNet(),
-            feasible_set=feasible_set if feasible_set is not None else FeasibleSet(),
             exact_gradient=self.gradient,
             mean_loss=self.mean_loss,
             num_samples=self.n_samples,
@@ -150,8 +147,7 @@ def sparse_regression_design(
     """
     if not 1 <= k <= d:
         raise ValueError("sparsity k must satisfy 1 <= k <= d")
-    if n_samples < 1:
-        raise ValueError("n_samples must be a positive integer")
+    _check_count("n_samples", n_samples)
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
     if kind not in LOSS_KINDS:
@@ -213,7 +209,7 @@ class TinyClassifier:
         return self.weights.dot(x) + self.bias
 
 
-def make_tiny_classifier(d: int, n_classes: int = 3, seed: int = 0) -> TinyClassifier:
+def make_tiny_classifier(d: int, n_classes: int = _DEFAULT_N_CLASSES, seed: int = 0) -> TinyClassifier:
     """Deterministic small classifier with weights drawn from the seed."""
     if d < 1 or n_classes < 2:
         raise ValueError("need d >= 1 and n_classes >= 2")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import NumericError, Problem, _is_integer
+from .core import NumericError, Problem, _check_count, _check_scale, _nonfinite
 
 __all__ = [
     "EstimatorConfig",
@@ -80,10 +80,8 @@ class EstimatorConfig:
     batch: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.nu < math.inf:
-            raise ValueError("nu must be positive and finite")
-        if not _is_integer(self.batch) or self.batch < 1:
-            raise ValueError("batch must be a positive integer")
+        _check_scale("nu", self.nu)
+        _check_count("batch", self.batch)
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,6 @@ class GradientEstimate:
 
     vector: np.ndarray
     oracle_calls: int
-
-
-def _nonfinite(xi: int) -> NumericError:
-    return NumericError(f"oracle returned a non-finite value for sample xi={xi}")
 
 
 def _oracle(problem: Problem, x: np.ndarray, xi: int) -> float:
@@ -114,8 +108,7 @@ def two_point_estimate(
     leave a box feasible set and is evaluated without projection.  A
     non-finite oracle value or estimate entry raises NumericError.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    _check_scale("nu", nu)
     forward = _oracle(problem, x + nu * u, xi)
     base = _oracle(problem, x, xi)
     estimate = ((forward - base) / nu) * u

@@ -27,6 +27,8 @@ from . import rng
 from .core import (
     NumericError,
     Problem,
+    _check_count,
+    _check_scale,
     _is_integer,
     composite_value,
     elastic_net_value,
@@ -90,15 +92,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("T", "batch", "stationarity_eval_period"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            _check_count(name, getattr(self, name))
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        if not 0 < self.eta_base < math.inf:
-            raise ValueError("eta_base must be positive and finite")
-        if self.nu is not None and not 0 < self.nu < math.inf:
-            raise ValueError("nu must be positive and finite when given")
+        _check_scale("eta_base", self.eta_base)
+        if self.nu is not None:
+            _check_scale("nu", self.nu)
         # Tuples test membership with ==, so a tag or word that is not a
         # string fails here rather than as unhashable in a dict lookup.
         if self.algorithm not in (None, *ALGORITHMS):

@@ -412,6 +412,7 @@ class TestMain:
             (("seeds",), [], "'seeds' must be a nonempty list"),
             (("output_dir",), "", "'output_dir' must be a nonempty string"),
             (("emit_plot_data",), 1, "'emit_plot_data' must be a boolean"),
+            (("output_dir",), "runs/a\u0000b", "'output_dir' must not contain a NUL character"),
         ],
     )
     def test_invalid_spec_is_one_line(self, tmp_path, capsys, path, value, message):
@@ -487,9 +488,19 @@ class TestMain:
         assert set(cli._RUNNERS) == set(ALGORITHMS)
 
     def test_run_rejects_bad_jobs(self, tmp_path, capsys):
-        path = write_spec(tmp_path, base_spec(tmp_path / "out"))
+        out = tmp_path / "out"
+        path = write_spec(tmp_path, base_spec(out))
         assert main(["run", "--config", path, "--jobs", "0"]) == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "jobs must be >= 1\n"
+        assert not out.exists()
+
+    def test_bad_jobs_reported_before_bad_env_seed(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        path = write_spec(tmp_path, base_spec(out))
+        monkeypatch.setenv("ZOMIRROR_SEED", "1.5")
+        assert main(["run", "--config", path, "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "jobs must be >= 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, problem, rows",
@@ -524,7 +535,9 @@ class TestMain:
         assert err == "problem build failed: MemoryError: Unable to allocate 728. TiB for an array\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("sub, error", [("", "FileExistsError"), ("sub", "NotADirectoryError")])
+    @pytest.mark.parametrize(
+        "sub, error", [("", "FileExistsError"), ("sub", "NotADirectoryError"), ("a\0b", "ValueError")]
+    )
     def test_unusable_output_directory_exits_one(self, tmp_path, capsys, monkeypatch, sub, error):
         blocker = tmp_path / "a-file"
         blocker.write_text("")

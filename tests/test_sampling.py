@@ -83,8 +83,10 @@ class TestTwoPoint:
         assert np.max(np.abs(acc - a)) <= 1e-12
 
     def test_rejects_nonpositive_nu(self):
-        with pytest.raises(ValueError):
-            two_point_estimate(quadratic_problem(), np.zeros(2), np.ones(2), 0.0, 0)
+        # NaN and inf are rejected before the oracle sees a non-finite point.
+        for nu in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^nu must be positive and finite$"):
+                two_point_estimate(quadratic_problem(), np.zeros(2), np.ones(2), nu, 0)
 
     def test_overflowing_difference_raises(self):
         # The difference 1e300 over nu = 1e-20 overflows to +-inf per entry.

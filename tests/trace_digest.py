@@ -45,8 +45,19 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   algorithm key (``eta``, ``nu``, ``variant`` with ``"constant"`` where
   the tag accepts it, ``stationarity_eval_period``), each at ``--jobs 1``
   and ``--jobs 2``.
+* ``errors``: the exit code, the stderr text and whether the output
+  directory exists after ``zomirror validate`` on each bad spec of
+  ``test_cli.py::test_invalid_spec_is_one_line`` (the NUL-character
+  ``output_dir`` case aside) and after ``zomirror run`` with ``--jobs 0``,
+  with a non-integer ``ZOMIRROR_SEED`` and with both; then the error type
+  and text of each count and scale check on bad values: the counts of
+  ``RunConfig``, ``Problem``, ``EstimatorConfig``, ``MirrorGeometry`` and
+  ``sparse_regression_design``, and the scales ``RunConfig.eta_base``,
+  ``EstimatorConfig.nu`` and the ``eta`` of ``prox_composite`` and
+  ``gradient_map``.  ``RunConfig.nu`` and the ``nu`` of
+  ``two_point_estimate`` are left out.
 
-The last line is one digest over all five.  This is a comparison tool,
+The last line is one digest over all six.  This is a comparison tool,
 not a test: it pins no hash, since any deliberate change of output moves
 it.
 """
@@ -54,8 +65,10 @@ it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -392,6 +405,118 @@ def digest_cli(zm) -> str:
     return h.hexdigest()
 
 
+ERRORS_BASE_SPEC = {
+    "problem": {
+        "kind": "sparse_regression", "seed": 3, "d": 10, "n_samples": 12, "k": 3,
+        "noise_sigma": 0.1, "loss": "least_squares", "gamma1": 0.01, "gamma2": 0.001,
+    },
+    "algorithms": [
+        {"tag": "zo-ada-expgrad", "T": 15, "m": 2, "eta": 2.0},
+        {"tag": "zo-psgd", "T": 15, "m": 2, "eta": 2.0, "variant": "constant"},
+    ],
+    "seeds": [0, 1],
+}
+
+# (key path, value) edits of ERRORS_BASE_SPEC; an empty path replaces it whole.
+BAD_SPEC_EDITS = [
+    (("algorithms", 0, "T"), 1.5),
+    (("algorithms", 0, "m"), 0),
+    (("problem", "noise_sigma"), "0.1"),
+    (("problem", "noise_sigma"), -0.1),
+    (("problem",), []),
+    (("problem", "loss"), "hinge"),
+    (("algorithms", 0), "zo-psgd"),
+    (("algorithms", 0, "nu"), 0.0),
+    ((), []),
+    (("algorithms",), []),
+    (("seeds",), []),
+    (("output_dir",), ""),
+    (("emit_plot_data",), 1),
+]
+
+BAD_COUNTS = [0, -1, 2.5, True, "3", np.int64(0)]
+BAD_SCALES = [0.0, -1.0, math.nan, math.inf, -math.inf, np.float64(math.nan)]
+
+
+def _cli_outcome(cli, argv, out, env_seed=None) -> bytes:
+    """Exit code, stderr and whether ``out`` exists after cli.main(argv)."""
+    saved = os.environ.pop("ZOMIRROR_SEED", None)
+    if env_seed is not None:
+        os.environ["ZOMIRROR_SEED"] = env_seed
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    finally:
+        os.environ.pop("ZOMIRROR_SEED", None)
+        if saved is not None:
+            os.environ["ZOMIRROR_SEED"] = saved
+    return repr((rc, err.getvalue(), os.path.exists(out))).encode()
+
+
+def _error_text(build) -> str:
+    try:
+        build()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "no error"
+
+
+def _check_cases(zm):
+    """Yield (label, thunk) for each count and scale check on each bad value."""
+    geo = zm.MirrorGeometry(3)
+    x, g, reg, fs = np.full(3, 0.1), np.ones(3), zm.ElasticNet(0.01, 0.01), zm.FeasibleSet()
+
+    def oracle(x, xi):
+        return 0.0
+
+    for v in BAD_COUNTS:
+        yield f"RunConfig.T={v!r}", lambda v=v: zm.RunConfig(T=v, batch=1)
+        yield f"RunConfig.batch={v!r}", lambda v=v: zm.RunConfig(T=1, batch=v)
+        yield f"RunConfig.period={v!r}", lambda v=v: zm.RunConfig(T=1, batch=1, stationarity_eval_period=v)
+        yield f"Problem.dimension={v!r}", lambda v=v: zm.Problem(dimension=v, oracle=oracle)
+        yield f"Problem.num_samples={v!r}", lambda v=v: zm.Problem(dimension=2, oracle=oracle, num_samples=v)
+        yield f"EstimatorConfig.batch={v!r}", lambda v=v: zm.EstimatorConfig(nu=0.1, batch=v)
+        yield f"MirrorGeometry.dimension={v!r}", lambda v=v: zm.MirrorGeometry(v)
+    for v in (0, -1):
+        yield f"sparse_regression_design.n_samples={v!r}", lambda v=v: zm.sparse_regression_design(3, v, 1, 0.1, "least_squares", 0)
+    for v in BAD_SCALES:
+        yield f"RunConfig.eta_base={v!r}", lambda v=v: zm.RunConfig(T=1, batch=1, eta_base=v)
+        yield f"EstimatorConfig.nu={v!r}", lambda v=v: zm.EstimatorConfig(nu=v, batch=1)
+        yield f"prox_composite.eta={v!r}", lambda v=v: zm.prox_composite(geo, x, g, v, reg, fs)
+        yield f"gradient_map.eta={v!r}", lambda v=v: zm.gradient_map(x, g, v, geo, reg, fs)
+
+
+def digest_errors(zm) -> str:
+    from zomirror import cli
+
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        for i, (path, value) in enumerate(BAD_SPEC_EDITS):
+            doc = json.loads(json.dumps(dict(ERRORS_BASE_SPEC, output_dir=out)))
+            if path:
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+            else:
+                doc = value
+            spec = os.path.join(tmp, f"bad-{i}.json")
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            h.update(f"spec {path!r}={value!r}".encode() + _cli_outcome(cli, ["validate", "--config", spec], out))
+        spec = os.path.join(tmp, "good.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(dict(ERRORS_BASE_SPEC, output_dir=out), fh)
+        for label, jobs, env_seed in (("jobs", "0", None), ("seed", "1", "1.5"), ("both", "0", "x")):
+            argv = ["run", "--config", spec, "--no-timing", "--jobs", jobs]
+            h.update(f"run {label}".encode() + _cli_outcome(cli, argv, out, env_seed))
+    for label, build in _check_cases(zm):
+        h.update(f"{label} {_error_text(build)}".encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the zomirror package")
@@ -407,6 +532,7 @@ def main(argv=None) -> int:
         "prox": digest_prox(zm),
         "estimates": digest_estimates(zm),
         "cli": digest_cli(zm),
+        "errors": digest_errors(zm),
     }
     print(f"package {os.path.dirname(zm.__file__)}")
     print(f"{raised} of the traced runs and {paths_raised} of the path runs raised NumericError")
