@@ -117,8 +117,11 @@ class Problem:
     num_samples``.  The oracle's ``x`` may be a row of an estimate's own
     buffer, which the estimate's next block overwrites, so an oracle must
     neither keep it nor write to it.
-    ``exact_gradient`` and ``mean_loss`` are evaluation-only hooks present
-    on synthetic problems.
+    ``mean_loss`` and ``exact_gradient`` are evaluation-only hooks present
+    on synthetic problems.  Each takes a (k, d) stack of points, one per
+    row, and returns k losses or a (k, d) stack of gradients.  The stack
+    may be a view of a run's own buffer, which later blocks overwrite, so
+    a hook must not write to it nor rely on its values after returning.
     """
 
     dimension: int
@@ -126,7 +129,7 @@ class Problem:
     regularizer: ElasticNet = field(default_factory=ElasticNet)
     feasible_set: FeasibleSet = field(default_factory=FeasibleSet)
     exact_gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    mean_loss: Callable[[np.ndarray], float] | None = None
+    mean_loss: Callable[[np.ndarray], np.ndarray] | None = None
     num_samples: int = 1
     start_point: np.ndarray | None = None
 

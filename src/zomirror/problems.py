@@ -64,11 +64,14 @@ def robust_loss_derivative(t: np.ndarray) -> np.ndarray:
 class SparseRegressionProblem:
     """Planted sparse regression data: rows, targets, loss kind, solution.
 
-    ``mean_loss(x)`` leaves its residual A x - b in a one-slot memo, and
-    the next ``gradient(x)`` takes it instead of recomputing it when the
-    slot holds this same array with the same bytes.  Reading and clearing
-    the slot is one swap, so a residual serves at most one gradient, and
-    runs sharing the problem across threads can only miss the memo.
+    ``mean_loss`` and ``gradient`` take a point or a (k, d) stack of points
+    and return one loss or gradient per point, so a stack costs two
+    matrix-matrix products: X A^T - b and V A.  ``mean_loss(X)`` leaves its
+    residuals in a one-slot memo, and the next ``gradient(X)`` takes them
+    instead of recomputing them when the slot holds this same array with
+    the same bytes.  Reading and clearing the slot is one swap, so a
+    residual serves at most one gradient, and runs sharing the problem
+    across threads can only miss the memo.
     """
 
     matrix: np.ndarray
@@ -105,23 +108,33 @@ class SparseRegressionProblem:
         sq = r * r
         return sq / (1.0 + sq)
 
-    def mean_loss(self, x: np.ndarray) -> float:
-        x = np.asarray(x)
-        r = self.matrix @ x - self.targets
-        # The bytes of x guard the memo against changes to x in place.
-        self._residual_slot[0] = (x, x.tobytes(), r)
-        if self.kind == "least_squares":
-            return 0.5 * float(np.mean(np.square(r)))
-        return float(np.mean(robust_loss(r)))
+    def _residuals(self, X: np.ndarray) -> np.ndarray:
+        R = X @ self.matrix.T
+        R -= self.targets
+        return R
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        memo, self._residual_slot[0] = self._residual_slot[0], None
-        if memo is not None and memo[0] is x and memo[1] == x.tobytes():
-            r = memo[2]
+    def mean_loss(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        R = self._residuals(X)
+        if self.kind == "least_squares":
+            loss = 0.5 * np.mean(np.square(R), axis=-1)
         else:
-            r = self.matrix @ x - self.targets
-        grad = self.matrix.T @ (r if self.kind == "least_squares" else robust_loss_derivative(r))
+            loss = np.mean(robust_loss(R), axis=-1)
+        # A copy of X guards the memo against changes to X in place.
+        self._residual_slot[0] = (X, X.copy(), R)
+        return loss
+
+    def gradient(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        memo, self._residual_slot[0] = self._residual_slot[0], None
+        # Compared as integers, so that a change of a zero's sign or of a
+        # NaN's payload misses the memo too.
+        if memo is not None and memo[0] is X and np.array_equal(memo[1].view(np.uint64), X.view(np.uint64)):
+            R = memo[2]
+        else:
+            R = self._residuals(X)
+        del memo  # frees the copy of X before the gradient is allocated
+        grad = (R if self.kind == "least_squares" else robust_loss_derivative(R)) @ self.matrix
         grad /= self.n_samples
         return grad
 
@@ -303,6 +316,11 @@ def explanation_loss(prob: ExplanationProblem, x: np.ndarray, xi: int) -> float:
     return _softplus(c)
 
 
+def _explanation_mean_loss(prob: ExplanationProblem, X: np.ndarray) -> np.ndarray:
+    """explanation_loss at each row of a stack of points."""
+    return np.array([explanation_loss(prob, x, 0) for x in X])
+
+
 def make_explanation_problem(
     classifier: TinyClassifier,
     anchor: np.ndarray,
@@ -321,7 +339,7 @@ def make_explanation_problem(
         oracle=functools.partial(explanation_loss, ep),
         regularizer=ElasticNet(gamma1=gamma1, gamma2=gamma2),
         feasible_set=ep.box,
-        mean_loss=functools.partial(explanation_loss, ep, xi=0),
+        mean_loss=functools.partial(_explanation_mean_loss, ep),
         num_samples=1,
         start_point=ep.start_point(),
     )

@@ -228,8 +228,8 @@ def paired_storm_estimates(
 def default_smoothing(d: int, T: int, variant: str) -> float:
     """Default smoothing radius: 1/(d*sqrt(T)) for plain mini-batch
     estimation, 1/(d*T^(2/3)) for the recursive-momentum variant."""
-    if d < 1 or T < 1:
-        raise ValueError("d and T must be positive integers")
+    _check_count("d", d)
+    _check_count("T", T)
     if variant == "minibatch":
         return 1.0 / (d * np.sqrt(T))
     if variant == "storm":

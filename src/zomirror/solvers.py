@@ -12,6 +12,16 @@ pure function of (problem, config): each iteration's batch estimate draws
 its probe signs and sample ids from one stream keyed by (seed, iteration),
 and the reported output iterate x_tau is drawn uniformly from the
 trajectory using the run's own stream.
+
+Evaluation is reporting, not part of the algorithm: the objective at each
+iterate and, when the problem has an exact gradient, the squared l1 norm
+of its gradient map.  Iterates wait in a buffer of at most _EVAL_FLOATS
+floats (one row when d is larger), and a full buffer, or the last one,
+costs one mean_loss and one exact_gradient call on the (k, d) stack.  The
+trajectory never depends on it.  Errors keep the order of a loop that
+evaluates x_t before it estimates at x_t: when the estimator or the step
+fails at iteration t, the buffered iterates up to x_t are evaluated first,
+and an evaluation error among them is the one raised.
 """
 
 from __future__ import annotations
@@ -62,6 +72,10 @@ __all__ = [
 # Traces retain full iterate lists only below this many stored floats.
 _ITERATE_STORE_LIMIT = 4_000_000
 
+# Most floats in one block of iterates evaluated together (a single iterate
+# when d is larger): 512 KB, 32 iterates at d = 2000.
+_EVAL_FLOATS = 65_536
+
 # alpha_{t+1} from (accum, t, m): the accumulator after iteration t's move,
 # the iteration and the batch size.
 AlphaRule = Callable[[float, int, int], float]
@@ -108,7 +122,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """Metrics row for iteration t, describing the iterate x_t entering it."""
+    """Metrics row for iteration t, describing the iterate x_t entering it.
+
+    ``wall_ms`` is the iteration's own loop time plus an equal share of
+    the evaluation of its block of iterates, so the column sums to the run.
+    """
 
     iteration: int
     oracle_calls: int
@@ -127,6 +145,9 @@ class Trace:
     retention limit.  ``tracking_sq`` and ``minibatch_tracking_sq`` are
     momentum diagnostics (squared max-norm estimation error per
     iteration), present only when the problem exposes an exact gradient.
+    Records and tracking values are filled in a block of iterates at a
+    time; ``iterates``, the sampled point and each record's oracle calls,
+    alpha and eta do not depend on that evaluation.
     """
 
     records: list[TraceRecord]
@@ -144,8 +165,8 @@ def storm_schedule(t: int, m: int) -> tuple[float, float]:
     decays toward zero and beta = max(1, (tau - 1)/sqrt(tau)) is
     nondecreasing.
     """
-    if t < 1 or m < 1:
-        raise ValueError("t and m must be positive integers")
+    _check_count("t", t)
+    _check_count("m", m)
     tau = (1.0 + t / m) ** (2.0 / 3.0)
     return 2.0 / (1.0 + tau), float(max(1.0, (tau - 1.0) / np.sqrt(tau)))
 
@@ -255,13 +276,72 @@ ALGORITHM_TABLE = {
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 
-def _objective(problem: Problem, x: np.ndarray) -> float:
+def _objective(problem: Problem, X: np.ndarray) -> list[float]:
+    """The composite objective at each row of the stack X."""
     if problem.mean_loss is None:
-        return composite_value(problem, x, range(problem.num_samples))
-    value = float(problem.mean_loss(x))
-    if not math.isfinite(value):
+        return [composite_value(problem, x, range(problem.num_samples)) for x in X]
+    losses = np.asarray(problem.mean_loss(X), dtype=float)
+    if losses.shape != (len(X),):
+        raise ValueError("mean_loss must return one loss per row of its stack")
+    if not np.isfinite(losses).all():
         raise NumericError("mean_loss returned a non-finite value")
-    return value + elastic_net_value(problem.regularizer, x)
+    return [float(loss) + elastic_net_value(problem.regularizer, x) for loss, x in zip(losses, X)]
+
+
+def _exact_gradient(problem: Problem, X: np.ndarray) -> np.ndarray:
+    """The exact gradient at each row of the stack X, as a stack."""
+    grads = np.asarray(problem.exact_gradient(X), dtype=float)
+    if grads.shape != X.shape:
+        raise ValueError("exact_gradient must return one gradient per row of its stack")
+    if not np.isfinite(grads).all():
+        raise NumericError("exact_gradient returned a non-finite entry")
+    return grads
+
+
+def _evaluate(
+    problem: Problem, geo: MirrorGeometry, X: np.ndarray, first: int, etas: list[float], period: int, track: bool
+) -> list[tuple[float, float | None, np.ndarray | None]]:
+    """(objective, stationarity, exact gradient) at each iterate x_first,
+    x_first+1, ... stacked in the rows of X, with eta_t from ``etas``.
+
+    The gradient is kept only where ``track`` asks for it; the stationarity,
+    the squared l1 norm of the gradient map, only at iterates its period
+    selects.  One mean_loss and one exact_gradient call cover the stack.
+    Errors come as if each iterate were evaluated alone, in order: the
+    NumericError names the first failing iterate and, within it, the first
+    failing layer of objective, exact gradient and gradient map.  When a
+    hook fails on the stack, the rows are evaluated again one at a time to
+    find that iterate.
+    """
+    has_grad = problem.exact_gradient is not None
+    # Rows start, start + step, ... need an exact gradient.
+    step = 1 if track else period
+    start = (1 - first) % step
+    try:
+        objectives = _objective(problem, X)
+        if has_grad and start < len(X):
+            grads = _exact_gradient(problem, X if step == 1 else X[start::step])
+        whole = True
+    except NumericError:
+        whole = False
+    results = []
+    for i, x in enumerate(X):
+        t = first + i
+        grad = stationarity = None
+        try:
+            layer = "objective"
+            objective = objectives[i] if whole else _objective(problem, X[i : i + 1])[0]
+            layer = "exact gradient"
+            if has_grad and (i - start) % step == 0:
+                grad = grads[(i - start) // step] if whole else _exact_gradient(problem, X[i : i + 1])[0]
+            layer = "gradient map"
+            if has_grad and (t - 1) % period == 0:
+                result = gradient_map(x, grad, etas[i], geo, problem.regularizer, problem.feasible_set)
+                stationarity = result.sq_l1_norm
+        except NumericError as exc:
+            raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
+        results.append((objective, stationarity, grad if track else None))
+    return results
 
 
 def _start_point(problem: Problem) -> np.ndarray:
@@ -293,6 +373,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     nu = cfg.nu if cfg.nu is not None else default_smoothing(d, cfg.T, smoothing_kind)
     est_cfg = EstimatorConfig(nu=nu, batch=m)
 
+    period = cfg.stationarity_eval_period
     track_momentum = algo.paired and problem.exact_gradient is not None
     tracking: list[float] | None = [] if track_momentum else None
     mb_tracking: list[float] | None = [] if track_momentum else None
@@ -304,6 +385,13 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     calls = 0
     alpha, accum = 1.0, 0.0
     x_t = x_prev = _start_point(problem)
+    # Iterates wait in the rows of this buffer until it is full or the run
+    # ends, then are evaluated together.  Per buffered iterate, etas holds
+    # eta_t and pending (t, oracle calls, alpha_t, loop seconds, d_t, g_t),
+    # the last two only when tracking.
+    block = np.empty((min(cfg.T, max(1, _EVAL_FLOATS // d)), d))
+    etas: list[float] = []
+    pending: list[tuple] = []
     for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
         alpha_t, eta_t = alpha, cfg.eta_base * alpha
@@ -311,32 +399,12 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             iterates.append(x_t)
         if t == tau:
             sampled_point = x_t
+        block[len(etas)] = x_t
+        etas.append(eta_t)
 
-        stationarity: float | None = None
-        map_due = (
-            problem.exact_gradient is not None and (t - 1) % cfg.stationarity_eval_period == 0
-        )
         # A NumericError from any layer names the iteration and the layer,
         # in its message and in its attributes.
         try:
-            layer = "objective"
-            objective = _objective(problem, x_t)
-
-            # One exact gradient per iteration serves both the gradient map
-            # and the momentum tracking diagnostics.
-            layer = "exact gradient"
-            if map_due or track_momentum:
-                grad = problem.exact_gradient(x_t)
-                if not np.isfinite(grad).all():
-                    raise NumericError("exact_gradient returned a non-finite entry")
-
-            layer = "gradient map"
-            if map_due:
-                result = gradient_map(
-                    x_t, grad, eta_t, geo, problem.regularizer, problem.feasible_set
-                )
-                stationarity = result.sq_l1_norm
-
             layer = "estimator"
             key = (cfg.seed, t)
             if algo.paired and t > 1:
@@ -351,31 +419,50 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
                 g_est = minibatch_gradient(problem, x_t, est_cfg, key)
                 calls += g_est.oracle_calls
                 d_vec = g_est.vector
-            if track_momentum:
-                tracking.append(float(np.max(np.abs(d_vec - grad))) ** 2)
-                mb_tracking.append(float(np.max(np.abs(g_est.vector - grad))) ** 2)
 
             layer = "step"
             x_next, alpha, accum = algo.step(
                 problem, geo, x_t, d_vec, eta_t, alpha, accum, rule, t, m
             )
-        except NumericError as exc:
-            raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
+            if not problem.feasible_set.contains(x_next):
+                raise RuntimeError("feasibility invariant violated")
+        except Exception as exc:
+            # Evaluating x_t comes first in iteration t, so the buffered
+            # iterates up to x_t are evaluated before this error is raised,
+            # and an error of theirs takes its place.
+            _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, track_momentum)
+            if isinstance(exc, NumericError):
+                raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
+            raise
 
-        if not problem.feasible_set.contains(x_next):
-            raise RuntimeError("feasibility invariant violated")
+        kept = (d_vec, g_est.vector) if track_momentum else (None, None)
+        pending.append((t, calls, alpha_t, time.perf_counter() - tick, *kept))
         x_prev, x_t = x_t, x_next
-        records.append(
-            TraceRecord(
-                iteration=t,
-                oracle_calls=calls,
-                objective=objective,
-                stationarity_sq_l1=stationarity,
-                alpha=alpha_t,
-                eta=eta_t,
-                wall_ms=(time.perf_counter() - tick) * 1000.0,
+        if len(etas) < len(block) and t < cfg.T:
+            continue
+        tick = time.perf_counter()
+        evaluated = _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, track_momentum)
+        # Each row's wall time is its own loop time plus an equal share of
+        # the block's evaluation.
+        share = (time.perf_counter() - tick) / len(etas)
+        rows = zip(pending, etas, evaluated)
+        for (t_i, calls_i, alpha_i, seconds, d_i, g_i), eta_i, (objective, stationarity, grad) in rows:
+            if track_momentum:
+                tracking.append(float(np.max(np.abs(d_i - grad))) ** 2)
+                mb_tracking.append(float(np.max(np.abs(g_i - grad))) ** 2)
+            records.append(
+                TraceRecord(
+                    iteration=t_i,
+                    oracle_calls=calls_i,
+                    objective=objective,
+                    stationarity_sq_l1=stationarity,
+                    alpha=alpha_i,
+                    eta=eta_i,
+                    wall_ms=(seconds + share) * 1000.0,
+                )
             )
-        )
+        etas.clear()
+        pending.clear()
 
     return Trace(
         records=records,

@@ -217,9 +217,11 @@ class TestProblemFromDescriptor:
         x = np.linspace(0.05, 0.2, doc["d"])
         for xi in (0, 3, 2**63 - 1):
             assert clone.oracle(x, xi) == prob.oracle(x, xi)
-        assert clone.mean_loss(x) == prob.mean_loss(x)
+        # The evaluation hooks take a stack of points, one per row.
+        X = np.stack([x, 0.5 * x, x[::-1]])
+        assert np.array_equal(clone.mean_loss(X), prob.mean_loss(X))
         if prob.exact_gradient is not None:
-            assert np.array_equal(clone.exact_gradient(x), prob.exact_gradient(x))
+            assert np.array_equal(clone.exact_gradient(X), prob.exact_gradient(X))
         assert clone.regularizer == prob.regularizer
         assert clone.num_samples == prob.num_samples
 
@@ -319,6 +321,23 @@ class TestExecute:
             assert (tmp_path / "r2" / name).read_bytes() == ref, name
             r8 = (tmp_path / "r8" / name).read_bytes()
             assert r8 == ref, name
+
+    def test_byte_identical_across_jobs_at_threaded_blas_size(self, tmp_path):
+        # At d = 2000 and n = 400 a block of 32 iterates costs X A^T, a
+        # 32 x 2000 x 400 product that BLAS runs on several threads; T = 40
+        # adds a partial block of 8.
+        doc = base_spec(tmp_path / "x", emit_plot_data=True)
+        doc["problem"].update(d=2000, n_samples=400, k=20, loss="robust_nonconvex", gamma1=0.02, gamma2=1e-4)
+        doc["algorithms"] = [
+            {"tag": tag, "T": 40, "m": 4, "eta": 7.0 if tag == "zo-psgd" else 0.5} for tag in ALGORITHMS
+        ]
+        path = write_spec(tmp_path, doc)
+        for jobs in (1, 2):
+            assert main(["run", "--config", path, "--no-timing", "--jobs", str(jobs), "--out", str(tmp_path / f"j{jobs}")]) == 0
+        names = sorted(os.listdir(tmp_path / "j1"))
+        assert len(names) == 4 * 2 + 4 + 1
+        for name in names:
+            assert (tmp_path / "j2" / name).read_bytes() == (tmp_path / "j1" / name).read_bytes(), name
 
     def test_mean_curve_matches_per_seed_traces(self, tmp_path):
         out = tmp_path / "out"

@@ -275,6 +275,30 @@ class TestResidualMemo:
             assert prob.exact_gradient(x).tobytes() == want.tobytes()  # the left residual
 
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_rows_match_point_references(self, kind):
+        design = self.design(kind)
+        prob = design.to_problem()
+        A, b = design.matrix, design.targets
+        X = np.stack(self.points(5))
+        losses, grads = prob.mean_loss(X), prob.exact_gradient(X)
+        assert losses.shape == (5,) and grads.shape == (5, 40)
+        for x, loss, grad in zip(X, losses, grads):
+            assert loss == pytest.approx(mean_loss_reference(A, b, kind, x), rel=1e-12, abs=0.0)
+            want = gradient_reference(A, b, kind, x)
+            assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_changed_in_place_misses_the_memo(self, kind):
+        design = self.design(kind)
+        prob = design.to_problem()
+        X = np.stack(self.points(3))
+        prob.mean_loss(X)
+        X[1, 3] += 0.5
+        want = design.to_problem().exact_gradient(X.copy())
+        assert prob.exact_gradient(X).tobytes() == want.tobytes()
+
+
 class TestTinyClassifier:
     def test_pinned_instance(self):
         clf = make_tiny_classifier(4, 3, 0)
@@ -467,7 +491,8 @@ class TestMakeExplanationProblem:
         assert np.array_equal(prob.start_point, anchor)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         assert prob.oracle(x, 0) == prob.oracle(x, 99)
-        assert prob.mean_loss(x) == prob.oracle(x, 0)
+        X = np.stack([x, 0.5 * x])
+        assert prob.mean_loss(X).tolist() == [prob.oracle(X[0], 0), prob.oracle(X[1], 0)]
 
     def test_pn_box_and_start(self):
         clf = make_tiny_classifier(3, 3, 5)

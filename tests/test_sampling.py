@@ -245,3 +245,11 @@ class TestDefaultSmoothing:
             default_smoothing(10, 0, "storm")
         with pytest.raises(ValueError):
             default_smoothing(10, 10, "unknown")
+
+    @pytest.mark.parametrize(
+        "d, T, variant",
+        [(math.nan, 3, "storm"), (True, 2.5, "minibatch"), (2.5, 3, "minibatch"), (3, True, "storm")],
+    )
+    def test_counts_must_be_integers(self, d, T, variant):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            default_smoothing(d, T, variant)

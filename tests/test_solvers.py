@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from zomirror import (
     Problem,
     RunConfig,
     default_smoothing,
+    elastic_net_value,
+    gradient_map,
     make_sparse_regression,
     minibatch_gradient,
     prox_composite,
@@ -26,7 +29,10 @@ from zomirror import (
     storm_schedule,
 )
 from zomirror import rng
+from zomirror.problems import sparse_regression_design
 from zomirror.solvers import ALGORITHM_TABLE, stepsize_update
+
+from oracles import gradient_reference, mean_loss_reference
 
 FREE = FeasibleSet.unconstrained()
 
@@ -45,6 +51,24 @@ def zero_problem(d=1, **kw):
     return Problem(dimension=d, oracle=lambda x, xi: 0.0, **kw)
 
 
+def draining_problem(**kw):
+    """A zero oracle whose l1 term drains the iterates from (1, 2) toward 0,
+    so that each of the first iterates differs from the others."""
+    return zero_problem(d=2, regularizer=ElasticNet(0.3, 0.0), start_point=np.array([1.0, 2.0]), **kw)
+
+
+def fails_at(point, bad, good):
+    """An evaluation hook on a stack of points: ``bad`` at rows equal to
+    ``point`` and ``good`` at the others, one value or vector per row."""
+    bad, good = np.asarray(bad, dtype=float), np.asarray(good, dtype=float)
+
+    def hook(X):
+        hit = np.all(X == point, axis=1).reshape((-1,) + (1,) * good.ndim)
+        return np.where(hit, bad, good)
+
+    return hook
+
+
 def quadratic_problem(center, noise=0.0, seed=0, box=None):
     """Mean loss ||x - c||^2 / 2 with optional additive per-sample noise.
 
@@ -59,6 +83,7 @@ def quadratic_problem(center, noise=0.0, seed=0, box=None):
         offsets = noise * rng.stream("quad-noise", seed).standard_normal((40, d))
         offsets -= offsets.mean(axis=0)
     n = offsets.shape[0]
+    spread = 0.5 * float(np.mean(np.sum(offsets * offsets, axis=1)))
 
     def oracle(x, xi):
         r = x - c - offsets[xi % n]
@@ -69,8 +94,7 @@ def quadratic_problem(center, noise=0.0, seed=0, box=None):
         dimension=d,
         oracle=oracle,
         exact_gradient=lambda x: x - c,
-        mean_loss=lambda x: 0.5 * float((x - c) @ (x - c))
-        + 0.5 * float(np.mean(np.sum(offsets * offsets, axis=1))),
+        mean_loss=lambda X: 0.5 * np.sum(np.square(X - c), axis=1) + spread,
         num_samples=n,
         feasible_set=fs,
     )
@@ -191,6 +215,11 @@ class TestStormSchedule:
             storm_schedule(0, 1)
         with pytest.raises(ValueError):
             storm_schedule(1, 0)
+
+    @pytest.mark.parametrize("t, m", [(1.5, 1), (1, True), (math.nan, 1), (1.5, True)])
+    def test_counts_must_be_integers(self, t, m):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            storm_schedule(t, m)
 
 
 class TestStormMomentum:
@@ -322,7 +351,7 @@ class TestRunMechanics:
         prob = Problem(
             dimension=1,
             oracle=lambda x, xi: 0.0,
-            mean_loss=lambda x: 7.0,
+            mean_loss=lambda X: np.full(len(X), 7.0),
             regularizer=ElasticNet(),
         )
         trace = run_zo_psgd(prob, RunConfig(T=1, batch=1))
@@ -339,21 +368,26 @@ class TestRunMechanics:
         # The gradient map and the momentum tracking share one exact
         # gradient per iteration.  minibatch_tracking_sq is recomputed from
         # the stored iterates to check that the shared gradient is the one
-        # at x_t.
+        # at x_t; all 50 iterates fit one evaluation block at d = 10, so
+        # the same stack gives the same gradient bytes.
         base = make_sparse_regression(
             10, 40, 3, 0.1, "least_squares", seed=0, regularizer=ElasticNet(1e-3, 1e-4)
         )
-        calls = []
+        rows = {"mean_loss": [], "exact_gradient": []}
 
-        def counted(x):
-            calls.append(1)
-            return base.exact_gradient(x)
+        def counted(name):
+            def hook(X):
+                rows[name].extend(map(bytes, X))
+                return getattr(base, name)(X)
 
-        prob = dataclasses.replace(base, exact_gradient=counted)
+            return hook
+
+        prob = dataclasses.replace(base, mean_loss=counted("mean_loss"), exact_gradient=counted("exact_gradient"))
         T, m = 50, 4
         cfg = RunConfig(T=T, batch=m, eta_base=2.0, seed=3, stationarity_eval_period=1)
         trace = run_zo_expstorm(prob, cfg)
-        assert len(calls) == T
+        want = [x.tobytes() for x in trace.iterates]
+        assert rows == {"mean_loss": want, "exact_gradient": want}
         plain = run_zo_expstorm(base, cfg)
 
         def untimed(tr):
@@ -362,9 +396,10 @@ class TestRunMechanics:
         assert untimed(trace) == untimed(plain)
         assert trace.tracking_sq == plain.tracking_sq
         est_cfg = EstimatorConfig(nu=default_smoothing(10, T, "storm"), batch=m)
+        grads = base.exact_gradient(np.array(trace.iterates))
         for t, x_t in enumerate(trace.iterates, start=1):
             g = minibatch_gradient(base, x_t, est_cfg, (cfg.seed, t)).vector
-            want = float(np.max(np.abs(g - base.exact_gradient(x_t)))) ** 2
+            want = float(np.max(np.abs(g - grads[t - 1]))) ** 2
             assert trace.minibatch_tracking_sq[t - 1] == want
 
     def test_no_exact_gradient_no_stationarity(self):
@@ -455,8 +490,8 @@ class TestSolverBehavior:
         prob = Problem(
             dimension=1,
             oracle=lambda x, xi: 3.0 * float(x[0]),
-            exact_gradient=lambda x: np.array([3.0]),
-            mean_loss=lambda x: 3.0 * float(x[0]),
+            exact_gradient=lambda X: np.full_like(X, 3.0),
+            mean_loss=lambda X: 3.0 * X[:, 0],
             regularizer=ElasticNet(0.5, 0.0),
         )
         trace = run_zo_expstorm(prob, RunConfig(T=10, batch=2, nu=0.5))
@@ -496,23 +531,21 @@ class TestSolverBehavior:
                 assert all(np.all(np.isfinite(x)) for x in trace.iterates), (name, seed)
 
     def test_nonfinite_mean_loss_raises_with_iteration(self):
-        values = iter([1.0, math.inf, 1.0])
-        prob = zero_problem(d=2, mean_loss=lambda x: next(values))
+        cfg = RunConfig(T=3, batch=1)
+        x_2 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1]
+        prob = draining_problem(mean_loss=fails_at(x_2, math.inf, 1.0))
         with pytest.raises(NumericError, match="mean_loss .* iteration 2 in objective$"):
-            run_zo_ada_expgrad(prob, RunConfig(T=3, batch=1))
+            run_zo_ada_expgrad(prob, cfg)
 
     @pytest.mark.parametrize("tag", ["zo-ada-expgrad", "zo-expstorm"])
     def test_nonfinite_exact_gradient_raises_with_iteration(self, tag):
         # Unchecked, the NaN would reach stationarity_sq_l1 and, for the
         # momentum solver, tracking_sq.
-        calls = iter(range(1, 100))
-
-        def grad(x):
-            return np.array([0.0, math.nan]) if next(calls) == 3 else np.zeros(2)
-
-        prob = zero_problem(d=2, exact_gradient=grad)
+        cfg = RunConfig(T=4, batch=1)
+        x_3 = RUNNERS[tag](draining_problem(), cfg).iterates[2]
+        prob = draining_problem(exact_gradient=fails_at(x_3, [0.0, math.nan], [0.0, 0.0]))
         with pytest.raises(NumericError, match="exact_gradient .* iteration 3 in exact gradient$"):
-            RUNNERS[tag](prob, RunConfig(T=4, batch=1))
+            RUNNERS[tag](prob, cfg)
 
     # The fixture's mean loss may overflow on the way to the prox's guard.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -543,7 +576,7 @@ class TestSolverBehavior:
         prob = Problem(
             dimension=2,
             oracle=lambda x, xi: math.inf if next(calls) == 3 else 0.0,
-            mean_loss=lambda x: 0.0,
+            mean_loss=lambda X: np.zeros(len(X)),
         )
         with pytest.raises(NumericError, match=r"^oracle .* xi=\d+ at iteration 2 in estimator$") as info:
             RUNNERS[tag](prob, RunConfig(T=4, batch=1))
@@ -561,13 +594,16 @@ class TestSolverBehavior:
         assert (info.value.iteration, info.value.layer) == (1, "estimator")
 
     def test_nonfinite_oracle_objective_names_iteration(self):
-        # Without mean_loss the objective averages the oracle itself.
-        calls = iter(range(1, 100))
-        prob = zero_problem(d=2)
-        prob = dataclasses.replace(prob, oracle=lambda x, xi: math.inf if next(calls) == 4 else 0.0)
-        # Iteration 1 makes one objective call and two estimator calls.
+        # Without mean_loss the objective averages the oracle itself.  The
+        # oracle fails at x_2, which the estimator of iteration 2 also
+        # asks for (its base point); the objective at x_2 comes first.
+        cfg = RunConfig(T=3, batch=1)
+        x_2 = run_zo_psgd(draining_problem(), cfg).iterates[1]
+        prob = dataclasses.replace(
+            draining_problem(), oracle=lambda x, xi: math.inf if np.array_equal(x, x_2) else 0.0
+        )
         with pytest.raises(NumericError, match=r"^oracle .* xi=0 at iteration 2 in objective$"):
-            run_zo_psgd(prob, RunConfig(T=3, batch=1))
+            run_zo_psgd(prob, cfg)
 
 
 class TestOutputSampling:
@@ -615,3 +651,134 @@ class TestOutputSampling:
         assert trace.iterates is None
         assert 1 <= trace.sampled_index <= T
         assert trace.sampled_point.shape == (d,)
+
+
+class TestBlockEvaluation:
+    """Iterates are evaluated in blocks of at most 65,536 floats, 32 rows at
+    d = 2000, with one mean_loss and one exact_gradient call per block."""
+
+    @staticmethod
+    def spied(problem, seen):
+        """The problem with hooks that log (hook name, stack rows as bytes)."""
+
+        def spy(name, hook):
+            def spied_hook(X):
+                seen.append((name, [row.tobytes() for row in X]))
+                return hook(X)
+
+            return spied_hook
+
+        return dataclasses.replace(
+            problem,
+            mean_loss=spy("mean_loss", problem.mean_loss),
+            exact_gradient=spy("exact_gradient", problem.exact_gradient),
+        )
+
+    @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])
+    def test_trace_values_match_numpy_references(self, kind):
+        # T = 40 at d = 2000 is one full block of 32 and a partial one of 8.
+        design = sparse_regression_design(2000, 400, 20, 0.1, kind, seed=1)
+        reg = ElasticNet(0.02, 1e-4)
+        prob = dataclasses.replace(design.to_problem(reg), start_point=np.full(2000, 0.02))
+        A, b, geo = design.matrix, design.targets, MirrorGeometry(2000)
+        for runner, eta in ((run_zo_ada_expgrad, 0.2), (run_zo_expstorm, 1.0)):
+            cfg = RunConfig(T=40, batch=16, eta_base=eta, seed=2)
+            trace = runner(prob, cfg)
+            nu = default_smoothing(2000, 40, "storm" if runner is run_zo_expstorm else "minibatch")
+            for t, (record, x) in enumerate(zip(trace.records, trace.iterates), start=1):
+                grad = gradient_reference(A, b, kind, x)
+                objective = mean_loss_reference(A, b, kind, x) + elastic_net_value(reg, x)
+                stationarity = gradient_map(x, grad, record.eta, geo, reg, FREE).sq_l1_norm
+                assert record.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
+                assert record.stationarity_sq_l1 == pytest.approx(stationarity, rel=1e-12, abs=0.0)
+                if runner is run_zo_expstorm:
+                    g = minibatch_gradient(prob, x, EstimatorConfig(nu=nu, batch=16), (cfg.seed, t)).vector
+                    tracked = float(np.max(np.abs(g - grad))) ** 2
+                    assert trace.minibatch_tracking_sq[t - 1] == pytest.approx(tracked, rel=1e-12, abs=0.0)
+
+    def test_blocks_cover_each_iterate_once_in_order(self):
+        design = sparse_regression_design(2000, 50, 5, 0.1, "least_squares", seed=2)
+        seen = []
+        prob = self.spied(design.to_problem(ElasticNet(0.01, 0.0)), seen)
+        trace = run_zo_psgd(prob, RunConfig(T=70, batch=1, eta_base=7.0))
+        want = [x.tobytes() for x in trace.iterates]
+        blocks = [want[0:32], want[32:64], want[64:70]]
+        assert seen == [(name, rows) for rows in blocks for name in ("mean_loss", "exact_gradient")]
+
+    def test_exact_gradient_sees_only_the_iterates_its_period_selects(self):
+        # Period 3 over blocks of 32 rows: x_1, x_4, ..., x_70, in three calls.
+        design = sparse_regression_design(2000, 50, 5, 0.1, "least_squares", seed=2)
+        seen = []
+        prob = self.spied(design.to_problem(ElasticNet(0.01, 0.0)), seen)
+        trace = run_zo_psgd(prob, RunConfig(T=70, batch=1, eta_base=7.0, stationarity_eval_period=3))
+        grads = [rows for name, rows in seen if name == "exact_gradient"]
+        assert [len(rows) for rows in grads] == [11, 11, 2]
+        assert sum(grads, []) == [x.tobytes() for x in trace.iterates[::3]]
+        have = [r.iteration for r in trace.records if r.stationarity_sq_l1 is not None]
+        assert have == list(range(1, 71, 3))
+
+    @pytest.mark.parametrize("layer", ["objective", "exact gradient"])
+    def test_evaluation_error_wins_over_a_later_estimator_error(self, layer):
+        # The evaluation fails at x_2 and the estimator at iteration 3, in
+        # the same block: evaluating x_2 came first, so its error is raised.
+        cfg = RunConfig(T=5, batch=1)
+        x_2, x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1:3]
+        hooks = {
+            "objective": {"mean_loss": fails_at(x_2, math.inf, 1.0)},
+            "exact gradient": {"exact_gradient": fails_at(x_2, [math.nan, 0.0], [0.0, 0.0])},
+        }[layer]
+        prob = draining_problem(**hooks)
+        prob = dataclasses.replace(prob, oracle=lambda x, xi: math.inf if np.array_equal(x, x_3) else 0.0)
+        with pytest.raises(NumericError) as info:
+            run_zo_ada_expgrad(prob, cfg)
+        assert (info.value.iteration, info.value.layer) == (2, layer)
+        assert str(info.value).endswith(f"at iteration 2 in {layer}")
+
+    def test_estimator_error_follows_a_clean_evaluation_of_its_block(self):
+        cfg = RunConfig(T=5, batch=1)
+        x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[2]
+        seen = []
+        prob = draining_problem(mean_loss=lambda X: np.zeros(len(X)), exact_gradient=np.zeros_like)
+        prob = self.spied(prob, seen)
+        prob = dataclasses.replace(prob, oracle=lambda x, xi: math.inf if np.array_equal(x, x_3) else 0.0)
+        with pytest.raises(NumericError, match=r"^oracle .* at iteration 3 in estimator$"):
+            run_zo_ada_expgrad(prob, cfg)
+        # x_1..x_3 were evaluated, once, before the error was raised.
+        assert [(name, len(rows)) for name, rows in seen] == [("mean_loss", 3), ("exact_gradient", 3)]
+
+    def test_hook_failing_on_the_stack_is_traced_to_its_row(self):
+        # mean_loss raises on any stack that holds x_3, but the exact
+        # gradient is NaN at x_2: row by row, x_2's gradient fails first.
+        cfg = RunConfig(T=4, batch=1)
+        x_2, x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1:3]
+
+        def mean_loss(X):
+            if np.all(X == x_3, axis=1).any():
+                raise NumericError("mean_loss refused the stack")
+            return np.zeros(len(X))
+
+        prob = draining_problem(mean_loss=mean_loss, exact_gradient=fails_at(x_2, [0.0, math.nan], [0.0, 0.0]))
+        with pytest.raises(NumericError, match="^exact_gradient .* at iteration 2 in exact gradient$"):
+            run_zo_ada_expgrad(prob, cfg)
+        prob = draining_problem(mean_loss=mean_loss)
+        with pytest.raises(NumericError, match="^mean_loss refused the stack at iteration 3 in objective$"):
+            run_zo_ada_expgrad(prob, cfg)
+
+    def test_hooks_must_return_one_value_per_row(self):
+        with pytest.raises(ValueError, match="mean_loss must return one loss per row"):
+            run_zo_psgd(zero_problem(d=2, mean_loss=lambda X: 0.0), RunConfig(T=3, batch=1))
+        with pytest.raises(ValueError, match="exact_gradient must return one gradient per row"):
+            run_zo_psgd(zero_problem(d=2, exact_gradient=lambda X: np.zeros(2)), RunConfig(T=3, batch=1))
+
+    def test_wall_ms_shares_the_block_evaluation(self):
+        # One block of 4 rows whose mean_loss takes 40 ms: each row carries
+        # a quarter of it, and the column sums to no more than the run.
+        def slow_mean_loss(X):
+            time.sleep(0.04)
+            return np.zeros(len(X))
+
+        start = time.perf_counter()
+        trace = run_zo_psgd(zero_problem(d=2, mean_loss=slow_mean_loss), RunConfig(T=4, batch=1))
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        assert all(r.wall_ms >= 10.0 for r in trace.records)
+        assert sum(r.wall_ms for r in trace.records) <= elapsed_ms

@@ -7,6 +7,12 @@ Run from the repository root:
 
 Equal digests for two checkouts mean byte-identical outputs on this set:
 
+* ``trajectory``: the path of every ``traces`` and ``paths`` run: its
+  iterates, its sampled index and point, and each record's oracle calls,
+  alpha and eta (a raising run gives its message, as in ``traces``).  No
+  evaluation column goes in, neither objective nor stationarity nor
+  tracking, so this digest holds across changes to how iterates are
+  evaluated.
 * ``traces``: 80 solver runs: all four methods on sparse regression at
   d in {1, 50, 500, 2000} with both losses, boxed and unboxed (64), on PP
   and PN explanations (8), and on an unboxed quadratic at two seeds (8).
@@ -24,7 +30,11 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   non-finite oracle in the oracle-averaged objective, a NaN exact
   gradient, a prox overflow in the gradient map, a non-finite oracle in
   the estimator and a prox overflow in the step.  These configs are ones
-  every checkout accepts, so two checkouts compare on them too.
+  every checkout accepts, so two checkouts compare on them too.  The
+  hooks that fail do so at one iterate, not at one call number, and the
+  evaluation hooks take a point or a stack of points (``axis=-1``), so
+  a checkout that evaluates iterates one at a time and one that
+  evaluates them in blocks run the same failing runs.
 * ``prox``: 3,000 random ``prox_composite`` calls (both elastic-net
   branches, no box and boxes that contain, straddle or exclude zero, eta
   over six decades, d up to 2000) and 200 ``lambert_w0`` calls on mixed
@@ -57,7 +67,7 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   ``gradient_map``.  ``RunConfig.nu`` and the ``nu`` of
   ``two_point_estimate`` are left out.
 
-The last line is one digest over all six.  This is a comparison tool,
+The last line is one digest over all seven.  This is a comparison tool,
 not a test: it pins no hash, since any deliberate change of output moves
 it.
 """
@@ -69,7 +79,6 @@ import contextlib
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -99,6 +108,15 @@ def _array_bytes(a) -> bytes:
     return repr((a.dtype.str, a.shape)).encode() + a.tobytes()
 
 
+def _trajectory_bytes(trace) -> bytes:
+    parts = [repr([(r.iteration, r.oracle_calls, r.alpha, r.eta) for r in trace.records]).encode()]
+    parts.append(repr(trace.sampled_index).encode())
+    parts.append(_array_bytes(trace.sampled_point))
+    for x in trace.iterates or []:
+        parts.append(_array_bytes(x))
+    return b"|".join(parts)
+
+
 def _trace_bytes(trace) -> bytes:
     parts = [repr(dataclasses.astuple(dataclasses.replace(r, wall_ms=0.0))).encode() for r in trace.records]
     parts.append(repr(trace.sampled_index).encode())
@@ -119,19 +137,26 @@ def _quadratic(zm, center, noise_seed):
         r = x - c - offsets[xi % 40]
         return 0.5 * float(r @ r)
 
+    # The evaluation hooks take a point or a stack of points, one per row.
     return zm.Problem(
         dimension=c.size,
         oracle=oracle,
         exact_gradient=lambda x: x - c,
-        mean_loss=lambda x: 0.5 * float((x - c) @ (x - c)),
+        mean_loss=lambda x: 0.5 * np.sum(np.square(x - c), axis=-1),
         num_samples=40,
     )
 
 
-def _fails_on_call(n, bad, good):
-    """A hook that returns ``bad`` on its n-th call and ``good`` otherwise."""
-    calls = itertools.count(1)
-    return lambda *args: bad if next(calls) == n else good
+def _fails_at(point, bad, good):
+    """An evaluation hook on a point or a stack of points (one per row):
+    ``bad`` at ``point`` and ``good`` elsewhere, per point."""
+    bad, good = np.asarray(bad, dtype=float), np.asarray(good, dtype=float)
+
+    def hook(x):
+        hit = np.all(x == point, axis=-1)
+        return np.where(hit[..., None] if good.ndim else hit, bad, good)
+
+    return hook
 
 
 def trace_runs(zm):
@@ -187,37 +212,55 @@ def path_runs(zm):
             yield f"{tag}/{name}/T=1", problem, zm.RunConfig(T=1, batch=4, eta_base=eta, seed=6), runner
             cfg = zm.RunConfig(T=25, batch=4, eta_base=eta, nu=0.3, seed=7, stationarity_eval_period=3)
             yield f"{tag}/{name}/nu=0.3/period=3", problem, cfg, runner
-    # One raising run per layer.  Iteration 1 makes one oracle call in the
-    # oracle-averaged objective and two in the estimator at batch 1.
-    zero = zm.Problem(dimension=2, oracle=lambda x, xi: 0.0)
-    quadratic = _quadratic(zm, [1.0, 2.0], 0)
+    # One raising run per layer, each failing at one iterate of a zero
+    # oracle whose l1 term drains the iterates from (1, 2) toward 0.  A
+    # failing oracle also fails in the estimator, which asks for x_t as
+    # its base point; the objective at x_t comes first.
+    drain = zm.Problem(
+        dimension=2, oracle=lambda x, xi: 0.0, regularizer=zm.ElasticNet(0.3, 0.0), start_point=np.array([1.0, 2.0])
+    )
+    cfg = zm.RunConfig(T=4, batch=1)
     failing = [
-        ("objective/mean_loss", zm.run_zo_ada_expgrad, {"mean_loss": _fails_on_call(2, math.inf, 1.0)}),
-        ("objective/oracle", zm.run_zo_psgd, {"oracle": _fails_on_call(4, math.inf, 0.0)}),
-        ("exact-gradient", zm.run_zo_expstorm, {"exact_gradient": _fails_on_call(3, np.array([0.0, math.nan]), np.zeros(2))}),
-        ("estimator", zm.run_zo_expstorm, {"oracle": _fails_on_call(3, math.inf, 0.0), "mean_loss": lambda x: 0.0}),
+        ("objective/mean_loss", zm.run_zo_ada_expgrad, 2, lambda x: {"mean_loss": _fails_at(x, math.inf, 1.0)}),
+        ("objective/oracle", zm.run_zo_psgd, 2, lambda x: {"oracle": lambda p, xi: math.inf if np.array_equal(p, x) else 0.0}),
+        ("exact-gradient", zm.run_zo_expstorm, 3, lambda x: {"exact_gradient": _fails_at(x, [0.0, math.nan], [0.0, 0.0])}),
+        (
+            "estimator",
+            zm.run_zo_expstorm,
+            2,
+            lambda x: {
+                "oracle": lambda p, xi: math.inf if np.array_equal(p, x) else 0.0,
+                "mean_loss": lambda p: np.zeros(np.shape(p)[:-1]),
+            },
+        ),
     ]
-    for name, runner, hooks in failing:
-        yield f"fail/{name}", dataclasses.replace(zero, **hooks), zm.RunConfig(T=4, batch=1), runner
+    for name, runner, t, hooks in failing:
+        x_t = runner(drain, cfg).iterates[t - 1]
+        yield f"fail/{name}", dataclasses.replace(drain, **hooks(x_t)), cfg, runner
+    quadratic = _quadratic(zm, [1.0, 2.0], 0)
     # Unboxed at eta=1 the dual point passes the prox's guard at x_4.
     yield "fail/gradient-map", quadratic, zm.RunConfig(T=13, batch=2, seed=1), zm.run_zo_ada_expgrad
     problem = dataclasses.replace(quadratic, exact_gradient=None)
     yield "fail/step", problem, zm.RunConfig(T=13, batch=2, seed=5), zm.run_zo_ada_expgrad
 
 
-def digest_traces(zm, runs) -> tuple[str, int]:
+def digest_traces(zm, runs, trajectory) -> tuple[str, int]:
+    """Digest of the runs; their trajectories also go into ``trajectory``."""
     h = hashlib.sha256()
     raised = 0
     for label, problem, cfg, runner in runs:
         h.update(label.encode())
+        trajectory.update(label.encode())
         try:
             with np.errstate(all="ignore"):
                 trace = runner(problem, cfg)
         except zm.NumericError as exc:
             raised += 1
             h.update(_run_message(exc).encode())
+            trajectory.update(_run_message(exc).encode())
             continue
         h.update(_trace_bytes(trace))
+        trajectory.update(_trajectory_bytes(trace))
     return h.hexdigest(), raised
 
 
@@ -524,9 +567,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import zomirror as zm
 
-    traces, raised = digest_traces(zm, trace_runs(zm))
-    paths, paths_raised = digest_traces(zm, path_runs(zm))
+    trajectory = hashlib.sha256()
+    traces, raised = digest_traces(zm, trace_runs(zm), trajectory)
+    paths, paths_raised = digest_traces(zm, path_runs(zm), trajectory)
     sections = {
+        "trajectory": trajectory.hexdigest(),
         "traces": traces,
         "paths": paths,
         "prox": digest_prox(zm),
@@ -537,9 +582,9 @@ def main(argv=None) -> int:
     print(f"package {os.path.dirname(zm.__file__)}")
     print(f"{raised} of the traced runs and {paths_raised} of the path runs raised NumericError")
     for name, value in sections.items():
-        print(f"{name:9s} {value}")
+        print(f"{name:10s} {value}")
     total = hashlib.sha256("".join(sections.values()).encode()).hexdigest()
-    print(f"{'total':9s} {total}")
+    print(f"{'total':10s} {total}")
     return 0
 
 
