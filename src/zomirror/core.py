@@ -143,15 +143,16 @@ class Problem:
 
 @dataclass(frozen=True)
 class GradientMapResult:
-    """Output of the generalized gradient map at a point.
+    """Output of the generalized gradient map at a point or a stack of points.
 
     ``mapped_point`` is the prox target P(x, g, eta), ``map_vector`` is
-    eta*(x - mapped_point), and ``sq_l1_norm`` is its squared l1 norm.
+    eta*(x - mapped_point), and ``sq_l1_norm`` is its squared l1 norm: a
+    float for one point, a (k,) array with one norm per row for a stack.
     """
 
     mapped_point: np.ndarray
     map_vector: np.ndarray
-    sq_l1_norm: float
+    sq_l1_norm: float | np.ndarray
 
 
 def elastic_net_value(reg: ElasticNet, x: np.ndarray) -> float:
@@ -195,13 +196,23 @@ def gradient_map(
 
     P(x, g, eta) minimizes <g, y> + r(y) + eta*B(y, x) over the feasible
     set; a small ||G||_1 certifies approximate stationarity of the
-    composite objective at x.
+    composite objective at x.  Like ``prox_composite``, it takes one point
+    of shape (d,) or a (k, d) stack of points with one eta or one eta per
+    row; each row of a stack's result equals the one-point map bit for bit.
     """
     from .mirror import prox_composite
 
     # prox_composite checks eta first of all.
     mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
     map_vector = np.asarray(x, dtype=float) - mapped
-    map_vector *= eta
-    l1 = float(np.abs(map_vector).sum())
-    return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=l1 * l1)
+    stacked = mapped.ndim == 2
+    map_vector *= np.reshape(eta, (-1, 1)) if stacked else eta
+    l1 = np.abs(map_vector).sum(axis=-1)
+    if stacked:
+        # A norm past 1e154 squares to inf quietly, as a Python float does.
+        with np.errstate(over="ignore"):
+            sq = l1 * l1
+    else:
+        l1 = float(l1)
+        sq = l1 * l1
+    return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=sq)

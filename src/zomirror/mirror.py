@@ -9,16 +9,19 @@ conjugate gradient have closed forms, and the proximal step for an elastic
 net reduces per coordinate to a soft shrinkage in the dual followed by a
 scalar Lambert-W solve.
 
-The prox solves that Lambert equation over the whole vector in one array
-call, not over a gathered subset of active coordinates.  A coordinate
-that the l1 weight zeroes carries the argument ``log_arg = -inf``:
-exp(-inf) = 0 and W(0) = 0 exactly, so it meets the residual test at the
-start, every Halley step leaves it at exactly 0, and it cannot change how
-many steps the active coordinates take.  Its magnitude 0/b - 1/d is then
-clipped to 0, which is what the shrinkage gives it.  A heavy quadratic
-weight gamma2/(eta*d) can push the Lambert argument exp(s) past the
-overflow guard although the prox itself is small; those coordinates solve
-w + ln(w) = s for w = W(exp(s)) instead.
+The prox solves that Lambert equation over the whole vector, or over a
+(k, d) stack of points with one eta per row, in one array call, not over
+a gathered subset of active coordinates; each row of a stack stops its
+Halley steps when its own coordinates converge, so it equals the prox of
+that point alone bit for bit.  A coordinate that the l1 weight zeroes
+carries the argument ``log_arg = -inf``: exp(-inf) = 0 and W(0) = 0
+exactly, so it meets the residual test at the start, every Halley step
+leaves it at exactly 0, and it cannot change how many steps the active
+coordinates take.  Its magnitude 0/b - 1/d is then clipped to 0, which
+is what the shrinkage gives it.  A heavy quadratic weight gamma2/(eta*d)
+can push the Lambert argument exp(s) past the overflow guard although
+the prox itself is small; those coordinates solve w + ln(w) = s for
+w = W(exp(s)) instead.
 """
 
 from __future__ import annotations
@@ -105,40 +108,56 @@ def bregman(geo: MirrorGeometry, y, x) -> float:
 
 def _w0_halley(z: np.ndarray) -> np.ndarray:
     """Principal Lambert branch on an array of one or more dimensions;
-    assumes z >= -1/e element-wise.
+    assumes z >= -1/e element-wise, and no -0.0 in an array with no
+    negative element (its start log1p(z) would keep the sign).
 
-    Every element takes Halley steps until all of them meet the residual
-    test; none is frozen early.  The steps run in place on buffers
-    allocated once per call.
+    On a 1-D array every element takes Halley steps until all of them
+    meet the residual test; none is frozen early.  On a (k, d) stack of
+    z >= 0 rows, a row stops once all of its own elements meet the test:
+    it is written out and leaves the working set, so each row takes the
+    steps it would take alone.  The steps run in place on buffers
+    allocated once per call (again when rows leave).
     """
-    near_branch = None
+    near_branch = False
     if z.min(initial=0.0) >= 0.0:
-        # The prox's case: log1p(max(z, 0)) is the general start on z >= 0.
-        w = np.maximum(z, 0.0)
-        np.log1p(w, out=w)
+        # The prox's case: log1p(z) is the general start on z >= 0.
+        w = np.log1p(z)
+        target = np.maximum(z, 1.0)
     else:
         w = np.where(z >= 0.0, np.log1p(np.maximum(z, 0.0)), z)
         near = z < -0.36
         if np.any(near):
-            near_branch = near
+            near_branch = True
             p = np.sqrt(2.0 * (1.0 + np.e * np.where(near, z, 0.0)))
             w = np.where(near, -1.0 + p - p * p / 3.0, w)
-
-    target = np.abs(z)
-    np.maximum(target, 1.0, out=target)
+        target = np.abs(z)
+        np.maximum(target, 1.0, out=target)
     target *= _W_TOL
-    ew, f, wp1, tmp = (np.empty_like(w) for _ in range(4))
+    ew, f, wp1, tmp = np.empty((4, *w.shape))
     met = np.empty(w.shape, dtype=bool)
+    out = rows = None
     for step in range(_W_MAX_ITER + 1):
         np.exp(w, out=ew)
         np.multiply(w, ew, out=f)
         f -= z
         if np.less_equal(np.abs(f, out=tmp), target, out=met).all():
-            return w
+            if rows is None:
+                return w
+            out[rows] = w
+            return out
         if step == _W_MAX_ITER:
             break
+        if w.ndim == 2 and len(w) > 1:
+            done = met.all(axis=1)
+            if done.any():
+                if rows is None:
+                    out, rows = np.empty_like(w), np.arange(len(w))
+                out[rows[done]] = w[done]
+                keep = ~done
+                rows, w, z, target, ew, f, met = (a[keep] for a in (rows, w, z, target, ew, f, met))
+                wp1, tmp = np.empty((2, *w.shape))
         np.add(w, 1.0, out=wp1)
-        if near_branch is not None:
+        if near_branch:
             # An element solved exactly on the branch point has wp1 = 0 and
             # f = 0, so its Halley step would be 0/0 while the rest of the
             # array still converges.  A unit wp1 makes that step exactly
@@ -177,25 +196,32 @@ def _w0_of_exp(s: np.ndarray) -> np.ndarray:
 def lambert_w0(z):
     """Principal branch of the Lambert function: w with w * exp(w) = z.
 
-    Accepts a scalar or an array; defined for z >= -1/e.  The residual
-    |w * exp(w) - z| is driven below 1e-12 * max(1, |z|).
+    Accepts a scalar or an array; defined for z >= -1/e, so NaN is
+    rejected too.  The residual |w * exp(w) - z| is driven below
+    1e-12 * max(1, |z|).
     """
     arr = np.asarray(z, dtype=float)
-    if np.any(arr < _NEG_INV_E):
+    if not (arr >= _NEG_INV_E).all():
         raise ValueError("lambert_w0 domain is z >= -1/e")
     if np.any(arr > 1e300):
         raise NumericError("lambert_w0 overflow: z too large")
-    w = _w0_halley(arr.reshape(-1)).reshape(arr.shape)
+    # Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
+    w = _w0_halley(arr.reshape(-1) + 0.0).reshape(arr.shape)
     if np.ndim(z) == 0:
         return float(w)
     return w
+
+
+def _rows_apart(geo, x_t, g, eta, reg, feasible_set) -> np.ndarray:
+    """A stack's prox solved one row at a time; eta is a (k, 1) column."""
+    return np.stack([prox_composite(geo, x, gi, e, reg, feasible_set) for x, gi, (e,) in zip(x_t, g, eta)])
 
 
 def prox_composite(
     geo: MirrorGeometry,
     x_t,
     g,
-    eta: float,
+    eta,
     reg: ElasticNet,
     feasible_set: FeasibleSet,
 ) -> np.ndarray:
@@ -208,12 +234,33 @@ def prox_composite(
     gamma1/eta, which is a Lambert-W evaluation (a plain exponential when
     gamma2 = 0).  Box constraints clamp the result coordinate-wise, valid
     because each scalar objective is convex.
+
+    ``x_t`` and ``g`` are one point of shape (d,) with a scalar ``eta``,
+    or a (k, d) stack of points, one per row, with ``eta`` a scalar or a
+    sequence of k step weights, one per row.  Each row of a stack's
+    result equals the one-point prox of that row bit for bit, and a stack
+    raises what its first failing row raises alone: ValueError for a NaN
+    in ``x_t`` or ``g``, NumericError for an overflow.  Rows that straddle
+    the switch to the gamma2 = 0 formula, or reach the log-space Lambert
+    solve, are solved one at a time.
     """
-    _check_scale("eta", eta)
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
-    if x_t.shape != g.shape or x_t.shape != (geo.dimension,):
-        raise ValueError("x_t and g must both have shape (dimension,)")
+    stacked = x_t.ndim == 2
+    if stacked:
+        eta = np.asarray(eta, dtype=float)
+        for e in eta.reshape(-1):
+            _check_scale("eta", e)
+    else:
+        _check_scale("eta", eta)
+    if x_t.shape != g.shape or x_t.shape[-1:] != (geo.dimension,) or x_t.ndim > 2 or not len(x_t):
+        raise ValueError("x_t and g must both have shape (dimension,) or (k, dimension) with k >= 1")
+    if stacked:
+        if eta.ndim and eta.shape != (len(x_t),):
+            raise ValueError("a stack takes one eta or one eta per row")
+        # Per-row scalars as a (k, 1) column: elementwise, they are the
+        # one-point call's Python-float values.
+        eta = np.broadcast_to(eta.reshape(-1, 1), (len(x_t), 1))
 
     # z = mirror_map(x_t) - g/eta, built in place; s is the second buffer.
     z = np.abs(x_t)
@@ -224,8 +271,12 @@ def prox_composite(
     np.divide(g, eta, out=s)
     z -= s
     abs_z = np.abs(z, out=s)
-    # fmax skips NaN, so this is any(abs_z > _LN_CAP) in one reduction.
-    if np.fmax.reduce(abs_z) > _LN_CAP:
+    # maximum propagates NaN, so one reduction also catches a NaN.
+    if not np.maximum.reduce(abs_z, axis=None) <= _LN_CAP:
+        if stacked:
+            return _rows_apart(geo, x_t, g, eta, reg, feasible_set)
+        if np.isnan(x_t).any() or np.isnan(g).any():
+            raise ValueError("x_t and g must not hold NaN")
         raise NumericError("prox overflow: dual point too large")
     sign_z = np.sign(z, out=z)
 
@@ -234,18 +285,29 @@ def prox_composite(
     q -= reg.gamma1 / eta
     b = reg.gamma2 / eta
     ab = geo.inv_d * b
-    if ab < _MIN_NORMAL:
+    small = ab < _MIN_NORMAL
+    if stacked:
+        if small.any() != small.all():
+            return _rows_apart(geo, x_t, g, eta, reg, feasible_set)
+        small = small[0, 0]
+    if small:
         # gamma2 = 0, or (1/d)*gamma2/eta underflows to 0 or to a subnormal
         # too coarse for ln(ab); the quadratic term is then negligible and
-        # drops out.  fmax sends q <= 0 and NaN to +0, and expm1(+0) = +0.
+        # drops out.  fmax sends q <= 0 to +0, and expm1(+0) = +0.
         magnitude = np.expm1(np.fmax(q, 0.0, out=q), out=q)
         magnitude *= geo.inv_d
     else:
         active = q > 0.0
-        q += np.log(ab) + ab
+        if stacked:
+            # ln(ab) + ab row by row on Python floats, as for one point.
+            q += np.array([np.log(v) + v for v in ab[:, 0].tolist()])[:, None]
+        else:
+            q += np.log(ab) + ab
         log_arg = np.where(active, q, -np.inf)
         big = None
-        if np.fmax.reduce(log_arg) > _LN_CAP:
+        if np.fmax.reduce(log_arg, axis=None) > _LN_CAP:
+            if stacked:
+                return _rows_apart(geo, x_t, g, eta, reg, feasible_set)
             # exp(log_arg) would overflow on these coordinates, so they
             # solve in log space; the Halley call sees them as W(0) = 0.
             big = log_arg > _LN_CAP

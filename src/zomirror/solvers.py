@@ -17,11 +17,13 @@ Evaluation is reporting, not part of the algorithm: the objective at each
 iterate and, when the problem has an exact gradient, the squared l1 norm
 of its gradient map.  Iterates wait in a buffer of at most _EVAL_FLOATS
 floats (one row when d is larger), and a full buffer, or the last one,
-costs one mean_loss and one exact_gradient call on the (k, d) stack.  The
-trajectory never depends on it.  Errors keep the order of a loop that
-evaluates x_t before it estimates at x_t: when the estimator or the step
-fails at iteration t, the buffered iterates up to x_t are evaluated first,
-and an evaluation error among them is the one raised.
+costs one mean_loss and one exact_gradient call on the (k, d) stack and
+one gradient_map call per chunk of at most _MAP_FLOATS floats of the rows
+whose map is due.  The trajectory never depends on it.  Errors keep the
+order of a loop that evaluates x_t before it estimates at x_t: when the
+estimator or the step fails at iteration t, the buffered iterates up to
+x_t are evaluated first, and an evaluation error among them is the one
+raised.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ _ITERATE_STORE_LIMIT = 4_000_000
 # Most floats in one block of iterates evaluated together (a single iterate
 # when d is larger): 512 KB, 32 iterates at d = 2000.
 _EVAL_FLOATS = 65_536
+
+# Most floats in one gradient_map call over a block's due rows (a single
+# row when d is larger): 64 KB, 16 rows at d = 500 and 4 at d = 2000.
+_MAP_FLOATS = 8_192
 
 # alpha_{t+1} from (accum, t, m): the accumulator after iteration t's move,
 # the iteration and the batch size.
@@ -306,42 +312,48 @@ def _evaluate(
 
     The gradient is kept only where ``track`` asks for it; the stationarity,
     the squared l1 norm of the gradient map, only at iterates its period
-    selects.  One mean_loss and one exact_gradient call cover the stack.
-    Errors come as if each iterate were evaluated alone, in order: the
-    NumericError names the first failing iterate and, within it, the first
-    failing layer of objective, exact gradient and gradient map.  When a
-    hook fails on the stack, the rows are evaluated again one at a time to
-    find that iterate.
+    selects.  One mean_loss and one exact_gradient call cover the stack,
+    and one gradient_map call per chunk of at most _MAP_FLOATS floats of
+    the rows whose map is due.  Errors come as if each iterate were
+    evaluated alone, in order: the NumericError names the first failing
+    iterate and, within it, the first failing layer of objective, exact
+    gradient and gradient map.  When a call fails on a stack, the rows are
+    evaluated again one at a time to find that iterate.
     """
     has_grad = problem.exact_gradient is not None
-    # Rows start, start + step, ... need an exact gradient.
+    # Rows start, start + step, ... need an exact gradient, and rows due,
+    # due + period, ... a gradient map.
     step = 1 if track else period
     start = (1 - first) % step
+    due = (1 - first) % period
+    stationarity = [None] * len(X)
+    layer = "objective"
     try:
         objectives = _objective(problem, X)
         if has_grad and start < len(X):
-            grads = _exact_gradient(problem, X if step == 1 else X[start::step])
-        whole = True
-    except NumericError:
-        whole = False
-    results = []
-    for i, x in enumerate(X):
-        t = first + i
-        grad = stationarity = None
-        try:
-            layer = "objective"
-            objective = objectives[i] if whole else _objective(problem, X[i : i + 1])[0]
             layer = "exact gradient"
-            if has_grad and (i - start) % step == 0:
-                grad = grads[(i - start) // step] if whole else _exact_gradient(problem, X[i : i + 1])[0]
+            grads = _exact_gradient(problem, X if step == 1 else X[start::step])
             layer = "gradient map"
-            if has_grad and (t - 1) % period == 0:
-                result = gradient_map(x, grad, etas[i], geo, problem.regularizer, problem.feasible_set)
-                stationarity = result.sq_l1_norm
-        except NumericError as exc:
-            raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
-        results.append((objective, stationarity, grad if track else None))
-    return results
+            X_due, G_due, etas_due = X[due::period], grads[due::period] if track else grads, etas[due::period]
+            rows = max(1, _MAP_FLOATS // problem.dimension)
+            maps = []
+            for i in range(0, len(X_due), rows):
+                chunk = slice(i, i + rows)
+                result = gradient_map(
+                    X_due[chunk], G_due[chunk], etas_due[chunk], geo, problem.regularizer, problem.feasible_set
+                )
+                maps += result.sq_l1_norm.tolist()
+            stationarity[due::period] = maps
+    except NumericError as exc:
+        if len(X) == 1:
+            raise NumericError(f"{exc} at iteration {first} in {layer}", iteration=first, layer=layer) from exc
+        return [
+            _evaluate(problem, geo, X[i : i + 1], first + i, etas[i : i + 1], period, track)[0] for i in range(len(X))
+        ]
+    return [
+        (objective, sq, grads[i] if track else None)
+        for i, (objective, sq) in enumerate(zip(objectives, stationarity))
+    ]
 
 
 def _start_point(problem: Problem) -> np.ndarray:

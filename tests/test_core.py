@@ -182,6 +182,15 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="eta must be positive"):
             gradient_map(np.zeros(1), np.zeros(1), math.nan, self.geo, self.none, self.free)
 
+    @pytest.mark.parametrize("where", ["x", "g"])
+    def test_rejects_nan_entry(self, where):
+        # The norm once read NaN for a NaN entry of x or g.
+        x = np.array([0.1, 0.2, 0.3])
+        g = np.zeros(3)
+        (x if where == "x" else g)[0] = math.nan
+        with pytest.raises(ValueError, match="must not hold NaN"):
+            gradient_map(x, g, 1.0, MirrorGeometry(3), ElasticNet(0.1, 0.0), self.free)
+
     def test_rejects_infinite_eta(self):
         # The map vector would be 0*inf: sq_l1_norm read inf or NaN.
         with pytest.raises(ValueError, match="eta must be positive"):

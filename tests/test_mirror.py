@@ -194,6 +194,18 @@ class TestLambertW:
         with pytest.raises(NumericError):
             lambert_w0(1e301)
 
+    @pytest.mark.parametrize("z", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_is_outside_the_domain(self, z):
+        # NaN fails every comparison, so it once passed the domain check and
+        # took 50 Halley steps before "failed to converge".
+        with pytest.raises(ValueError, match="domain"):
+            lambert_w0(z)
+
+    def test_negative_zero_returns_positive_zero(self):
+        # The start log1p(z) would keep -0.0; the Halley start of every
+        # other input in the same array must not see the sign either.
+        assert np.signbit(lambert_w0(np.array([-0.0, 1.0]))).tolist() == [False, False]
+
 
 class TestProxComposite:
     def test_dead_zone_snaps_to_zero(self):
@@ -331,6 +343,54 @@ class TestProxComposite:
         geo = MirrorGeometry(1)
         with pytest.raises(NumericError, match="prox overflow: Lambert argument too large"):
             prox_composite(geo, np.zeros(1), np.array([-1e-300]), 1e-300, ElasticNet(0.0, 1e300), FREE)
+
+    @pytest.mark.parametrize("where", ["x_t", "g"])
+    def test_nan_entry_is_rejected(self, where):
+        # A NaN once slipped past the overflow guard (fmax skips NaN), so the
+        # prox returned a NaN coordinate beside finite ones.
+        x = np.array([0.1, 0.2, 0.3])
+        g = np.zeros(3)
+        (x if where == "x_t" else g)[1] = math.nan
+        with pytest.raises(ValueError, match="must not hold NaN"):
+            prox_composite(MirrorGeometry(3), x, g, 1.0, ElasticNet(0.1, 0.0), FREE)
+
+    def test_nan_beside_an_overflow_is_still_a_nan(self):
+        x = np.array([0.1, math.nan])
+        g = np.array([-1e300, 0.0])
+        with pytest.raises(ValueError, match="must not hold NaN"):
+            prox_composite(MirrorGeometry(2), x, g, 1.0, ElasticNet(), FREE)
+
+    def test_infinite_entry_is_an_overflow(self):
+        # inf - inf makes the dual point NaN, but no input is NaN.
+        with pytest.raises(NumericError, match="dual point too large"), np.errstate(invalid="ignore"):
+            prox_composite(MirrorGeometry(1), np.array([math.inf]), np.array([math.inf]), 1.0, ElasticNet(), FREE)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["overflow-first", "nan-first"])
+    def test_stack_raises_its_first_failing_row(self, order):
+        rows = [(np.array([0.1, 0.2]), np.zeros(2)), (np.array([0.1, 0.2]), np.array([-1e300, 0.0]))]
+        rows.append((np.array([0.1, math.nan]), np.zeros(2)))
+        X, G = (np.array([rows[i][j] for i in order]) for j in (0, 1))
+        error = NumericError if order[1] == 1 else ValueError
+        with pytest.raises(error, match="dual point too large" if error is NumericError else "NaN"):
+            prox_composite(MirrorGeometry(2), X, G, [1.0, 2.0, 3.0], ElasticNet(0.1, 0.1), FREE)
+
+    def test_stack_takes_one_eta_for_all_rows(self):
+        gen = np.random.default_rng(8)
+        X, G = gen.standard_normal((2, 3, 5))
+        reg = ElasticNet(0.1, 0.2)
+        got = prox_composite(MirrorGeometry(5), X, G, 0.7, reg, FREE)
+        want = [prox_composite(MirrorGeometry(5), x, g, 0.7, reg, FREE) for x, g in zip(X, G)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_stack_validation_errors(self):
+        geo = MirrorGeometry(2)
+        with pytest.raises(ValueError, match="one eta per row"):
+            prox_composite(geo, np.zeros((3, 2)), np.zeros((3, 2)), [1.0, 1.0], ElasticNet(), FREE)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            prox_composite(geo, np.zeros((2, 2)), np.zeros((2, 2)), [1.0, math.nan], ElasticNet(), FREE)
+        for shape in [(0, 2), (2, 3), (1, 2, 2)]:
+            with pytest.raises(ValueError, match="must both have shape"):
+                prox_composite(geo, np.zeros(shape), np.zeros(shape), 1.0, ElasticNet(), FREE)
 
     def test_validation_errors(self):
         geo = MirrorGeometry(2)

@@ -8,8 +8,9 @@ Lambert argument past the overflow guard and a degenerate gamma2/eta.
 There the package's prox must meet the golden-section ``prox_reference``.
 The inputs cover both elastic-net branches,
 no, some or all coordinates active, no box and boxes that contain zero,
-end at zero or exclude it, eta over six decades, d from 1 to 2000, dual
-points at the overflow guards and NaN entries.
+end at zero or exclude it, eta over six decades, d from 1 to 2000 and dual
+points at the overflow guards.  A NaN entry, which the frozen prox lets
+through to a NaN coordinate, must raise ValueError.
 """
 
 import math
@@ -22,11 +23,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zomirror import ElasticNet, FeasibleSet, MirrorGeometry, NumericError, lambert_w0, prox_composite
+from zomirror import ElasticNet, FeasibleSet, MirrorGeometry, NumericError, gradient_map, lambert_w0, prox_composite
 
 from oracles import prox_composite_reference, prox_reference, w0_halley_reference
 
 LN_CAP = float(np.log(1e300))
+MIN_NORMAL = sys.float_info.min
 LAMBERT_OVERFLOW = "NumericError: prox overflow: Lambert argument too large"
 BRANCH = -1.0 / math.e
 
@@ -93,6 +95,12 @@ def prox_inputs(seed, d, log_eta, gamma2, active, box, at_cap, nan):
 @example(seed=2, d=50, log_eta=0.0, gamma2=0.0625, active="none", box="edge", at_cap=False, nan=True)
 def test_prox_matches_frozen_reference(seed, d, log_eta, gamma2, active, box, at_cap, nan):
     x, g, eta, gamma1, gamma2, fs = prox_inputs(seed, d, log_eta, gamma2, active, box, at_cap, nan)
+    if nan:
+        # The frozen copy lets a NaN entry through to a NaN coordinate; the
+        # kernel rejects it.
+        with pytest.raises(ValueError, match="must not hold NaN"):
+            prox_composite(MirrorGeometry(d), x, g, eta, ElasticNet(gamma1, gamma2), fs)
+        return
     got = outcome(lambda: prox_composite(MirrorGeometry(d), x, g, eta, ElasticNet(gamma1, gamma2), fs))
     want = outcome(lambda: prox_composite_reference(d, x, g, eta, gamma1, gamma2, fs))
     if want != LAMBERT_OVERFLOW:
@@ -100,14 +108,10 @@ def test_prox_matches_frozen_reference(seed, d, log_eta, gamma2, active, box, at
         return
     # The frozen copy gives up where exp(log_arg) overflows; the kernel
     # solves those coordinates in log space, so it must meet the
-    # golden-section reference there (acceptance 01's 1e-6).  A NaN entry
-    # still gives a NaN coordinate.
-    with np.errstate(invalid="ignore"):
-        result = prox_composite(MirrorGeometry(d), x, g, eta, ElasticNet(gamma1, gamma2), fs)
-    finite = np.isfinite(x) & np.isfinite(g)
-    assert np.all(np.isnan(result[~finite]))
-    ref = prox_reference(d, x, g, eta, gamma1, gamma2, fs.lo, fs.hi)[finite]
-    assert np.all(np.abs(result[finite] - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
+    # golden-section reference there (acceptance 01's 1e-6).
+    result = prox_composite(MirrorGeometry(d), x, g, eta, ElasticNet(gamma1, gamma2), fs)
+    ref = prox_reference(d, x, g, eta, gamma1, gamma2, fs.lo, fs.hi)
+    assert np.all(np.abs(result - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize(
@@ -182,3 +186,80 @@ def test_lambert_w0_matches_frozen_reference_on_mixed_arrays(seed, size, branch_
     z[gen.uniform(size=size) < branch_share] = BRANCH
     z[gen.integers(size)] = BRANCH
     assert outcome(lambda: lambert_w0(z)) == outcome(lambda: w0_halley_reference(z))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def stack_inputs(seed, k, d, gamma2_kind, box, rare):
+    """A (k, d) stack with per-row eta over six decades and one shared
+    elastic net and feasible set.  About a third of the rows lie wholly
+    inside the l1 dead zone (no Halley step) while the others need one or
+    more.  ``rare`` puts rows 0 and 1 on both sides of the switch to the
+    gamma2 = 0 formula, or row 0 past the log-space Lambert guard."""
+    gen = np.random.default_rng(seed)
+    if rare != "none":
+        k = max(k, 2)
+    etas = 10.0 ** gen.uniform(-3, 3, k)
+    gamma1 = 0.0 if gen.uniform() < 0.3 else 10.0 ** gen.uniform(-4, 1)
+    gamma2 = {"zero": 0.0, "some": 10.0 ** gen.uniform(-4, 1)}[gamma2_kind]
+    if rare == "switch":
+        etas[:2] = 1e-3, 1e3
+        gamma2 = MIN_NORMAL * d  # (1/d)*gamma2/eta is 1e3 and 1e-3 normals
+    elif rare == "guard":
+        gamma2 = 1000.0 * d * etas[0]  # (1/d)*gamma2/eta_0 = 1000
+    X = 10.0 ** gen.uniform(-3, 1, (k, 1)) * gen.standard_normal((k, d))
+    magnitudes = 10.0 ** gen.uniform(-3, math.log10(LN_CAP) - 1e-3, (k, d))
+    dead = gen.uniform(size=k) < 0.35
+    if rare == "guard":
+        dead[0] = False
+    magnitudes[dead] = gen.uniform(0.0, 1.0, (dead.sum(), d)) * (gamma1 / etas[dead])[:, None]
+    target = magnitudes * gen.choice([-1.0, 1.0], (k, d))
+    G = etas[:, None] * (np.log1p(d * np.abs(X)) * np.sign(X) - target)
+    fs = FeasibleSet() if box == "none" else FeasibleSet.box(*box_around_zero(gen, d, box))
+    return X, G, etas, ElasticNet(gamma1, gamma2), fs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    d=st.one_of(st.integers(1, 8), st.sampled_from([50, 500, 2000])),
+    gamma2_kind=st.sampled_from(["zero", "some"]),
+    box=st.sampled_from(["none", "contains", "edge", "excludes"]),
+    rare=st.sampled_from(["none", "none", "switch", "guard"]),
+)
+@example(seed=3, k=6, d=500, gamma2_kind="some", box="none", rare="none")
+@example(seed=4, k=3, d=2000, gamma2_kind="some", box="edge", rare="switch")
+@example(seed=5, k=4, d=50, gamma2_kind="some", box="contains", rare="guard")
+def test_stacked_rows_match_one_point_calls(seed, k, d, gamma2_kind, box, rare):
+    """Each row of a stacked prox_composite and gradient_map equals the
+    one-point call bit for bit, and the frozen prox wherever that applies
+    (not past the Lambert guard, nor where (1/d)*gamma2/eta is subnormal);
+    a stack raises what its first failing row raises."""
+    X, G, etas, reg, fs = stack_inputs(seed, k, d, gamma2_kind, box, rare)
+    geo = MirrorGeometry(d)
+    ones = [outcome(lambda i=i: prox_composite(geo, X[i], G[i], etas[i], reg, fs)) for i in range(len(X))]
+    failed = [one for one in ones if isinstance(one, str)]
+    stacked = outcome(lambda: prox_composite(geo, X, G, etas, reg, fs))
+    if failed:
+        assert stacked == failed[0]
+        return
+    with np.errstate(all="ignore"):
+        P = prox_composite(geo, X, G, etas, reg, fs)
+        M = gradient_map(X, G, etas, geo, reg, fs)
+    assert P.shape == M.mapped_point.shape == M.map_vector.shape == X.shape
+    assert M.sq_l1_norm.shape == (len(X),)
+    for i, (x, g, eta) in enumerate(zip(X, G, etas)):
+        assert np.array_equal(bits(P[i]), bits(np.frombuffer(ones[i])))
+        with np.errstate(all="ignore"):
+            one = gradient_map(x, g, eta, geo, reg, fs)
+        assert np.array_equal(bits(M.mapped_point[i]), bits(one.mapped_point))
+        assert np.array_equal(bits(M.map_vector[i]), bits(one.map_vector))
+        assert bits(M.sq_l1_norm[i]) == bits(one.sq_l1_norm)
+        if reg.gamma2 == 0.0 or reg.gamma2 / eta / d >= MIN_NORMAL:
+            want = outcome(lambda: prox_composite_reference(d, x, g, eta, reg.gamma1, reg.gamma2, fs))
+            if want != LAMBERT_OVERFLOW:
+                assert ones[i] == want
+

@@ -28,7 +28,7 @@ from zomirror import (
     storm_momentum_update,
     storm_schedule,
 )
-from zomirror import rng
+from zomirror import rng, solvers
 from zomirror.problems import sparse_regression_design
 from zomirror.solvers import ALGORITHM_TABLE, stepsize_update
 
@@ -655,7 +655,8 @@ class TestOutputSampling:
 
 class TestBlockEvaluation:
     """Iterates are evaluated in blocks of at most 65,536 floats, 32 rows at
-    d = 2000, with one mean_loss and one exact_gradient call per block."""
+    d = 2000, with one mean_loss and one exact_gradient call per block and
+    one gradient_map call per chunk of at most 8,192 floats of its due rows."""
 
     @staticmethod
     def spied(problem, seen):
@@ -763,6 +764,68 @@ class TestBlockEvaluation:
         prob = draining_problem(mean_loss=mean_loss)
         with pytest.raises(NumericError, match="^mean_loss refused the stack at iteration 3 in objective$"):
             run_zo_ada_expgrad(prob, cfg)
+
+    @pytest.mark.parametrize("period", [1, 3])
+    @pytest.mark.parametrize("runner", [run_zo_ada_expgrad, run_zo_expstorm], ids=["untracked", "tracked"])
+    def test_gradient_map_takes_chunks_of_the_due_rows(self, monkeypatch, runner, period):
+        # d = 500: blocks of 131 rows (65,536 floats) and maps over chunks of
+        # at most 16 rows (8,192 floats).  T = 140 is a full block and 9 rows.
+        design = sparse_regression_design(500, 60, 5, 0.1, "least_squares", seed=3)
+        prob = design.to_problem(ElasticNet(0.01, 1e-4))
+        calls = []
+
+        def spy(x, g, eta, *args):
+            result = gradient_map(x, g, eta, *args)
+            calls.append((np.array(x), list(eta), result.sq_l1_norm.tolist()))
+            return result
+
+        monkeypatch.setattr(solvers, "gradient_map", spy)
+        trace = runner(prob, RunConfig(T=140, batch=1, eta_base=0.5, seed=4, stationarity_eval_period=period))
+        assert (trace.tracking_sq is not None) == (runner is run_zo_expstorm)
+        due = [[t for t in block if (t - 1) % period == 0] for block in (range(1, 132), range(132, 141))]
+        want = [len(rows[i : i + 16]) for rows in due for i in range(0, len(rows), 16)]
+        assert [len(x) for x, _, _ in calls] == want
+        assert all(x.ndim == 2 and x.size <= 8192 for x, _, _ in calls)
+        rows = sum(due, [])
+        assert np.array_equal(np.concatenate([x for x, _, _ in calls]), np.array(trace.iterates)[np.array(rows) - 1])
+        assert sum((eta for _, eta, _ in calls), []) == [trace.records[t - 1].eta for t in rows]
+        maps = sum((sq for _, _, sq in calls), [])
+        assert [r.stationarity_sq_l1 for r in trace.records if r.stationarity_sq_l1 is not None] == maps
+        assert [r.iteration for r in trace.records if r.stationarity_sq_l1 is not None] == rows
+
+    def test_gradient_map_error_in_a_chunk_names_its_row(self):
+        # x_1..x_5 share one chunk; the gradient at x_3 sends its dual point
+        # past the prox's guard, so the row-by-row pass names iteration 3.
+        cfg = RunConfig(T=5, batch=1)
+        x_2, x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1:3]
+        prob = draining_problem(exact_gradient=fails_at(x_3, [1e300, 0.0], [0.0, 0.0]))
+        with pytest.raises(NumericError) as info:
+            run_zo_ada_expgrad(prob, cfg)
+        assert str(info.value) == "prox overflow: dual point too large at iteration 3 in gradient map"
+        assert (info.value.iteration, info.value.layer) == (3, "gradient map")
+        # An objective error at an earlier row of the same block still wins.
+        prob = dataclasses.replace(prob, mean_loss=fails_at(x_2, math.inf, 0.0))
+        with pytest.raises(NumericError, match="at iteration 2 in objective$") as info:
+            run_zo_ada_expgrad(prob, cfg)
+        assert (info.value.iteration, info.value.layer) == (2, "objective")
+
+    @pytest.mark.parametrize("tag", ["zo-ada-expgrad", "zo-ada-expgrad-plus", "zo-expstorm"])
+    def test_step_prox_sees_only_single_points(self, monkeypatch, tag):
+        # The step's prox takes one point at a time; stacks go to the
+        # gradient map's own prox only.
+        design = sparse_regression_design(50, 30, 5, 0.1, "least_squares", seed=1)
+        prob = design.to_problem(ElasticNet(0.01, 1e-4))
+        shapes = []
+
+        def spy(geo, x_t, g, eta, *args):
+            shapes.append((np.shape(x_t), np.shape(g), np.ndim(eta)))
+            return prox_composite(geo, x_t, g, eta, *args)
+
+        monkeypatch.setattr(solvers, "prox_composite", spy)
+        trace = RUNNERS[tag](prob, RunConfig(T=40, batch=2, eta_base=0.5))
+        assert all(r.stationarity_sq_l1 is not None for r in trace.records)
+        assert set(shapes) == {((50,), (50,), 0)}
+        assert len(shapes) == 40
 
     def test_hooks_must_return_one_value_per_row(self):
         with pytest.raises(ValueError, match="mean_loss must return one loss per row"):

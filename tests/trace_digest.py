@@ -37,8 +37,12 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   evaluates them in blocks run the same failing runs.
 * ``prox``: 3,000 random ``prox_composite`` calls (both elastic-net
   branches, no box and boxes that contain, straddle or exclude zero, eta
-  over six decades, d up to 2000) and 200 ``lambert_w0`` calls on mixed
-  arrays that hold the branch point.
+  over six decades, d up to 2000), each again as the first row of a
+  stack of 1 to 7 rows with one eta per row, every row's outcome folded
+  in; then 200 ``lambert_w0`` calls on mixed arrays that hold the branch
+  point.  A package whose prox takes no stacks, or a stack that raises,
+  gives its rows from one-row calls, so a checkout with stacks and one
+  without compare on the same outcomes.
 * ``estimates``: ``minibatch_gradient`` and ``paired_storm_estimates``
   (vectors and call counts) on the least-squares, robust and PN oracles
   at d in {1, 2, 7, 8191, 8192, 8193}.  Where a row block holds more
@@ -275,9 +279,38 @@ def _box(gen, d, shape):
     return np.where(lo > 0, lo, lo - span), np.where(lo > 0, lo + span, lo)
 
 
+def _prox_outcome(zm, geo, x, g, eta, reg, fs) -> bytes:
+    try:
+        return _array_bytes(zm.prox_composite(geo, x, g, eta, reg, fs))
+    except zm.NumericError as exc:
+        return _root_message(exc).encode()
+
+
+def _takes_stacks(zm) -> bool:
+    """Whether the package's prox_composite takes a (k, d) stack with one eta per row."""
+    try:
+        zm.prox_composite(zm.MirrorGeometry(1), np.zeros((2, 1)), np.zeros((2, 1)), [1.0, 2.0], zm.ElasticNet(), zm.FeasibleSet())
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _stack_outcomes(zm, stacks, geo, X, G, etas, reg, fs) -> list[bytes]:
+    """Each row's prox outcome: from one stacked call where the package
+    takes stacks and the stack raises nothing, else from one-row calls."""
+    if stacks:
+        try:
+            return [_array_bytes(row) for row in zm.prox_composite(geo, X, G, etas, reg, fs)]
+        except zm.NumericError:
+            pass
+    return [_prox_outcome(zm, geo, x, g, eta, reg, fs) for x, g, eta in zip(X, G, etas)]
+
+
 def digest_prox(zm) -> str:
     h = hashlib.sha256()
     gen = np.random.default_rng(20260)
+    stack_gen = np.random.default_rng(20261)
+    stacks = _takes_stacks(zm)
     for _ in range(3000):
         d = int(gen.choice([1, 2, 5, 50, 500, 2000]))
         geo = zm.MirrorGeometry(d)
@@ -291,12 +324,17 @@ def digest_prox(zm) -> str:
         fs = zm.FeasibleSet() if shape == "none" else zm.FeasibleSet.box(*_box(gen, d, shape))
         if shape != "none":
             x = fs.clamp(x)
-        try:
-            with np.errstate(all="ignore"):
-                result = _array_bytes(zm.prox_composite(geo, x, g, eta, zm.ElasticNet(gamma1, gamma2), fs))
-        except zm.NumericError as exc:
-            result = _root_message(exc).encode()
-        h.update(result)
+        reg = zm.ElasticNet(gamma1, gamma2)
+        with np.errstate(all="ignore"):
+            h.update(_prox_outcome(zm, geo, x, g, eta, reg, fs))
+            # The same call again as the first row of a stack of 1 to 7 rows,
+            # the others drawn alike, each with its own eta.
+            k = int(stack_gen.integers(1, 8))
+            X = np.vstack([x, 10.0 ** stack_gen.uniform(-3, 1, (k - 1, 1)) * stack_gen.standard_normal((k - 1, d))])
+            G = np.vstack([g, 10.0 ** stack_gen.uniform(-3, 3, (k - 1, 1)) * stack_gen.standard_normal((k - 1, d))])
+            etas = [eta, *(10.0 ** stack_gen.uniform(-3, 3, k - 1)).tolist()]
+            for row in _stack_outcomes(zm, stacks, geo, fs.clamp(X), G, etas, reg, fs):
+                h.update(row)
     branch = -math.exp(-1.0)
     for _ in range(200):
         size = int(gen.integers(1, 17))
