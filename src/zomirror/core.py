@@ -99,7 +99,9 @@ class FeasibleSet:
     def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
         if not self.is_box:
             return True
-        return bool(np.all(x >= self.lo - atol) and np.all(x <= self.hi + atol))
+        lo, hi = (self.lo, self.hi) if atol == 0.0 else (self.lo - atol, self.hi + atol)
+        every = np.logical_and.reduce
+        return bool(every(x >= lo, axis=None) and every(x <= hi, axis=None))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         if not self.is_box:

@@ -252,7 +252,13 @@ def prox_composite(
         for e in eta.reshape(-1):
             _check_scale("eta", e)
     else:
+        # One scalar, used as a Python float as a stack's rows are: in
+        # float32, gamma2/eta = 0 would not count as small.  A float
+        # (np.float64 included) skips np.ndim's array conversion.
+        if not isinstance(eta, float) and np.ndim(eta):
+            raise ValueError("one point takes one scalar eta")
         _check_scale("eta", eta)
+        eta = float(eta)
     if x_t.shape != g.shape or x_t.shape[-1:] != (geo.dimension,) or x_t.ndim > 2 or not len(x_t):
         raise ValueError("x_t and g must both have shape (dimension,) or (k, dimension) with k >= 1")
     if stacked:

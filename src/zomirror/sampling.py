@@ -134,7 +134,8 @@ def _draw(stream: np.random.Generator, m: int, d: int) -> tuple[np.ndarray, list
 def _batch_estimates(
     problem: Problem, points: tuple, cfg: EstimatorConfig, key: tuple
 ) -> tuple[GradientEstimate, ...]:
-    """Batch estimates at each of ``points``, all on the key's (u, xi) pairs.
+    """Batch estimates at one point, or at the pair (x_t, x_prev), all on
+    the key's (u, xi) pairs.
 
     Per element the oracle sees each point's forward point, then the point
     itself; each point's terms are summed in ascending element order.  The
@@ -143,7 +144,7 @@ def _batch_estimates(
     point adds the block's terms to that point's total.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
-    oracle = problem.oracle
+    oracle, isfinite = problem.oracle, math.isfinite
     packed, xis = _draw(rng.rekey(_thread.generator, *key), m, d)
     totals = [np.zeros(d) for _ in points]
     rows = min(m, max(1, _BLOCK_SIGNS // d))
@@ -164,16 +165,37 @@ def _batch_estimates(
         for x, block in zip(points, blocks):
             np.multiply(signs, nu, out=block)
             block += x
+        ids = xis[j0:j1]
         coefs = [[1.0] for _ in points]
-        for j, xi in enumerate(xis[j0:j1]):
-            for x, block, coef in zip(points, blocks, coefs):
-                forward = oracle(block[j], xi)
-                if not math.isfinite(forward):
+        if len(points) == 1:
+            (x,), (block,), (coef,) = points, blocks, coefs
+            append = coef.append
+            for row, xi in zip(block, ids):
+                forward = oracle(row, xi)
+                if not isfinite(forward):
                     raise _nonfinite(xi)
                 base = oracle(x, xi)
-                if not math.isfinite(base):
+                if not isfinite(base):
                     raise _nonfinite(xi)
-                coef.append((forward - base) / nu)
+                append((forward - base) / nu)
+        else:
+            (x, y), (block, block_y), (coef, coef_y) = points, blocks, coefs
+            append, append_y = coef.append, coef_y.append
+            for row, row_y, xi in zip(block, block_y, ids):
+                forward = oracle(row, xi)
+                if not isfinite(forward):
+                    raise _nonfinite(xi)
+                base = oracle(x, xi)
+                if not isfinite(base):
+                    raise _nonfinite(xi)
+                append((forward - base) / nu)
+                forward = oracle(row_y, xi)
+                if not isfinite(forward):
+                    raise _nonfinite(xi)
+                base = oracle(y, xi)
+                if not isfinite(base):
+                    raise _nonfinite(xi)
+                append_y((forward - base) / nu)
         for total, coef in zip(totals, coefs):
             if d > 1:
                 stack[0] = total

@@ -43,7 +43,6 @@ from .core import (
     _check_scale,
     _is_integer,
     composite_value,
-    elastic_net_value,
     gradient_map,
 )
 from .mirror import MirrorGeometry, prox_composite
@@ -219,8 +218,10 @@ def stepsize_update(
     """
     if rule is None:
         return alpha, accum
-    lam = 1.0 / (max(float(np.sum(np.abs(x))), float(np.sum(np.abs(y)))) + 1.0)
-    accum += (lam * alpha * float(np.sum(np.abs(y - x)))) ** 2
+    # np.add.reduce is np.sum's pairwise sum without its Python wrapper.
+    l1 = np.add.reduce
+    lam = 1.0 / (max(float(l1(np.abs(x))), float(l1(np.abs(y)))) + 1.0)
+    accum += (lam * alpha * float(l1(np.abs(y - x)))) ** 2
     alpha_next = rule(accum, t, m)
     if alpha_next < alpha:
         raise RuntimeError("stepsize invariant violated: alpha decreased")
@@ -291,7 +292,19 @@ def _objective(problem: Problem, X: np.ndarray) -> list[float]:
         raise ValueError("mean_loss must return one loss per row of its stack")
     if not np.isfinite(losses).all():
         raise NumericError("mean_loss returned a non-finite value")
-    return [float(loss) + elastic_net_value(problem.regularizer, x) for loss, x in zip(losses, X)]
+    # float(loss) + elastic_net_value(reg, x) per row, bit for bit, with
+    # one l1 reduction for the whole stack.
+    reg = problem.regularizer
+    objectives = losses.tolist()
+    l1 = np.add.reduce(np.abs(X), axis=1).tolist() if reg.gamma1 != 0.0 else None
+    for i, x in enumerate(X):
+        value = 0.0
+        if l1 is not None:
+            value += reg.gamma1 * l1[i]
+        if reg.gamma2 != 0.0:
+            value += 0.5 * reg.gamma2 * float(x.dot(x))
+        objectives[i] += value
+    return objectives
 
 
 def _exact_gradient(problem: Problem, X: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 Everything here is written from the mathematical definitions using only
 the standard library and numpy, deliberately avoiding the package's own
-helpers, so agreement between the two is meaningful evidence.  The one
-exception is the pair ``prox_composite_reference``/``w0_halley_reference``:
-frozen copies of an earlier, masked-gather formulation of the package's
-prox and Lambert-W kernels, kept to pin the rewritten kernels bit for bit.
-They raise the package's ``NumericError`` so that messages compare too.
+helpers, so agreement between the two is meaningful evidence.  The
+exceptions are frozen copies of earlier forms of package code, kept to pin
+the rewritten code bit for bit: the pair
+``prox_composite_reference``/``w0_halley_reference``, a masked-gather
+formulation of the prox and Lambert-W kernels that raises the package's
+``NumericError`` so that messages compare too, and the run loop's
+bookkeeping in ``np.sum``/``np.all`` form (``stepsize_update_reference``,
+``objective_reference``, ``contains_reference``).
 """
 
 from __future__ import annotations
@@ -246,3 +249,37 @@ def prox_composite_reference(
             np.maximum(magnitude, 0.0, out=magnitude)
     candidate = np.sign(z) * magnitude
     return feasible_set.clamp(candidate)
+
+
+# Frozen bookkeeping forms (see the module docstring).
+
+
+def stepsize_update_reference(x, y, alpha: float, accum: float, rule, t: int, m: int) -> tuple[float, float]:
+    """(alpha_{t+1}, accum) with each l1 norm taken by np.sum."""
+    if rule is None:
+        return alpha, accum
+    lam = 1.0 / (max(float(np.sum(np.abs(x))), float(np.sum(np.abs(y)))) + 1.0)
+    accum += (lam * alpha * float(np.sum(np.abs(y - x)))) ** 2
+    alpha_next = rule(accum, t, m)
+    if alpha_next < alpha:
+        raise RuntimeError("stepsize invariant violated: alpha decreased")
+    return alpha_next, accum
+
+
+def objective_reference(losses, X: np.ndarray, gamma1: float, gamma2: float) -> list[float]:
+    """float(loss) + gamma1*||x||_1 + (gamma2/2)*||x||_2^2 per row, each
+    term skipped at zero weight, in elastic_net_value's order."""
+    out = []
+    for loss, x in zip(losses, X):
+        value = 0.0
+        if gamma1 != 0.0:
+            value += gamma1 * float(np.sum(np.abs(x)))
+        if gamma2 != 0.0:
+            value += 0.5 * gamma2 * float(np.dot(x, x))
+        out.append(float(loss) + value)
+    return out
+
+
+def contains_reference(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, atol: float) -> bool:
+    """Whether lo - atol <= x <= hi + atol holds everywhere."""
+    return bool(np.all(x >= lo - atol) and np.all(x <= hi + atol))

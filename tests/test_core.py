@@ -191,6 +191,11 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="must not hold NaN"):
             gradient_map(x, g, 1.0, MirrorGeometry(3), ElasticNet(0.1, 0.0), self.free)
 
+    @pytest.mark.parametrize("eta", [[1.0, 2.0], np.array([1.0, 2.0]), np.array([1.0])])
+    def test_one_point_rejects_a_sequence_eta(self, eta):
+        with pytest.raises(ValueError, match="^one point takes one scalar eta$"):
+            gradient_map(np.full(2, 0.1), np.ones(2), eta, MirrorGeometry(2), self.none, self.free)
+
     def test_rejects_infinite_eta(self):
         # The map vector would be 0*inf: sq_l1_norm read inf or NaN.
         with pytest.raises(ValueError, match="eta must be positive"):

@@ -392,6 +392,22 @@ class TestProxComposite:
             with pytest.raises(ValueError, match="must both have shape"):
                 prox_composite(geo, np.zeros(shape), np.zeros(shape), 1.0, ElasticNet(), FREE)
 
+    @pytest.mark.parametrize("eta", [[1.0, 2.0], np.array([1.0, 2.0]), np.array([1.0]), (0.5,)])
+    def test_one_point_rejects_a_sequence_eta(self, eta):
+        # These once failed with a TypeError about '<', with numpy's
+        # "truth value ... ambiguous", or were accepted (a one-element array).
+        with pytest.raises(ValueError, match="^one point takes one scalar eta$"):
+            prox_composite(MirrorGeometry(2), np.zeros(2), np.ones(2), eta, ElasticNet(0.1, 0.2), FREE)
+
+    @pytest.mark.parametrize("reg", [ElasticNet(), ElasticNet(0.1, 0.0), ElasticNet(0.0, 0.2)])
+    @pytest.mark.parametrize("eta", [np.float32(0.5), np.float16(0.5), np.array(0.5), np.float64(0.5)])
+    def test_one_point_eta_of_any_float_type(self, eta, reg):
+        # A float32 eta once made gamma2/eta a float32 zero that did not
+        # count as small, and the prox read NaN.
+        x, g = np.array([0.1, -0.2]), np.array([1.0, -0.3])
+        got = prox_composite(MirrorGeometry(2), x, g, eta, reg, FREE)
+        assert got.tobytes() == prox_composite(MirrorGeometry(2), x, g, 0.5, reg, FREE).tobytes()
+
     def test_validation_errors(self):
         geo = MirrorGeometry(2)
         with pytest.raises(ValueError):

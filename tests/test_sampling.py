@@ -229,6 +229,68 @@ class TestPairedStorm:
         assert max(gaps) < 0.5
 
 
+def stream_draws(key, m, d):
+    """The m probe rows and m sample ids that the key's stream holds."""
+    stream = rng.stream(*key)
+    packed = np.frombuffer(stream.bytes(math.ceil(m * d / 8)), dtype=np.uint8)
+    signs = 2.0 * np.unpackbits(packed)[: m * d].reshape(m, d) - 1.0
+    return signs, stream.integers(2**63, size=m).tolist()
+
+
+class TestOracleCallContract:
+    # d = 3000 puts two probe rows in a block, so m = 5 spans three blocks,
+    # the last one partial; d = 5 puts all of them in one block.
+
+    @pytest.mark.parametrize("d", [5, 3000])
+    def test_paired_order_per_element(self, d):
+        # Element j: x_t's forward point, x_t, x_prev's forward point,
+        # x_prev, all with xi_j and both forward points on the same u_j.
+        seen = []
+
+        def oracle(x, xi):
+            seen.append((x.copy(), xi))
+            return float(x[0])
+
+        m, nu, key = 5, 0.5, (6, 3)
+        x_t = np.resize([0.25, -0.5, 1.0], d)
+        x_prev = np.resize([-0.75, 0.125], d)
+        paired_storm_estimates(Problem(dimension=d, oracle=oracle), x_t, x_prev, EstimatorConfig(nu=nu, batch=m), key)
+        signs, xis = stream_draws(key, m, d)
+        assert len(seen) == 4 * m
+        for j in range(m):
+            want = [x_t + nu * signs[j], x_t, x_prev + nu * signs[j], x_prev]
+            for (point, xi), expected in zip(seen[4 * j : 4 * j + 4], want):
+                assert xi == xis[j]
+                assert np.array_equal(point, expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("d", [5, 3000])
+    def test_nonfinite_value_stops_the_estimate_at_once(self, bad, d):
+        # A non-finite value at element j raises, naming xi_j, before any
+        # later call: the one-point estimate's forward point is call 2j + 1
+        # and its base point 2j + 2; the paired estimate's calls are
+        # 4j + 1 to 4j + 4, the last one at x_prev.
+        m, key = 5, (2, 8)
+        _, xis = stream_draws(key, m, d)
+        x_t, x_prev = np.full(d, 0.5), np.full(d, -0.25)
+        cfg = EstimatorConfig(nu=0.1, batch=m)
+        for j in range(m):
+            for paired, stop in [(False, 2 * j + 1), (False, 2 * j + 2)] + [(True, 4 * j + p) for p in (1, 2, 3, 4)]:
+                calls = []
+
+                def oracle(x, xi):
+                    calls.append(xi)
+                    return bad if len(calls) == stop else float(x.sum())
+
+                problem = Problem(dimension=d, oracle=oracle)
+                with pytest.raises(NumericError, match=rf"^oracle returned a non-finite value for sample xi={xis[j]}$"):
+                    if paired:
+                        paired_storm_estimates(problem, x_t, x_prev, cfg, key)
+                    else:
+                        minibatch_gradient(problem, x_t, cfg, key)
+                assert len(calls) == stop
+
+
 class TestDefaultSmoothing:
     def test_minibatch_rule(self):
         assert default_smoothing(1, 1, "minibatch") == 1.0

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from zomirror import EstimatorConfig, Problem, minibatch_gradient, paired_storm_estimates
 from zomirror import rng, sampling
 
-# 8,192 sign floats per row block: d above that is one row per block, and
-# 2731, 4096 and 4097 put two, two and one rows in a block.
+# B = sampling._BLOCK_SIGNS sign floats per row block (8,192): d above B
+# is one row per block, and B//3 + 1, B//2 and B//2 + 1 put two, two and
+# one rows in a block.
+B = sampling._BLOCK_SIGNS
 DIMENSIONS = st.one_of(
-    st.integers(1, 24), st.sampled_from([1, 7, 9, 2731, 4096, 4097, 8192, 8193])
+    st.integers(1, 24), st.sampled_from([1, 7, 9, B // 3 + 1, B // 2, B // 2 + 1, B, B + 1])
 )
 
 
@@ -117,15 +119,16 @@ def test_estimators_match_sequential_replay(case):
 # Each block adds its terms to the total in one einsum over [total; signs],
 # which must equal adding c_j * u_j row by row.  Coefficients spread over
 # 300 decades make any other summation order visible.  A block holds
-# 8,192 // d rows, so at d = 3, 8191 and 8193 later blocks start mid-byte
-# (lo % 8 != 0); d = 1 takes the row loop instead of the einsum.
-CONTRACTION_DIMENSIONS = [1, 2, 3, 8191, 8192, 8193]
+# B // d rows, so with B a multiple of 8 later blocks start mid-byte
+# (lo % 8 != 0) at d = 3, B - 1 and B + 1; d = 1 takes the row loop
+# instead of the einsum.
+CONTRACTION_DIMENSIONS = [1, 2, 3, B - 1, B, B + 1]
 
 
 @st.composite
 def contraction_cases(draw):
     d = draw(st.sampled_from(CONTRACTION_DIMENSIONS))
-    rows = max(1, 8192 // d)
+    rows = max(1, B // d)
     m = draw(st.sampled_from(sorted({1, max(1, rows - 1), rows + 1, 2 * rows + 3})))
     exponents = draw(st.lists(st.floats(-150, 150), min_size=1, max_size=8))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(exponents), max_size=len(exponents)))
@@ -154,6 +157,19 @@ def test_block_contraction_matches_sequential_sum(case):
     assert same_bits(est.vector, replay(problem, x, cfg, key))
     assert same_bits(cur.vector, est.vector)
     assert same_bits(prev.vector, replay(problem, x_prev, cfg, key))
+
+
+def test_contraction_cases_hold_partial_and_mid_byte_blocks():
+    # Whatever the block size, the largest batch that contraction_cases
+    # draws at some width ends in a partial block, and at some width a
+    # block after the first starts mid-byte.
+    partial = mid_byte = False
+    for d in CONTRACTION_DIMENSIONS:
+        rows = max(1, B // d)
+        m = 2 * rows + 3
+        partial |= m % rows != 0
+        mid_byte |= any(j0 * d % 8 for j0 in range(rows, m, rows))
+    assert partial and mid_byte
 
 
 def test_one_raw_draw_equals_bytes_then_integers():
