@@ -116,9 +116,10 @@ class Problem:
     ``oracle(x, xi)`` must be deterministic given its arguments and defined
     on all of R^d (probe points may leave a box set).  Sample ids ``xi`` are
     63-bit integers; data-backed problems map them to rows by ``xi mod
-    num_samples``.  The oracle's ``x`` may be a row of an estimate's own
-    buffer, which the estimate's next block overwrites, so an oracle must
-    neither keep it nor write to it.
+    num_samples``.  The oracle's ``x`` may be a row of the estimating
+    thread's block buffer, overwritten by the estimate's next block or by a
+    later estimate on the same thread, so an oracle must neither keep it
+    nor write to it.
     ``mean_loss`` and ``exact_gradient`` are evaluation-only hooks present
     on synthetic problems.  Each takes a (k, d) stack of points, one per
     row, and returns k losses or a (k, d) stack of gradients.  The stack

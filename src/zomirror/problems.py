@@ -72,6 +72,12 @@ class SparseRegressionProblem:
     the same bytes.  Reading and clearing the slot is one swap, so a
     residual serves at most one gradient, and runs sharing the problem
     across threads can only miss the memo.
+
+    The design is read at construction: ``sample_loss`` indexes pairs of a
+    row view of ``matrix`` and its target as a float, built once, so a
+    change to ``targets`` in place afterwards reaches the mean loss and
+    gradient but not the oracle.  A pickle or copy carries the four fields
+    alone and builds the pairs anew over its own ``matrix``.
     """
 
     matrix: np.ndarray
@@ -79,6 +85,7 @@ class SparseRegressionProblem:
     kind: str
     planted: np.ndarray
     _residual_slot: list = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
@@ -89,6 +96,10 @@ class SparseRegressionProblem:
         if self.planted.shape != (d,):
             raise ValueError("planted solution must match the design width")
         object.__setattr__(self, "_residual_slot", [None])
+        object.__setattr__(self, "_rows", tuple(zip(self.matrix, self.targets.tolist())))
+
+    def __reduce__(self):
+        return type(self), (self.matrix, self.targets, self.kind, self.planted)
 
     @property
     def n_samples(self) -> int:
@@ -101,8 +112,9 @@ class SparseRegressionProblem:
     def sample_loss(self, x: np.ndarray, xi: int) -> float:
         # Python-float arithmetic and ndarray.dot: the same roundings as
         # the numpy forms and the @ operator, without their per-call overhead.
-        index = xi % self.matrix.shape[0]
-        r = float(self.matrix[index].dot(x)) - float(self.targets[index])
+        rows = self._rows
+        row, target = rows[xi % len(rows)]
+        r = float(row.dot(x)) - target
         if self.kind == "least_squares":
             return 0.5 * r * r
         sq = r * r

@@ -16,23 +16,30 @@ element order: the forward point x + nu*u_j, then the base point x, both
 with sample id xi_j (a paired STORM step does this at x_t, then at
 x_prev).  Each element's term is added to a running total in that same
 order.  The packed signs are expanded to floats one block of whole rows
-at a time, each block holding at most 8,192 signs (a single row when d
-is larger), so an estimate holds O(d) floats however large m*d is.  A
-copy of the total sits in the row just before the block's sign rows, and
-one einsum over that stack adds the block's terms to the total in row
-order.  Each sign is +-1, so every product is exact and the contraction
-equals the sequential sum bit for bit; a single column (d = 1) is summed
-pairwise by einsum, so there the rows are added one by one.
+at a time, each block holding at most 65,536 signs (a single row when d
+is larger), so an estimate holds O(d) floats however large m*d is, and
+every m*d up to 65,536 is one block.  A copy of the total sits in the row
+just before the block's sign rows, and one einsum over that stack adds
+the block's terms to the total in row order.  Each sign is +-1, so every
+product is exact and the contraction equals the sequential sum bit for
+bit; a single column (d = 1) is summed pairwise by einsum, so there the
+rows are added one by one.
 
 Each thread keeps one Philox generator, re-keyed per estimate with
 rng.rekey; all of an estimate's draws come before its first oracle call,
-so an oracle that runs an estimate itself can share it.  Each estimate
-allocates its own buffers for a block's [total; sign rows] stack and for
-each point's block of forward points.  The x handed to the oracle for a
-forward point is a row of such a buffer, overwritten by the next block,
-so an oracle must neither keep nor write it.  An estimate with a
-non-finite entry, such as a finite oracle difference that overflows when
-divided by a tiny nu, raises NumericError.
+so an oracle that runs an estimate itself can share it.  Each thread also
+keeps one flat float buffer for a block's [total; sign rows] stack and
+each point's block of forward points: 512 KB of signs and a STORM pair's
+two forward blocks fit a 2 MB per-core L2 cache, and a kept buffer spares
+every estimate the page faults of a fresh allocation above the C heap's
+mmap threshold.  An estimate takes the buffer, growing it if it is too
+small, and puts it back when it finishes: an estimate run inside an
+oracle allocates its own, and so does the next estimate after one that
+raised.  The x handed to the oracle for a forward point is a row of that
+buffer, overwritten by the estimate's next block or by a later estimate
+on the same thread, so an oracle must neither keep nor write it.  An
+estimate with a non-finite entry, such as a finite oracle difference that
+overflows when divided by a tiny nu, raises NumericError.
 """
 
 from __future__ import annotations
@@ -58,15 +65,17 @@ __all__ = [
 # Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
 _BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 1.0
 
-# Most signs expanded per row block: 64 KB of floats.
-_BLOCK_SIGNS = 8192
+# Most signs expanded per row block: 512 KB of floats.
+_BLOCK_SIGNS = 65536
 
 
 class _ThreadState(threading.local):
-    """Per thread: the probe generator, re-keyed for each estimate."""
+    """Per thread: the probe generator, re-keyed for each estimate, and the
+    block buffer, None before the first estimate and while one holds it."""
 
     def __init__(self) -> None:
         self.generator = np.random.Generator(np.random.Philox(0))
+        self.buffer = None
 
 
 _thread = _ThreadState()
@@ -139,8 +148,8 @@ def _batch_estimates(
 
     Per element the oracle sees each point's forward point, then the point
     itself; each point's terms are summed in ascending element order.  The
-    packed signs are expanded one row block at a time into the estimate's
-    own buffer, and once the block's oracle calls are done one einsum per
+    packed signs are expanded one row block at a time into the thread's
+    buffer, and once the block's oracle calls are done one einsum per
     point adds the block's terms to that point's total.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
@@ -149,9 +158,13 @@ def _batch_estimates(
     totals = [np.zeros(d) for _ in points]
     rows = min(m, max(1, _BLOCK_SIGNS // d))
     # A total row, then a block's bytes expanded whole, which adds up to 7
-    # signs at either end of its rows.
-    flat = np.empty(d + rows * d + 16)
-    forwards = [np.empty((rows, d)) for _ in points]
+    # signs at either end of its rows; then each point's forward block.
+    width = d + rows * d + 16
+    need = width + len(points) * rows * d
+    flat, _thread.buffer = _thread.buffer, None
+    if flat is None or flat.size < need:
+        flat = np.empty(need)
+    forwards = flat[width:need].reshape(len(points), rows, d)
     for j0 in range(0, m, rows):
         j1 = min(j0 + rows, m)
         lo, hi = j0 * d, j1 * d
@@ -203,6 +216,7 @@ def _batch_estimates(
             else:
                 for c, u in zip(coef[1:], signs):
                     total += c * u
+    _thread.buffer = flat
     estimates = []
     for total in totals:
         # A fresh vector, not the total divided in place: a total that

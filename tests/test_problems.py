@@ -1,6 +1,7 @@
 """Benchmark problems: sparse regression, tiny classifiers, explanations."""
 
 import math
+import pickle
 import sys
 import threading
 
@@ -186,6 +187,24 @@ class TestSparseRegressionDesign:
             for i in range(design.n_samples):
                 want = sample_loss_reference(design.matrix, design.targets, kind, x, i)
                 assert design.sample_loss(x, i) == want
+
+    @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])
+    def test_pickled_design_indexes_its_own_rows(self, kind):
+        # sample_loss indexes row views built at construction.  A pickle
+        # holds the class and the four fields, no copies of the views, and
+        # the clone's views are rows of its own matrix.
+        design = sparse_regression_design(40, 60, 5, 0.3, kind, 2)
+        blob = pickle.dumps(design)
+        fields = (design.matrix, design.targets, design.kind, design.planted)
+        assert len(blob) <= len(pickle.dumps(fields)) + len(pickle.dumps(type(design)))
+        clone = pickle.loads(blob)
+        assert len(clone._rows) == clone.n_samples
+        assert all(np.shares_memory(row, clone.matrix) for row, _ in clone._rows)
+        assert not any(np.shares_memory(row, design.matrix) for row, _ in clone._rows)
+        x = rng.stream("test-sr-pickle", kind).standard_normal(40)
+        for i in range(clone.n_samples):
+            want = sample_loss_reference(clone.matrix, clone.targets, kind, x, i)
+            assert clone.sample_loss(x, i) == want == design.sample_loss(x, i)
 
     def test_make_passes_regularizer(self):
         reg = ElasticNet(0.3, 0.1)

@@ -1,6 +1,8 @@
 """Two-point Rademacher gradient estimation and smoothing defaults."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -238,10 +240,11 @@ def stream_draws(key, m, d):
 
 
 class TestOracleCallContract:
-    # d = 3000 puts two probe rows in a block, so m = 5 spans three blocks,
-    # the last one partial; d = 5 puts all of them in one block.
+    # d = 30000 puts two probe rows in a block, so m = 5 spans three
+    # blocks, the last one partial; d = 5 and d = 3000 put all of them in
+    # one block.
 
-    @pytest.mark.parametrize("d", [5, 3000])
+    @pytest.mark.parametrize("d", [5, 3000, 30000])
     def test_paired_order_per_element(self, d):
         # Element j: x_t's forward point, x_t, x_prev's forward point,
         # x_prev, all with xi_j and both forward points on the same u_j.
@@ -264,7 +267,7 @@ class TestOracleCallContract:
                 assert np.array_equal(point, expected)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("d", [5, 3000])
+    @pytest.mark.parametrize("d", [5, 3000, 30000])
     def test_nonfinite_value_stops_the_estimate_at_once(self, bad, d):
         # A non-finite value at element j raises, naming xi_j, before any
         # later call: the one-point estimate's forward point is call 2j + 1
@@ -289,6 +292,142 @@ class TestOracleCallContract:
                     else:
                         minibatch_gradient(problem, x_t, cfg, key)
                 assert len(calls) == stop
+
+
+def replay(problem, x, cfg, key):
+    """The batch mean rebuilt element by element from the key's stream."""
+    signs, xis = stream_draws(key, cfg.batch, problem.dimension)
+    total = np.zeros(problem.dimension)
+    for u, xi in zip(signs, xis):
+        forward = problem.oracle(x + cfg.nu * u, xi)
+        base = problem.oracle(x, xi)
+        total += ((forward - base) / cfg.nu) * u
+    return total / cfg.batch
+
+
+def same_bits(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+def recording_problem(d, seen):
+    """A quadratic oracle that keeps every point it is handed, not a copy."""
+    c = np.linspace(-1.0, 1.0, d)
+
+    def oracle(x, xi):
+        seen.append(x)
+        r = x - c * ((xi % 3) - 1)
+        return 0.5 * float(r @ r)
+
+    return Problem(dimension=d, oracle=oracle)
+
+
+def shares_any(xs, ys):
+    return any(np.shares_memory(x, y) for x in xs for y in ys)
+
+
+class TestKeptBuffer:
+    # Each thread keeps one block buffer across estimates; a forward point
+    # handed to the oracle is a row of it.
+
+    def test_consecutive_estimates_reuse_the_buffer(self):
+        seen = []
+        problem = recording_problem(50, seen)
+        cfg = EstimatorConfig(nu=0.1, batch=4)
+        x = np.zeros(50)
+        firsts = []
+        for key in ((1, 1), (1, 2), (1, 3)):
+            seen.clear()
+            minibatch_gradient(problem, x, cfg, key)
+            firsts.append(seen[0])
+        assert np.shares_memory(firsts[0], firsts[1])
+        assert np.shares_memory(firsts[1], firsts[2])
+
+    def test_nested_estimate_gets_its_own_buffer(self):
+        inner_seen, outer_seen, inner_vectors = [], [], []
+        inner = recording_problem(30, inner_seen)
+        inner_cfg = EstimatorConfig(nu=0.5, batch=4)
+
+        def oracle(x, xi):
+            outer_seen.append(x)
+            g = minibatch_gradient(inner, x * 0.5, inner_cfg, (xi % 5,)).vector
+            inner_vectors.append((x * 0.5, xi % 5, g))
+            return 0.5 * float(x @ x) + float(g @ x)
+
+        problem = Problem(dimension=30, oracle=oracle)
+        cfg = EstimatorConfig(nu=0.1, batch=6)
+        x = np.linspace(-1.0, 1.0, 30)
+        est = minibatch_gradient(problem, x, cfg, (9, 2))
+        assert len(outer_seen) == 2 * cfg.batch
+        assert not shares_any(inner_seen, outer_seen[0::2])
+        assert same_bits(est.vector, replay(problem, x, cfg, (9, 2)))
+        for point, key, g in inner_vectors:
+            assert same_bits(g, replay(inner, point, inner_cfg, (key,)))
+
+    def test_estimate_after_a_raising_oracle_equals_a_fresh_thread(self):
+        calls = []
+
+        def oracle(x, xi):
+            calls.append(xi)
+            if len(calls) == 5:
+                raise ZeroDivisionError("oracle failed")
+            return 0.5 * float(x @ x) * ((xi % 3) + 1)
+
+        problem = Problem(dimension=40, oracle=oracle)
+        cfg = EstimatorConfig(nu=0.1, batch=7)
+        x, x_prev = np.linspace(-1.0, 1.0, 40), np.linspace(1.0, -2.0, 40)
+        with pytest.raises(ZeroDivisionError):
+            paired_storm_estimates(problem, x, x_prev, cfg, (3, 1))
+        after = paired_storm_estimates(problem, x, x_prev, cfg, (3, 2))
+        fresh = []
+        worker = threading.Thread(target=lambda: fresh.extend(paired_storm_estimates(problem, x, x_prev, cfg, (3, 2))))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and len(fresh) == 2
+        for a, b in zip(after, fresh):
+            assert same_bits(a.vector, b.vector)
+
+    def test_threads_never_share_a_buffer(self):
+        # First both threads are inside an estimate at once; then they take
+        # turns, one thread's estimates after the other's, so a buffer one
+        # thread put back and the other took would show.
+        barrier = threading.Barrier(2)
+        seen = [[], []]
+        done = [0, 0]
+
+        def worker(slot):
+            record = recording_problem(200, seen[slot]).oracle
+            first = [True]
+
+            def oracle(x, xi):
+                if first[0]:
+                    first[0] = False
+                    barrier.wait(timeout=30)
+                return record(x, xi)
+
+            problem = Problem(dimension=200, oracle=oracle)
+            x = np.full(200, 0.25 * slot)
+            for turn in range(7):
+                if turn == 0 or turn % 2 == slot:
+                    minibatch_gradient(problem, x, EstimatorConfig(nu=0.1, batch=8), (slot, turn))
+                    paired_storm_estimates(problem, x, x + 0.5, EstimatorConfig(nu=0.1, batch=5), (slot, turn))
+                    done[slot] += 1
+                barrier.wait(timeout=30)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and done == [4, 4]
+        # The base points are the workers' own arrays; forward points are views.
+        forwards = [[x for x in points if x.base is not None] for points in seen]
+        assert forwards[0] and forwards[1]
+        assert not shares_any(forwards[0], forwards[1])
 
 
 class TestDefaultSmoothing:

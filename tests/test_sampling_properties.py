@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from zomirror import EstimatorConfig, Problem, minibatch_gradient, paired_storm_estimates
 from zomirror import rng, sampling
 
-# B = sampling._BLOCK_SIGNS sign floats per row block (8,192): d above B
+# B = sampling._BLOCK_SIGNS sign floats per row block (65,536): d above B
 # is one row per block, and B//3 + 1, B//2 and B//2 + 1 put two, two and
 # one rows in a block.
 B = sampling._BLOCK_SIGNS
@@ -92,6 +92,8 @@ def cases(draw):
 @example((1, 8, "flat", np.array([1.0]), np.array([0.0]), np.array([0.0]), 0.5, (2, 3)))
 @example((8193, 2, "quadratic", np.array([0.4, -1.0]), np.array([0.1]), np.array([-0.3]), 1e-3, (7, 4)))
 @example((2731, 3, "linear", np.array([1.0, 2.0, -0.5]), np.array([0.2, -0.1]), np.array([0.05]), 0.1, (1, 2)))
+@example((65537, 2, "quadratic", np.array([0.4, -1.0]), np.array([0.1]), np.array([-0.3]), 1e-3, (7, 4)))
+@example((21846, 3, "linear", np.array([1.0, 2.0, -0.5]), np.array([0.2, -0.1]), np.array([0.05]), 0.1, (1, 2)))
 def test_estimators_match_sequential_replay(case):
     d, m, kind, weights, x, shift, nu, key = case
     problem, calls = make_oracle(kind, d, weights)
@@ -141,6 +143,7 @@ def contraction_cases(draw):
 @given(contraction_cases())
 @example((3, 2733, np.array([1e150, -1e-150, 3.0]), np.array([0.5, -0.25]), (4, 9)))
 @example((8191, 3, np.array([-1e100, 1e100, 1e-100]), np.array([0.3]), (1, 1)))
+@example((65535, 3, np.array([-1e100, 1e100, 1e-100]), np.array([0.3]), (1, 1)))
 def test_block_contraction_matches_sequential_sum(case):
     d, m, scales, x, key = case
     a = np.resize([1.0, -0.5, 0.25], d)
@@ -184,10 +187,11 @@ def test_one_raw_draw_equals_bytes_then_integers():
         assert xis == stream.integers(2**63, size=m).tolist()
 
 
-# Each estimate expands its signs and forward points into buffers of its
-# own, sized by d: consecutive estimates at changing d, estimates nested in
-# an oracle (which must not overwrite the outer estimate's forward points)
-# and estimates on concurrent threads all match the sequential replay.
+# Each estimate expands its signs and forward points into its thread's
+# buffer, grown to fit d: consecutive estimates at changing d, estimates
+# nested in an oracle (which must not overwrite the outer estimate's
+# forward points) and estimates on concurrent threads all match the
+# sequential replay.
 
 
 def both_estimates(problem, x, x_prev, cfg, key):
@@ -204,7 +208,7 @@ def check_against_replay(problem, x, x_prev, cfg, key):
 
 
 def test_estimates_follow_dimension_changes():
-    for d, m in ((3, 5), (2000, 7), (9000, 3), (3, 5)):
+    for d, m in ((3, 5), (2000, 7), (9000, 3), (70000, 2), (3, 5)):
         problem, _ = make_oracle("quadratic", d, np.array([0.4, -1.0, 0.3]))
         x = np.resize([0.1, -0.2, 0.7], d)
         check_against_replay(problem, x, x + 0.25, EstimatorConfig(nu=0.1, batch=m), (d, m))

@@ -45,9 +45,12 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   without compare on the same outcomes.
 * ``estimates``: ``minibatch_gradient`` and ``paired_storm_estimates``
   (vectors and call counts) on the least-squares, robust and PN oracles
-  at d in {1, 2, 7, 8191, 8192, 8193}.  Where a row block holds more
-  than one probe row, m is twice the rows per block plus 3, so the last
-  of three blocks is partial; at one row per block m is 3.  Then both on
+  at d in {1, 2, 7, 8191, 8192, 8193}, around a row block of 8,192
+  signs, and at d in {32768, 32769, 65535, 65536, 65537}, around one of
+  65,536.  Where such a block holds more than one probe row, m is twice
+  the rows per block plus 3, so the last block is partial; at one row per
+  block m is 3.  The block sizes are literals, so checkouts with either
+  size run the same cases.  Then both on
   the least-squares and robust oracles at the benchmark shapes
   (d=500, m=32) and (d=2000, m=16); a d=7, m=9 estimate whose oracle runs
   a minibatch estimate of the same shape at each point it is given; and
@@ -405,8 +408,10 @@ def _threaded_estimate_bytes(zm, jobs) -> bytes:
 
 def digest_estimates(zm) -> str:
     h = hashlib.sha256()
-    for d in (1, 2, 7, 8191, 8192, 8193):
-        rows = max(1, 8192 // d)
+    widths = [(8192, d) for d in (1, 2, 7, 8191, 8192, 8193)]
+    widths += [(65536, d) for d in (32768, 32769, 65535, 65536, 65537)]
+    for block, d in widths:
+        rows = max(1, block // d)
         m = 2 * rows + 3 if rows > 1 else 3
         x = zm.rng.stream("digest-estimates", d).uniform(-0.5, 0.5, size=d)
         x_prev = x + 0.01
