@@ -144,8 +144,8 @@ def _parse_problem(doc: dict) -> dict:
 
 
 def _parse_algorithm(doc: dict, index: int) -> RunConfig:
-    """One algorithm entry as a RunConfig, which checks the tag and the
-    stepsize word; a key the entry leaves out keeps RunConfig's default."""
+    """One algorithm entry as a RunConfig, which checks every value it
+    holds; a key the entry leaves out keeps RunConfig's default."""
     context = f"algorithms[{index}]"
     if not isinstance(doc, dict):
         raise ValueError(f"{context} must be an object")
@@ -155,22 +155,19 @@ def _parse_algorithm(doc: dict, index: int) -> RunConfig:
     fields = {"algorithm": doc["tag"], "T": _as_int(doc, "T", context, 1), "batch": _as_int(doc, "m", context, 1)}
     if "eta" in doc:
         fields["eta_base"] = _as_number(doc, "eta", context)
-        if fields["eta_base"] <= 0:
-            raise ValueError(f"{context}: 'eta' must be positive")
     if doc.get("nu") is not None:
         fields["nu"] = _as_number(doc, "nu", context)
-        if fields["nu"] <= 0:
-            raise ValueError(f"{context}: 'nu' must be positive")
     if "variant" in doc:
-        if doc["variant"] not in ("adaptive", "constant"):
-            raise ValueError(f"{context}: 'variant' must be 'adaptive' or 'constant'")
         fields["stepsize_variant"] = doc["variant"]
     if "stationarity_eval_period" in doc:
         fields["stationarity_eval_period"] = _as_int(doc, "stationarity_eval_period", context, 1)
     try:
-        return RunConfig(**fields)
+        cfg = RunConfig(**fields)
     except ValueError as exc:
         raise ValueError(f"{context}: {exc}") from None
+    if "variant" in doc and doc["variant"] is None:  # RunConfig reads it as the default
+        raise ValueError(f"{context}: tag {cfg.algorithm!r} has no None-stepsize variant")
+    return cfg
 
 
 def _reject_constant(name: str) -> float:

@@ -158,19 +158,33 @@ class GradientMapResult:
     sq_l1_norm: float | np.ndarray
 
 
-def elastic_net_value(reg: ElasticNet, x: np.ndarray) -> float:
-    """gamma1*||x||_1 + (gamma2/2)*||x||_2^2."""
+def elastic_net_value(reg: ElasticNet, x: np.ndarray) -> float | np.ndarray:
+    """gamma1*||x||_1 + (gamma2/2)*||x||_2^2 at one point of shape (d,), or
+    at each row of a (k, d) stack as a (k,) array, each entry equal to the
+    one-point value bit for bit."""
     x = np.asarray(x, dtype=float)
-    value = 0.0
-    if reg.gamma1 != 0.0:
-        value += reg.gamma1 * float(np.sum(np.abs(x)))
-    if reg.gamma2 != 0.0:
-        value += 0.5 * reg.gamma2 * float(np.dot(x, x))
-    return value
+    value = np.zeros(x.shape[:-1])
+    # Quiet inf and NaN, as in Python float arithmetic: a dot product past
+    # the float range is inf, and a tiny gamma2 halves to 0, times inf NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if reg.gamma1 != 0.0:
+            value += reg.gamma1 * np.add.reduce(np.abs(x), axis=-1)
+        if reg.gamma2 != 0.0:
+            # ndarray.dot per row, the one-point dot product.
+            value += 0.5 * reg.gamma2 * (x.dot(x) if x.ndim == 1 else np.array([row.dot(row) for row in x]))
+    return value if x.ndim == 2 else float(value)
 
 
 def _nonfinite(xi: int) -> NumericError:
     return NumericError(f"oracle returned a non-finite value for sample xi={xi}")
+
+
+def _oracle(problem: Problem, x: np.ndarray, xi: int) -> float:
+    """oracle(x, xi), raising NumericError if it is not finite."""
+    value = problem.oracle(x, xi)
+    if not math.isfinite(value):
+        raise _nonfinite(xi)
+    return value
 
 
 def composite_value(problem: Problem, x: np.ndarray, samples: Sequence[int]) -> float:
@@ -180,10 +194,7 @@ def composite_value(problem: Problem, x: np.ndarray, samples: Sequence[int]) -> 
         raise ValueError("samples must be nonempty")
     total = 0.0
     for xi in samples:
-        value = problem.oracle(x, int(xi))
-        if not math.isfinite(value):
-            raise _nonfinite(int(xi))
-        total += value
+        total += _oracle(problem, x, int(xi))
     return total / len(samples) + elastic_net_value(problem.regularizer, x)
 
 
@@ -211,11 +222,7 @@ def gradient_map(
     stacked = mapped.ndim == 2
     map_vector *= np.reshape(eta, (-1, 1)) if stacked else eta
     l1 = np.abs(map_vector).sum(axis=-1)
-    if stacked:
-        # A norm past 1e154 squares to inf quietly, as a Python float does.
-        with np.errstate(over="ignore"):
-            sq = l1 * l1
-    else:
-        l1 = float(l1)
+    # A norm past 1e154 squares to inf quietly, as a Python float does.
+    with np.errstate(over="ignore"):
         sq = l1 * l1
-    return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=sq)
+    return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=sq if stacked else float(sq))

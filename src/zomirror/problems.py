@@ -170,11 +170,12 @@ def sparse_regression_design(
     uniform k-subset; planted entries are uniform(0.5, 1.5) with random
     signs; targets are <a, x*> plus noise_sigma * standard normal.
     """
-    if not 1 <= k <= d:
+    for name, count in (("d", d), ("k", k), ("n_samples", n_samples)):
+        _check_count(name, count)
+    if k > d:
         raise ValueError("sparsity k must satisfy 1 <= k <= d")
-    _check_count("n_samples", n_samples)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be nonnegative and finite")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind: {kind!r}")
     stream = rng.stream("sparse-regression", kind, seed)
@@ -236,8 +237,10 @@ class TinyClassifier:
 
 def make_tiny_classifier(d: int, n_classes: int = _DEFAULT_N_CLASSES, seed: int = 0) -> TinyClassifier:
     """Deterministic small classifier with weights drawn from the seed."""
-    if d < 1 or n_classes < 2:
-        raise ValueError("need d >= 1 and n_classes >= 2")
+    _check_count("d", d)
+    _check_count("n_classes", n_classes)
+    if n_classes < 2:
+        raise ValueError("n_classes must be at least 2")
     stream = rng.stream("tiny-classifier", seed, d, n_classes)
     weights = stream.standard_normal((n_classes, d)) / np.sqrt(d)
     bias = 0.1 * stream.standard_normal(n_classes)

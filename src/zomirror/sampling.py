@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import NumericError, Problem, _check_count, _check_scale, _nonfinite
+from .core import NumericError, Problem, _check_count, _check_scale, _nonfinite, _oracle
 
 __all__ = [
     "EstimatorConfig",
@@ -99,13 +99,6 @@ class GradientEstimate:
 
     vector: np.ndarray
     oracle_calls: int
-
-
-def _oracle(problem: Problem, x: np.ndarray, xi: int) -> float:
-    value = problem.oracle(x, xi)
-    if not math.isfinite(value):
-        raise _nonfinite(xi)
-    return value
 
 
 def two_point_estimate(

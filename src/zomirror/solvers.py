@@ -43,6 +43,7 @@ from .core import (
     _check_scale,
     _is_integer,
     composite_value,
+    elastic_net_value,
     gradient_map,
 )
 from .mirror import MirrorGeometry, prox_composite
@@ -79,6 +80,9 @@ _EVAL_FLOATS = 65_536
 
 # Most floats in one gradient_map call over a block's due rows (a single
 # row when d is larger): 64 KB, 16 rows at d = 500 and 4 at d = 2000.
+# The stacked prox's temporaries grow with the chunk: one call per block
+# was byte-identical and ~2 ms per run faster, but raised the benchmark's
+# peak RSS by 8.6% at d = 500 and 5.0% at d = 2000.
 _MAP_FLOATS = 8_192
 
 # alpha_{t+1} from (accum, t, m): the accumulator after iteration t's move,
@@ -292,19 +296,9 @@ def _objective(problem: Problem, X: np.ndarray) -> list[float]:
         raise ValueError("mean_loss must return one loss per row of its stack")
     if not np.isfinite(losses).all():
         raise NumericError("mean_loss returned a non-finite value")
-    # float(loss) + elastic_net_value(reg, x) per row, bit for bit, with
-    # one l1 reduction for the whole stack.
-    reg = problem.regularizer
-    objectives = losses.tolist()
-    l1 = np.add.reduce(np.abs(X), axis=1).tolist() if reg.gamma1 != 0.0 else None
-    for i, x in enumerate(X):
-        value = 0.0
-        if l1 is not None:
-            value += reg.gamma1 * l1[i]
-        if reg.gamma2 != 0.0:
-            value += 0.5 * reg.gamma2 * float(x.dot(x))
-        objectives[i] += value
-    return objectives
+    # Python floats overflow to inf quietly; so does this sum.
+    with np.errstate(over="ignore"):
+        return (losses + elastic_net_value(problem.regularizer, X)).tolist()
 
 
 def _exact_gradient(problem: Problem, X: np.ndarray) -> np.ndarray:

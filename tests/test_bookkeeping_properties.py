@@ -1,11 +1,12 @@
 """Property tests: the run loop's bookkeeping against its np.sum/np.all forms.
 
-``stepsize_update``, the regularizer column of ``solvers._objective`` and
-``FeasibleSet.contains`` call numpy's reductions directly.  Each must equal
-its frozen form in ``tests/oracles.py`` bit for bit, floats compared as
-uint64, over widths on both sides of numpy's pairwise-sum blocks and over
-entries that stress the arithmetic: signed zeros, subnormals, entries
-whose squares or sums overflow, and NaN for ``contains``.
+``stepsize_update``, ``solvers._objective`` with its stacked
+``elastic_net_value`` and ``FeasibleSet.contains`` call numpy's reductions
+directly.  Each must equal its frozen form in ``tests/oracles.py`` bit for
+bit, floats compared as uint64, over widths on both sides of numpy's
+pairwise-sum blocks and over entries that stress the arithmetic: signed
+zeros, subnormals, entries whose squares or sums overflow, and NaN for
+``contains``.
 """
 
 import math
@@ -17,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zomirror import ElasticNet, FeasibleSet, Problem
+from zomirror import ElasticNet, FeasibleSet, Problem, elastic_net_value
 from zomirror import solvers
 from zomirror.solvers import stepsize_update
 
@@ -86,6 +87,10 @@ def test_objective_rows_equal_one_point_sum(X, losses, gamma1, gamma2):
         want = objective_reference(losses, X, gamma1, gamma2)
     assert all(type(v) is float for v in got)
     assert bits(*got) == bits(*want)
+    # Each row of the stacked regularizer is the one-point value.
+    rows = elastic_net_value(problem.regularizer, X)
+    assert rows.shape == (len(X),)
+    assert bits(*rows) == bits(*(elastic_net_value(problem.regularizer, x) for x in X))
 
 
 @st.composite

@@ -20,7 +20,7 @@ from zomirror.cli import (
     parse_run_spec,
     problem_from_descriptor,
 )
-from zomirror.solvers import ALGORITHMS, RunConfig, run_zo_ada_expgrad
+from zomirror.solvers import ALGORITHM_TABLE, ALGORITHMS, RunConfig, run_zo_ada_expgrad
 
 
 def base_spec(out_dir, **overrides):
@@ -130,7 +130,7 @@ class TestParseRunSpec:
     def test_bad_variant_name(self, tmp_path):
         doc = base_spec(tmp_path)
         doc["algorithms"][0]["variant"] = "warmup"
-        with pytest.raises(ValueError, match="'adaptive' or 'constant'"):
+        with pytest.raises(ValueError, match="tag 'zo-ada-expgrad' has no warmup-stepsize variant"):
             parse_run_spec(write_spec(tmp_path, doc))
 
     def test_sparsity_exceeding_dimension(self, tmp_path):
@@ -157,7 +157,7 @@ class TestParseRunSpec:
     def test_nonpositive_eta_rejected(self, tmp_path):
         doc = base_spec(tmp_path)
         doc["algorithms"][0]["eta"] = 0.0
-        with pytest.raises(ValueError, match="'eta' must be positive"):
+        with pytest.raises(ValueError, match=r"algorithms\[0\]: eta_base must be positive and finite"):
             parse_run_spec(write_spec(tmp_path, doc))
 
 
@@ -425,7 +425,7 @@ class TestMain:
             (("problem",), [], "'problem' must be an object"),
             (("problem", "loss"), "hinge", "problem: unknown loss 'hinge'"),
             (("algorithms", 0), "zo-psgd", "algorithms[0] must be an object"),
-            (("algorithms", 0, "nu"), 0.0, "algorithms[0]: 'nu' must be positive"),
+            (("algorithms", 0, "nu"), 0.0, "algorithms[0]: nu must be positive and finite"),
             ((), [], "run spec must be a JSON object"),
             (("algorithms",), [], "'algorithms' must be a nonempty list"),
             (("seeds",), [], "'seeds' must be a nonempty list"),
@@ -587,7 +587,14 @@ def variant_spec(tmp_path, tag, variant):
 
 
 class TestVariantTable:
-    @pytest.mark.parametrize("variant", ["adaptive", "constant"])
+    def test_table_rows_hold_exactly_the_accepted_pairs(self):
+        # ALGORITHM_TABLE is the one list of stepsize words; the CLI keeps none.
+        table = {(tag, word) for tag, algo in ALGORITHM_TABLE.items() for word in algo.alpha_rules}
+        assert table == ACCEPTED_VARIANTS
+
+    # An unknown word and a null one fail as a word missing from the row,
+    # though RunConfig reads None as the default word.
+    @pytest.mark.parametrize("variant", ["adaptive", "constant", "warmup", None])
     @pytest.mark.parametrize("tag", ALGORITHMS)
     def test_validate_accepts_exactly_the_table_pairs(self, tmp_path, capsys, tag, variant):
         rc = main(["validate", "--config", variant_spec(tmp_path, tag, variant)])
@@ -618,4 +625,4 @@ class TestVariantTable:
         doc["algorithms"][1]["variant"] = ["constant"]
         assert main(["validate", "--config", write_spec(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert err == "invalid run spec: algorithms[1]: 'variant' must be 'adaptive' or 'constant'\n"
+        assert err == "invalid run spec: algorithms[1]: tag 'zo-psgd' has no ['constant']-stepsize variant\n"

@@ -1,10 +1,12 @@
 """Domain types, composite values, and the generalized gradient map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import zomirror
 from zomirror import (
     ElasticNet,
     FeasibleSet,
@@ -17,7 +19,7 @@ from zomirror import (
     gradient_map,
     make_sparse_regression,
 )
-from zomirror import rng
+from zomirror import core, mirror, problems, rng, sampling, solvers
 
 
 def zero_problem(d=2, **kw):
@@ -33,6 +35,24 @@ class TestElasticNet:
 
     def test_l2_only(self):
         assert elastic_net_value(ElasticNet(0.0, 1.0), np.array([3.0, 4.0])) == 12.5
+
+    def test_point_gives_a_float_and_stack_one_value_per_row(self):
+        reg, X = ElasticNet(1.0, 1.0), np.array([[3.0, -4.0], [0.0, 0.0], [1.0, 1.0]])
+        point = elastic_net_value(reg, X[0])
+        assert type(point) is float and point == 19.5
+        assert elastic_net_value(reg, X).tolist() == [19.5, 0.0, 3.0]
+        assert elastic_net_value(ElasticNet(), X).tolist() == [0.0, 0.0, 0.0]
+
+    def test_overflow_is_quiet_as_in_python_floats(self):
+        # gamma1*||x||_1 overflows to inf, and 0.5*5e-324 rounds to 0.0,
+        # which times the infinite ||x||^2 is NaN: no warning on the way.
+        x = np.array([1e200, 1.0])
+        reg = ElasticNet(1e300, 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = elastic_net_value(reg, x)
+            rows = elastic_net_value(reg, np.stack([x, x]))
+        assert math.isnan(point) and np.isnan(rows).all()
 
     def test_nonnegative_on_random_points(self):
         stream = rng.stream("test-en", 0)
@@ -118,6 +138,15 @@ class TestProblem:
         prob = make_sparse_regression(4, 6, 2, 0.3, "least_squares", seed=3)
         x = rng.stream("test-det", 0).standard_normal(4)
         assert prob.oracle(x, 11) == prob.oracle(x, 11)
+
+
+def test_package_republishes_each_module_name_once():
+    modules = (core, mirror, problems, sampling, solvers)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(zomirror, name) is getattr(module, name)
+    assert len(zomirror.__all__) == len(set(zomirror.__all__))
+    assert set(zomirror.__all__) == {name for module in modules for name in module.__all__} | {"__version__"}
 
 
 class TestCompositeValue:

@@ -145,6 +145,17 @@ class TestSparseRegressionDesign:
         with pytest.raises(ValueError, match="unknown loss kind"):
             sparse_regression_design(5, 4, 2, 0.1, "huber", 0)
 
+    @pytest.mark.parametrize("noise_sigma", [math.nan, math.inf, -math.inf, -0.1])
+    def test_noise_must_be_nonnegative_and_finite(self, noise_sigma):
+        # NaN passed a bare `noise_sigma < 0` test and made NaN targets.
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative and finite"):
+            sparse_regression_design(5, 4, 2, noise_sigma, "least_squares", 0)
+
+    @pytest.mark.parametrize("d, k", [(5.0, 2), (True, 1), (np.float64(5), 2), (5, 2.0), (5, True)])
+    def test_counts_must_be_integers(self, d, k):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            sparse_regression_design(d, 4, k, 0.1, "least_squares", 0)
+
     @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])
     def test_gradient_matches_finite_differences(self, kind):
         design = sparse_regression_design(7, 11, 3, 0.3, kind, 6)
@@ -361,6 +372,11 @@ class TestTinyClassifier:
             make_tiny_classifier(0, 3, 0)
         with pytest.raises(ValueError):
             make_tiny_classifier(3, 1, 0)
+
+    @pytest.mark.parametrize("d, n_classes", [(3.0, 3), (True, 3), (3, 3.0), (3, True), (3, np.float64(2))])
+    def test_counts_must_be_integers(self, d, n_classes):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            make_tiny_classifier(d, n_classes, 0)
 
 
 def two_class(w_rows, bias):

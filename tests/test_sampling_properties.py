@@ -59,14 +59,13 @@ def replay(problem, x, cfg, key):
     stream = rng.stream(*key)
     packed = np.frombuffer(stream.bytes(math.ceil(m * d / 8)), dtype=np.uint8)
     signs = 2.0 * np.unpackbits(packed)[: m * d].reshape(m, d) - 1.0
-    xis = stream.integers(2**63, size=m)
-    total = np.zeros(d)
-    for j in range(m):
-        u, xi = signs[j], int(xis[j])
-        forward = problem.oracle(x + cfg.nu * u, xi)
-        base = problem.oracle(x, xi)
-        total += ((forward - base) / cfg.nu) * u
-    return total / m
+    xis = stream.integers(2**63, size=m).tolist()
+    forwards = x + cfg.nu * signs
+    coef = [(problem.oracle(forward, xi) - problem.oracle(x, xi)) / cfg.nu for forward, xi in zip(forwards, xis)]
+    # Row j of the accumulation is the running total after element j - 1:
+    # a strict left-to-right sum from zero, not a pairwise one.
+    terms = np.concatenate([np.zeros((1, d)), np.array(coef)[:, None] * signs])
+    return np.add.accumulate(terms)[-1] / m
 
 
 def same_bits(a, b):
@@ -147,9 +146,12 @@ def contraction_cases(draw):
 def test_block_contraction_matches_sequential_sum(case):
     d, m, scales, x, key = case
     a = np.resize([1.0, -0.5, 0.25], d)
+    # Python floats and ndarray.dot: the values of scales[i] * (a @ point)
+    # at half the cost per call, which the largest batches make ~10*m times.
+    scale_list = scales.tolist()
 
     def oracle(point, xi):
-        return float(scales[xi % scales.size]) * float(a @ point)
+        return scale_list[xi % len(scale_list)] * float(a.dot(point))
 
     problem = Problem(dimension=d, oracle=oracle)
     cfg = EstimatorConfig(nu=0.5, batch=m)
