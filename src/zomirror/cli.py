@@ -33,8 +33,9 @@ from . import rng
 from .core import ElasticNet, Problem, _is_integer
 from .problems import (
     _DEFAULT_N_CLASSES,
-    EXPLANATION_MODES,
-    LOSS_KINDS,
+    check_classifier,
+    check_design,
+    check_explanation_mode,
     make_explanation_problem,
     make_sparse_regression,
     make_tiny_classifier,
@@ -81,21 +82,10 @@ def _check_keys(doc: dict, required: set, optional: set, context: str) -> None:
             raise ValueError(f"missing key {key!r} in {context}")
 
 
-def _as_int(doc: dict, key: str, context: str, minimum: int | None = None) -> int:
-    v = doc[key]
-    if not _is_integer(v):
-        raise ValueError(f"{context}: {key!r} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ValueError(f"{context}: {key!r} must be >= {minimum}")
-    return v
-
-
-def _as_number(doc: dict, key: str, context: str, minimum: float | None = None) -> float:
+def _as_number(doc: dict, key: str, context: str) -> float:
     v = doc[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{context}: {key!r} must be a number")
-    if minimum is not None and v < minimum:
-        raise ValueError(f"{context}: {key!r} must be >= {minimum}")
     return float(v)
 
 
@@ -107,7 +97,16 @@ def _check_design_size(rows: int, d: int, what: str) -> None:
         )
 
 
+def _builder_check(check, *args, **kwargs) -> None:
+    """A problem builder's own check on spec values, its message prefixed."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"problem: {exc}") from None
+
+
 def _parse_problem(doc: dict) -> dict:
+    """The problem descriptor; its values meet the checks its builders make."""
     if not isinstance(doc, dict):
         raise ValueError("'problem' must be an object")
     kind = doc.get("kind")
@@ -118,28 +117,21 @@ def _parse_problem(doc: dict) -> dict:
             {"gamma1", "gamma2"},
             "problem",
         )
-        d = _as_int(doc, "d", "problem", 1)
-        n = _as_int(doc, "n_samples", "problem", 1)
-        k = _as_int(doc, "k", "problem", 1)
-        if k > d:
-            raise ValueError("problem: 'k' must not exceed 'd'")
-        _check_design_size(n, d, "n_samples")
-        _as_number(doc, "noise_sigma", "problem", 0.0)
-        if doc["loss"] not in LOSS_KINDS:
-            raise ValueError(f"problem: unknown loss {doc['loss']!r}")
+        _as_number(doc, "noise_sigma", "problem")
+        _builder_check(check_design, doc["d"], doc["n_samples"], doc["k"], doc["noise_sigma"], doc["loss"])
+        _check_design_size(doc["n_samples"], doc["d"], "n_samples")
     elif kind == "explanation":
         _check_keys(doc, {"kind", "seed", "d", "mode"}, {"n_classes", "gamma1", "gamma2"}, "problem")
-        d = _as_int(doc, "d", "problem", 1)
-        n_classes = _as_int(doc, "n_classes", "problem", 2) if "n_classes" in doc else _DEFAULT_N_CLASSES
-        _check_design_size(n_classes, d, "n_classes")
-        if doc["mode"] not in EXPLANATION_MODES:
-            raise ValueError(f"problem: unknown mode {doc['mode']!r}")
+        n_classes = doc.get("n_classes", _DEFAULT_N_CLASSES)
+        _builder_check(check_classifier, doc["d"], n_classes)
+        _check_design_size(n_classes, doc["d"], "n_classes")
+        _builder_check(check_explanation_mode, doc["mode"])
     else:
         raise ValueError(f"problem: unknown kind {kind!r}")
-    _as_int(doc, "seed", "problem")
-    for key in ("gamma1", "gamma2"):
-        if key in doc:
-            _as_number(doc, key, "problem", 0.0)
+    if not _is_integer(doc["seed"]):
+        raise ValueError("problem: 'seed' must be an integer")
+    weights = {key: _as_number(doc, key, "problem") for key in ("gamma1", "gamma2") if key in doc}
+    _builder_check(ElasticNet, **weights)
     return doc
 
 
@@ -152,7 +144,7 @@ def _parse_algorithm(doc: dict, index: int) -> RunConfig:
     _check_keys(doc, {"tag", "T", "m"}, {"eta", "nu", "variant", "stationarity_eval_period"}, context)
     if doc["tag"] is None:  # RunConfig reads None as "no tag yet"
         raise ValueError(f"{context}: unknown algorithm tag None")
-    fields = {"algorithm": doc["tag"], "T": _as_int(doc, "T", context, 1), "batch": _as_int(doc, "m", context, 1)}
+    fields = {"algorithm": doc["tag"], "T": doc["T"], "batch": doc["m"]}
     if "eta" in doc:
         fields["eta_base"] = _as_number(doc, "eta", context)
     if doc.get("nu") is not None:
@@ -160,14 +152,11 @@ def _parse_algorithm(doc: dict, index: int) -> RunConfig:
     if "variant" in doc:
         fields["stepsize_variant"] = doc["variant"]
     if "stationarity_eval_period" in doc:
-        fields["stationarity_eval_period"] = _as_int(doc, "stationarity_eval_period", context, 1)
+        fields["stationarity_eval_period"] = doc["stationarity_eval_period"]
     try:
-        cfg = RunConfig(**fields)
+        return RunConfig(**fields)
     except ValueError as exc:
         raise ValueError(f"{context}: {exc}") from None
-    if "variant" in doc and doc["variant"] is None:  # RunConfig reads it as the default
-        raise ValueError(f"{context}: tag {cfg.algorithm!r} has no None-stepsize variant")
-    return cfg
 
 
 def _reject_constant(name: str) -> float:
@@ -181,11 +170,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_run_spec(path: str) -> RunSpec:
-    """Parse and validate a JSON run spec; unknown keys and non-finite
-    numbers (NaN, Infinity, or literals that overflow) are errors."""
+    """Parse and validate a JSON run spec; unknown or duplicate keys and
+    non-finite numbers (NaN, Infinity, or literals that overflow) are
+    errors."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        raw = json.load(
+            fh, object_pairs_hook=_unique_keys, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     if not isinstance(raw, dict):
         raise ValueError("run spec must be a JSON object")
     _check_keys(raw, {"problem", "algorithms", "seeds", "output_dir"}, {"emit_plot_data"}, "run spec")
@@ -336,7 +337,9 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
     Failures of individual runs are recorded in summary.json with status
     "failed" and do not stop the remaining runs.  When the problem itself
     cannot be built, or the output directory cannot be created, one line
-    goes to stderr, no run starts and the result is 1.  The only
+    goes to stderr, no run starts and the result is 1; when a mean curve
+    or summary.json cannot be written after the runs, one line goes to
+    stderr and the result is 1.  The only
     ValueError it raises, before any of that, is for ``jobs`` below 1 or
     a ZOMIRROR_SEED that is not an integer, in that order.
     """
@@ -368,14 +371,18 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
         results = [run(task) for task in tasks]
 
     entries = [entry for entry, _ in results]
-    if spec.emit_plot_data:
-        for cfg in spec.algorithms:
-            curves = [curve for (c, _), (_, curve) in zip(tasks, results) if c is cfg and curve is not None]
-            if curves:
-                path = os.path.join(out, f"{cfg.algorithm}_mean_curve.csv")
-                _atomic_write(path, _mean_curve_text(np.vstack(curves)))
-    summary = {"config": spec.raw, "global_seed": global_seed, "runs": entries}
-    _atomic_write(os.path.join(out, "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        if spec.emit_plot_data:
+            for cfg in spec.algorithms:
+                curves = [curve for (c, _), (_, curve) in zip(tasks, results) if c is cfg and curve is not None]
+                if curves:
+                    path = os.path.join(out, f"{cfg.algorithm}_mean_curve.csv")
+                    _atomic_write(path, _mean_curve_text(np.vstack(curves)))
+        summary = {"config": spec.raw, "global_seed": global_seed, "runs": entries}
+        _atomic_write(os.path.join(out, "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"cannot write output: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 0 if all(e["status"] == "ok" for e in entries) else 1
 
 

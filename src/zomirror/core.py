@@ -1,26 +1,21 @@
 """Domain types shared by all solvers: problems, regularizers, feasible
-sets, and the generalized gradient-mapping stationarity measure."""
+sets, and the composite objective's value."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TYPE_CHECKING
+from typing import Callable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .mirror import MirrorGeometry
 
 __all__ = [
     "NumericError",
     "ElasticNet",
     "FeasibleSet",
     "Problem",
-    "GradientMapResult",
     "elastic_net_value",
     "composite_value",
-    "gradient_map",
 ]
 
 
@@ -144,20 +139,6 @@ class Problem:
             raise ValueError(f"box bounds must have shape ({self.dimension},)")
 
 
-@dataclass(frozen=True)
-class GradientMapResult:
-    """Output of the generalized gradient map at a point or a stack of points.
-
-    ``mapped_point`` is the prox target P(x, g, eta), ``map_vector`` is
-    eta*(x - mapped_point), and ``sq_l1_norm`` is its squared l1 norm: a
-    float for one point, a (k,) array with one norm per row for a stack.
-    """
-
-    mapped_point: np.ndarray
-    map_vector: np.ndarray
-    sq_l1_norm: float | np.ndarray
-
-
 def elastic_net_value(reg: ElasticNet, x: np.ndarray) -> float | np.ndarray:
     """gamma1*||x||_1 + (gamma2/2)*||x||_2^2 at one point of shape (d,), or
     at each row of a (k, d) stack as a (k,) array, each entry equal to the
@@ -197,32 +178,3 @@ def composite_value(problem: Problem, x: np.ndarray, samples: Sequence[int]) -> 
         total += _oracle(problem, x, int(xi))
     return total / len(samples) + elastic_net_value(problem.regularizer, x)
 
-
-def gradient_map(
-    x: np.ndarray,
-    g: np.ndarray,
-    eta: float,
-    geometry: "MirrorGeometry",
-    reg: ElasticNet,
-    feasible_set: FeasibleSet,
-) -> GradientMapResult:
-    """Generalized gradient map G(x, g, eta) = eta*(x - P(x, g, eta)).
-
-    P(x, g, eta) minimizes <g, y> + r(y) + eta*B(y, x) over the feasible
-    set; a small ||G||_1 certifies approximate stationarity of the
-    composite objective at x.  Like ``prox_composite``, it takes one point
-    of shape (d,) or a (k, d) stack of points with one eta or one eta per
-    row; each row of a stack's result equals the one-point map bit for bit.
-    """
-    from .mirror import prox_composite
-
-    # prox_composite checks eta first of all.
-    mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
-    map_vector = np.asarray(x, dtype=float) - mapped
-    stacked = mapped.ndim == 2
-    map_vector *= np.reshape(eta, (-1, 1)) if stacked else eta
-    l1 = np.abs(map_vector).sum(axis=-1)
-    # A norm past 1e154 squares to inf quietly, as a Python float does.
-    with np.errstate(over="ignore"):
-        sq = l1 * l1
-    return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=sq if stacked else float(sq))

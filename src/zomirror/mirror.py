@@ -1,4 +1,4 @@
-"""Entropy-like mirror geometry and its composite proximal step.
+"""Entropy-like mirror geometry, its composite proximal step and gradient map.
 
 The distance-generating function
 
@@ -40,6 +40,8 @@ __all__ = [
     "bregman",
     "lambert_w0",
     "prox_composite",
+    "GradientMapResult",
+    "gradient_map",
 ]
 
 # exp(|theta|) must stay below 1e300 so d*|y| + 1 never overflows.
@@ -328,3 +330,45 @@ def prox_composite(
         np.maximum(magnitude, 0.0, out=magnitude)
     np.multiply(sign_z, magnitude, out=magnitude)
     return feasible_set.clamp(magnitude)
+
+
+@dataclass(frozen=True)
+class GradientMapResult:
+    """Output of the generalized gradient map at a point or a stack of points.
+
+    ``mapped_point`` is the prox target P(x, g, eta), ``map_vector`` is
+    eta*(x - mapped_point), and ``sq_l1_norm`` is its squared l1 norm: a
+    float for one point, a (k,) array with one norm per row for a stack.
+    """
+
+    mapped_point: np.ndarray
+    map_vector: np.ndarray
+    sq_l1_norm: float | np.ndarray
+
+
+def gradient_map(
+    x: np.ndarray,
+    g: np.ndarray,
+    eta: float,
+    geometry: MirrorGeometry,
+    reg: ElasticNet,
+    feasible_set: FeasibleSet,
+) -> GradientMapResult:
+    """Generalized gradient map G(x, g, eta) = eta*(x - P(x, g, eta)).
+
+    P(x, g, eta) minimizes <g, y> + r(y) + eta*B(y, x) over the feasible
+    set; a small ||G||_1 certifies approximate stationarity of the
+    composite objective at x.  Like ``prox_composite``, it takes one point
+    of shape (d,) or a (k, d) stack of points with one eta or one eta per
+    row; each row of a stack's result equals the one-point map bit for bit.
+    """
+    # prox_composite checks eta first of all.
+    mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
+    map_vector = np.asarray(x, dtype=float) - mapped
+    stacked = mapped.ndim == 2
+    map_vector *= np.reshape(eta, (-1, 1)) if stacked else eta
+    l1 = np.abs(map_vector).sum(axis=-1)
+    # A norm past 1e154 squares to inf quietly, as a Python float does.
+    with np.errstate(over="ignore"):
+        sq = l1 * l1
+    return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=sq if stacked else float(sq))

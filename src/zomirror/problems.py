@@ -24,6 +24,9 @@ __all__ = [
     "SparseRegressionProblem",
     "TinyClassifier",
     "ExplanationProblem",
+    "check_design",
+    "check_classifier",
+    "check_explanation_mode",
     "sparse_regression_design",
     "make_sparse_regression",
     "make_tiny_classifier",
@@ -161,6 +164,18 @@ class SparseRegressionProblem:
         )
 
 
+def check_design(d: int, n_samples: int, k: int, noise_sigma: float, kind: str) -> None:
+    """sparse_regression_design's argument checks, which draw nothing."""
+    for name, count in (("d", d), ("k", k), ("n_samples", n_samples)):
+        _check_count(name, count)
+    if k > d:
+        raise ValueError("sparsity k must satisfy 1 <= k <= d")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be nonnegative and finite")
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind: {kind!r}")
+
+
 def sparse_regression_design(
     d: int, n_samples: int, k: int, noise_sigma: float, kind: str, seed: int
 ) -> SparseRegressionProblem:
@@ -170,14 +185,7 @@ def sparse_regression_design(
     uniform k-subset; planted entries are uniform(0.5, 1.5) with random
     signs; targets are <a, x*> plus noise_sigma * standard normal.
     """
-    for name, count in (("d", d), ("k", k), ("n_samples", n_samples)):
-        _check_count(name, count)
-    if k > d:
-        raise ValueError("sparsity k must satisfy 1 <= k <= d")
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError("noise_sigma must be nonnegative and finite")
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind: {kind!r}")
+    check_design(d, n_samples, k, noise_sigma, kind)
     stream = rng.stream("sparse-regression", kind, seed)
     raw = stream.standard_normal((n_samples, d))
     matrix = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -235,16 +243,27 @@ class TinyClassifier:
         return self.weights.dot(x) + self.bias
 
 
-def make_tiny_classifier(d: int, n_classes: int = _DEFAULT_N_CLASSES, seed: int = 0) -> TinyClassifier:
-    """Deterministic small classifier with weights drawn from the seed."""
+def check_classifier(d: int, n_classes: int) -> None:
+    """make_tiny_classifier's argument checks, which draw nothing."""
     _check_count("d", d)
     _check_count("n_classes", n_classes)
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
+
+
+def make_tiny_classifier(d: int, n_classes: int = _DEFAULT_N_CLASSES, seed: int = 0) -> TinyClassifier:
+    """Deterministic small classifier with weights drawn from the seed."""
+    check_classifier(d, n_classes)
     stream = rng.stream("tiny-classifier", seed, d, n_classes)
     weights = stream.standard_normal((n_classes, d)) / np.sqrt(d)
     bias = 0.1 * stream.standard_normal(n_classes)
     return TinyClassifier(weights=weights, bias=bias)
+
+
+def check_explanation_mode(mode: str) -> None:
+    """Reject a mode that is not one of EXPLANATION_MODES."""
+    if mode not in EXPLANATION_MODES:
+        raise ValueError(f"unknown explanation mode: {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -266,8 +285,7 @@ class ExplanationProblem:
     box: FeasibleSet = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in EXPLANATION_MODES:
-            raise ValueError(f"unknown explanation mode: {self.mode!r}")
+        check_explanation_mode(self.mode)
         if self.anchor.shape != (self.classifier.dimension,):
             raise ValueError("anchor must match the classifier dimension")
         if not np.all(np.isfinite(self.anchor)):

@@ -44,9 +44,8 @@ from .core import (
     _is_integer,
     composite_value,
     elastic_net_value,
-    gradient_map,
 )
-from .mirror import MirrorGeometry, prox_composite
+from .mirror import MirrorGeometry, gradient_map, prox_composite
 from .sampling import (
     EstimatorConfig,
     default_smoothing,
@@ -95,13 +94,13 @@ class RunConfig:
     """Configuration of one solver run.
 
     ``stepsize_variant`` names one of the algorithm's stepsize rules in
-    ALGORITHM_TABLE: "adaptive" or "constant".  None selects the first,
-    which is "adaptive" for every algorithm; only zo-ada-expgrad and
-    zo-psgd accept "constant".  ``nu`` of None selects the default
-    smoothing for the algorithm's estimator.  ``algorithm`` of None lets
-    the runner fill its own tag in.  A set tag must be in ALGORITHM_TABLE
-    and a set stepsize word must be in its row; both are checked here, and
-    a runner rejects a config that names another algorithm.
+    ALGORITHM_TABLE: "adaptive", which every algorithm accepts, or
+    "constant", which only zo-ada-expgrad and zo-psgd accept.  ``nu`` of
+    None selects the default smoothing for the algorithm's estimator.
+    ``algorithm`` of None lets the runner fill its own tag in.  A set tag
+    must be in ALGORITHM_TABLE and the stepsize word must be in its row;
+    both are checked here, and a runner rejects a config that names
+    another algorithm.
     """
 
     T: int
@@ -110,7 +109,7 @@ class RunConfig:
     nu: float | None = None
     seed: int = 0
     algorithm: str | None = None
-    stepsize_variant: str | None = None
+    stepsize_variant: str = "adaptive"
     stationarity_eval_period: int = 1
 
     def __post_init__(self) -> None:
@@ -125,7 +124,7 @@ class RunConfig:
         # string fails here rather than as unhashable in a dict lookup.
         if self.algorithm not in (None, *ALGORITHMS):
             raise ValueError(f"unknown algorithm tag {self.algorithm!r}")
-        if self.algorithm and self.stepsize_variant not in (None, *ALGORITHM_TABLE[self.algorithm].alpha_rules):
+        if self.algorithm and self.stepsize_variant not in tuple(ALGORITHM_TABLE[self.algorithm].alpha_rules):
             raise ValueError(f"tag {self.algorithm!r} has no {self.stepsize_variant}-stepsize variant")
 
 
@@ -262,11 +261,11 @@ class Algorithm:
     """What sets one method of the family apart from the others.
 
     ``alpha_rules`` maps each stepsize word the method accepts to its
-    AlphaRule, or to None for a constant stepsize; the first key is the
-    default.  ``paired`` methods step on recursive-momentum (STORM)
-    estimates built from paired batches at x_t and x_{t-1}; this also
-    picks the STORM smoothing radius and makes a run cost
-    2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``step`` maps
+    AlphaRule, or to None for a constant stepsize; every method accepts
+    "adaptive", RunConfig's default.  ``paired`` methods step on
+    recursive-momentum (STORM) estimates built from paired batches at x_t
+    and x_{t-1}; this also picks the STORM smoothing radius and makes a
+    run cost 2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``step`` maps
     (problem, geometry, x_t, d_t, eta_t, alpha_t, accum, rule, t, m) to
     (x_{t+1}, alpha_{t+1}, accum), where rule is the run's AlphaRule.
     """
@@ -385,7 +384,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     elif cfg.algorithm != algorithm:
         raise ValueError(f"config names algorithm {cfg.algorithm!r}, but this runs {algorithm!r}")
     algo = ALGORITHM_TABLE[algorithm]
-    rule = algo.alpha_rules[cfg.stepsize_variant or next(iter(algo.alpha_rules))]
+    rule = algo.alpha_rules[cfg.stepsize_variant]
     d, m = problem.dimension, cfg.batch
     geo = MirrorGeometry(d)
     smoothing_kind = "storm" if algo.paired else "minibatch"

@@ -20,6 +20,8 @@ from zomirror.cli import (
     parse_run_spec,
     problem_from_descriptor,
 )
+from zomirror.core import ElasticNet
+from zomirror.problems import check_classifier, check_design, check_explanation_mode
 from zomirror.solvers import ALGORITHM_TABLE, ALGORITHMS, RunConfig, run_zo_ada_expgrad
 
 
@@ -136,7 +138,7 @@ class TestParseRunSpec:
     def test_sparsity_exceeding_dimension(self, tmp_path):
         doc = base_spec(tmp_path)
         doc["problem"]["k"] = 11
-        with pytest.raises(ValueError, match="'k' must not exceed 'd'"):
+        with pytest.raises(ValueError, match=r"^problem: sparsity k must satisfy 1 <= k <= d$"):
             parse_run_spec(write_spec(tmp_path, doc))
 
     def test_unknown_problem_kind(self, tmp_path):
@@ -151,7 +153,7 @@ class TestParseRunSpec:
         spec = parse_run_spec(write_spec(tmp_path, doc))
         assert spec.problem["mode"] == "PP"
         doc["problem"]["mode"] = "PPP"
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(ValueError, match="^problem: unknown explanation mode: 'PPP'$"):
             parse_run_spec(write_spec(tmp_path, doc))
 
     def test_nonpositive_eta_rejected(self, tmp_path):
@@ -160,6 +162,24 @@ class TestParseRunSpec:
         with pytest.raises(ValueError, match=r"algorithms\[0\]: eta_base must be positive and finite"):
             parse_run_spec(write_spec(tmp_path, doc))
 
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"seeds": [0, 1]', '"seeds": [0], "seeds": [5]', "seeds"),
+            ('"T": 15', '"T": 15, "T": 3', "T"),
+            ('"seed": 3', '"seed": 3, "seed": 3', "seed"),
+        ],
+        ids=["top level", "algorithm entry", "problem"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, old, new, key):
+        # json.load alone keeps the last value of a repeated key.
+        text = json.dumps(base_spec(tmp_path / "out"))
+        assert old in text
+        path = tmp_path / "spec.json"
+        path.write_text(text.replace(old, new, 1))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"invalid run spec: duplicate key {key!r}\n"
 
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999"])
     def test_nonfinite_literals_rejected(self, tmp_path, literal):
@@ -418,12 +438,12 @@ class TestMain:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("algorithms", 0, "T"), 1.5, "algorithms[0]: 'T' must be an integer"),
-            (("algorithms", 0, "m"), 0, "algorithms[0]: 'm' must be >= 1"),
+            (("algorithms", 0, "T"), 1.5, "algorithms[0]: T must be a positive integer"),
+            (("algorithms", 0, "m"), 0, "algorithms[0]: batch must be a positive integer"),
             (("problem", "noise_sigma"), "0.1", "problem: 'noise_sigma' must be a number"),
-            (("problem", "noise_sigma"), -0.1, "problem: 'noise_sigma' must be >= 0.0"),
+            (("problem", "noise_sigma"), -0.1, "problem: noise_sigma must be nonnegative and finite"),
             (("problem",), [], "'problem' must be an object"),
-            (("problem", "loss"), "hinge", "problem: unknown loss 'hinge'"),
+            (("problem", "loss"), "hinge", "problem: unknown loss kind: 'hinge'"),
             (("algorithms", 0), "zo-psgd", "algorithms[0] must be an object"),
             (("algorithms", 0, "nu"), 0.0, "algorithms[0]: nu must be positive and finite"),
             ((), [], "run spec must be a JSON object"),
@@ -570,6 +590,79 @@ class TestMain:
         assert err.count("\n") == 1
         assert started == []
         assert blocker.read_text() == ""
+
+
+def design_check(problem):
+    check_design(problem["d"], problem["n_samples"], problem["k"], problem["noise_sigma"], problem["loss"])
+
+
+def classifier_check(problem):
+    check_classifier(problem["d"], problem.get("n_classes", 3))
+
+
+def mode_check(problem):
+    check_explanation_mode(problem["mode"])
+
+
+def weights_check(problem):
+    ElasticNet(**{key: problem[key] for key in ("gamma1", "gamma2") if key in problem})
+
+
+EXPLANATION = {"kind": "explanation", "seed": 0, "d": 4, "mode": "PN"}
+
+
+class TestBuilderRulesAtParse:
+    """The parser leaves each value rule of a problem to the check its
+    builder makes: one message, whether a spec is validated or built."""
+
+    @pytest.mark.parametrize(
+        "edit, check",
+        [
+            ({"k": 11}, design_check),
+            ({"d": 0}, design_check),
+            ({"k": True}, design_check),
+            ({"n_samples": 2.5}, design_check),
+            ({"noise_sigma": -0.1}, design_check),
+            ({"loss": "hinge"}, design_check),
+            ({"gamma1": -1.0}, weights_check),
+            ({**EXPLANATION, "d": 0}, classifier_check),
+            ({**EXPLANATION, "n_classes": 1}, classifier_check),
+            ({**EXPLANATION, "n_classes": 2.5}, classifier_check),
+            ({**EXPLANATION, "mode": "PPP"}, mode_check),
+            ({**EXPLANATION, "gamma2": -0.5}, weights_check),
+        ],
+    )
+    def test_one_message_per_rule(self, tmp_path, capsys, edit, check):
+        out = tmp_path / "out"
+        doc = base_spec(out)
+        doc["problem"] = edit if edit.get("kind") == "explanation" else {**doc["problem"], **edit}
+        with pytest.raises(ValueError) as checked:
+            check(doc["problem"])
+        with pytest.raises(ValueError) as built:
+            problem_from_descriptor(doc["problem"])
+        assert str(built.value) == str(checked.value)
+        path = write_spec(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err == f"invalid run spec: problem: {checked.value}\n"
+        assert not out.exists()
+
+
+class TestOutputWrites:
+    @pytest.mark.parametrize("blocked", ["summary.json", "zo-psgd_mean_curve.csv"])
+    def test_failed_write_after_the_runs_exits_one(self, tmp_path, capsys, blocked):
+        # A directory in place of an output file: the runs finish, the write
+        # fails on the final rename, and its temporary file is removed.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        path = write_spec(tmp_path, base_spec(out, emit_plot_data=True))
+        assert main(["run", "--config", path, "--no-timing"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: IsADirectoryError: ")
+        assert err.count("\n") == 1
+        assert (out / "zo-psgd_1.csv").exists()
+        assert (out / blocked).is_dir()
+        assert [name for name in os.listdir(out) if name.startswith(".tmp-")] == []
 
 
 # The (tag, variant) pairs a spec may name: every tag runs "adaptive", and

@@ -275,6 +275,11 @@ class TestGradientMap:
         res = gradient_map(np.zeros(1), np.zeros(1), 1.0, self.geo, self.none, self.free)
         assert isinstance(res, GradientMapResult)
 
+    def test_lives_beside_its_prox(self):
+        assert zomirror.gradient_map is mirror.gradient_map
+        assert zomirror.GradientMapResult is mirror.GradientMapResult
+        assert not hasattr(core, "gradient_map")
+
 
 class TestExactGradientConsistency:
     @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])

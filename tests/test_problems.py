@@ -11,7 +11,11 @@ import pytest
 from zomirror import (
     ElasticNet,
     ExplanationProblem,
+    SparseRegressionProblem,
     TinyClassifier,
+    check_classifier,
+    check_design,
+    check_explanation_mode,
     explanation_loss,
     make_explanation_problem,
     make_sparse_regression,
@@ -155,6 +159,18 @@ class TestSparseRegressionDesign:
     def test_counts_must_be_integers(self, d, k):
         with pytest.raises(ValueError, match="must be a positive integer"):
             sparse_regression_design(d, 4, k, 0.1, "least_squares", 0)
+
+    def test_problem_fields_validated(self):
+        design = sparse_regression_design(4, 3, 2, 0.1, "least_squares", 0)
+        fields = dict(matrix=design.matrix, targets=design.targets, kind=design.kind, planted=design.planted)
+        with pytest.raises(ValueError, match="^unknown loss kind: 'huber'$"):
+            SparseRegressionProblem(**dict(fields, kind="huber"))
+        for targets in (design.targets[:2], design.targets[:, None]):
+            with pytest.raises(ValueError, match="^targets must have one entry per design row$"):
+                SparseRegressionProblem(**dict(fields, targets=targets))
+        for planted in (design.planted[:3], np.zeros((4, 1))):
+            with pytest.raises(ValueError, match="^planted solution must match the design width$"):
+                SparseRegressionProblem(**dict(fields, planted=planted))
 
     @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])
     def test_gradient_matches_finite_differences(self, kind):
@@ -377,6 +393,47 @@ class TestTinyClassifier:
     def test_counts_must_be_integers(self, d, n_classes):
         with pytest.raises(ValueError, match="must be a positive integer"):
             make_tiny_classifier(d, n_classes, 0)
+
+
+def raised(call, *args):
+    """The message of the ValueError that call(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestBuilderChecks:
+    """Each builder's argument check is one function that draws nothing;
+    the builder raises its message first of all."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, 4, 1, 0.1, "least_squares"),
+            (5, 4, 6, 0.1, "least_squares"),
+            (5, 2.0, 2, 0.1, "least_squares"),
+            (5, 4, 2, math.nan, "least_squares"),
+            (5, 4, 2, 0.1, "hinge"),
+        ],
+    )
+    def test_design(self, args):
+        assert raised(sparse_regression_design, *args, 0) == raised(check_design, *args)
+        assert raised(make_sparse_regression, *args, 0) == raised(check_design, *args)
+
+    @pytest.mark.parametrize("d, n_classes", [(0, 3), (3, 1), (True, 3), (3, "3")])
+    def test_classifier(self, d, n_classes):
+        assert raised(make_tiny_classifier, d, n_classes, 0) == raised(check_classifier, d, n_classes)
+
+    def test_explanation_mode(self):
+        clf = two_class([[0.0], [0.0]], [2.0, 1.0])
+        for mode in ("pp", None, ["PP"]):
+            assert raised(ExplanationProblem, clf, np.array([0.3]), mode) == raised(check_explanation_mode, mode)
+
+    def test_valid_arguments_pass(self):
+        check_design(5, 4, 5, 0.0, "robust_nonconvex")
+        check_classifier(1, 2)
+        for mode in ("PP", "PN"):
+            check_explanation_mode(mode)
 
 
 def two_class(w_rows, bias):

@@ -149,6 +149,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**kw)
 
+    @pytest.mark.parametrize("tag", ALGORITHM_TABLE)
+    def test_every_row_takes_the_default_word(self, tag):
+        # "adaptive" is RunConfig's default, so every row must hold it; None
+        # is no word, and fails as a word missing from the row does.
+        assert "adaptive" in ALGORITHM_TABLE[tag].alpha_rules
+        assert RunConfig(T=1, batch=1, algorithm=tag).stepsize_variant == "adaptive"
+        with pytest.raises(ValueError, match=f"^tag {tag!r} has no None-stepsize variant$"):
+            RunConfig(T=1, batch=1, algorithm=tag, stepsize_variant=None)
+        with pytest.raises(ValueError, match=f"^tag {tag!r} has no None-stepsize variant$"):
+            RUNNERS[tag](zero_problem(), RunConfig(T=1, batch=1, stepsize_variant=None))
+
     def test_numpy_integers_accepted(self):
         cfg = RunConfig(T=np.int64(3), batch=np.int32(2), stationarity_eval_period=np.uint8(2))
         assert run_zo_psgd(zero_problem(), cfg).records[-1].iteration == 3
@@ -734,6 +745,29 @@ class TestBlockEvaluation:
             run_zo_ada_expgrad(prob, cfg)
         assert (info.value.iteration, info.value.layer) == (2, layer)
         assert str(info.value).endswith(f"at iteration 2 in {layer}")
+
+    def test_other_estimator_errors_propagate_unchanged(self):
+        # Only a NumericError gains an iteration and a layer: an oracle's
+        # KeyError at iteration 3 comes out as it was raised, after the
+        # block's evaluation, whose own error at x_2 still wins.
+        cfg = RunConfig(T=5, batch=1)
+        x_2, x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1:3]
+        missing = KeyError("no row for this sample")
+
+        def oracle(x, xi):
+            if np.array_equal(x, x_3):
+                raise missing
+            return 0.0
+
+        prob = dataclasses.replace(draining_problem(mean_loss=lambda X: np.zeros(len(X))), oracle=oracle)
+        with pytest.raises(KeyError) as info:
+            run_zo_ada_expgrad(prob, cfg)
+        assert info.value is missing
+        assert info.value.__cause__ is None
+        assert not hasattr(info.value, "iteration") and not hasattr(info.value, "layer")
+        prob = dataclasses.replace(prob, mean_loss=fails_at(x_2, math.inf, 0.0))
+        with pytest.raises(NumericError, match="^mean_loss returned a non-finite value at iteration 2 in objective$"):
+            run_zo_ada_expgrad(prob, cfg)
 
     def test_estimator_error_follows_a_clean_evaluation_of_its_block(self):
         cfg = RunConfig(T=5, batch=1)

@@ -65,7 +65,10 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
 * ``errors``: the exit code, the stderr text and whether the output
   directory exists after ``zomirror validate`` on each bad spec of
   ``test_cli.py::test_invalid_spec_is_one_line`` (the NUL-character
-  ``output_dir`` case aside) and after ``zomirror run`` with ``--jobs 0``,
+  ``output_dir`` case aside) and on five more, one per value rule the
+  parser may leave to a builder or to ``RunConfig`` (``k`` above ``d``,
+  ``d`` 0, ``gamma1`` -1, a float ``seed``, ``stationarity_eval_period``
+  0), and after ``zomirror run`` with ``--jobs 0``,
   with a non-integer ``ZOMIRROR_SEED`` and with both; then the error type
   and text of each count and scale check on bad values: the counts of
   ``RunConfig``, ``Problem``, ``EstimatorConfig``, ``MirrorGeometry`` and
@@ -518,6 +521,11 @@ BAD_SPEC_EDITS = [
     (("seeds",), []),
     (("output_dir",), ""),
     (("emit_plot_data",), 1),
+    (("problem", "k"), 11),
+    (("problem", "d"), 0),
+    (("problem", "gamma1"), -1.0),
+    (("problem", "seed"), 1.5),
+    (("algorithms", 0, "stationarity_eval_period"), 0),
 ]
 
 BAD_COUNTS = [0, -1, 2.5, True, "3", np.int64(0)]
