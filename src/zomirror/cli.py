@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import ElasticNet, Problem, _is_integer
+from .core import ElasticNet, Problem, _check_count, _is_integer
 from .problems import (
     _DEFAULT_N_CLASSES,
     check_classifier,
@@ -338,13 +338,13 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
     "failed" and do not stop the remaining runs.  When the problem itself
     cannot be built, or the output directory cannot be created, one line
     goes to stderr, no run starts and the result is 1; when a mean curve
-    or summary.json cannot be written after the runs, one line goes to
-    stderr and the result is 1.  The only
-    ValueError it raises, before any of that, is for ``jobs`` below 1 or
-    a ZOMIRROR_SEED that is not an integer, in that order.
+    or summary.json cannot be written after the runs, the other outputs
+    are still written, one line for the first failure goes to stderr and
+    the result is 1.  The only ValueError it raises, before any of that,
+    is for a ``jobs`` that is not a positive integer or a ZOMIRROR_SEED
+    that is not an integer, in that order.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    _check_count("jobs", jobs)
     out = out_dir if out_dir is not None else spec.output_dir
     env_seed = _env_seed()
     global_seed = env_seed if env_seed is not None else spec.problem["seed"]
@@ -371,17 +371,23 @@ def execute(spec: RunSpec, jobs: int = 1, no_timing: bool = False, out_dir: str 
         results = [run(task) for task in tasks]
 
     entries = [entry for entry, _ in results]
-    try:
-        if spec.emit_plot_data:
-            for cfg in spec.algorithms:
-                curves = [curve for (c, _), (_, curve) in zip(tasks, results) if c is cfg and curve is not None]
-                if curves:
-                    path = os.path.join(out, f"{cfg.algorithm}_mean_curve.csv")
-                    _atomic_write(path, _mean_curve_text(np.vstack(curves)))
-        summary = {"config": spec.raw, "global_seed": global_seed, "runs": entries}
-        _atomic_write(os.path.join(out, "summary.json"), json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"cannot write output: {type(exc).__name__}: {exc}", file=sys.stderr)
+    outputs = []
+    if spec.emit_plot_data:
+        for cfg in spec.algorithms:
+            curves = [curve for (c, _), (_, curve) in zip(tasks, results) if c is cfg and curve is not None]
+            if curves:
+                outputs.append((f"{cfg.algorithm}_mean_curve.csv", _mean_curve_text(np.vstack(curves))))
+    summary = {"config": spec.raw, "global_seed": global_seed, "runs": entries}
+    outputs.append(("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"))
+    # Every write is attempted, so one that fails drops no other output.
+    failed = None
+    for filename, text in outputs:
+        try:
+            _atomic_write(os.path.join(out, filename), text)
+        except OSError as exc:
+            failed = failed or exc
+    if failed is not None:
+        print(f"cannot write output: {type(failed).__name__}: {failed}", file=sys.stderr)
         return 1
     return 0 if all(e["status"] == "ok" for e in entries) else 1
 

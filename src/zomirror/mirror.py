@@ -108,10 +108,11 @@ def bregman(geo: MirrorGeometry, y, x) -> float:
     return float(np.sum(np.maximum(terms, 0.0)))
 
 
-def _w0_halley(z: np.ndarray) -> np.ndarray:
+def _w0_halley(z: np.ndarray, negative: bool = False) -> np.ndarray:
     """Principal Lambert branch on an array of one or more dimensions;
-    assumes z >= -1/e element-wise, and no -0.0 in an array with no
-    negative element (its start log1p(z) would keep the sign).
+    assumes z >= -1/e element-wise, ``negative`` true if z holds a
+    negative element, and no -0.0 otherwise (its start log1p(z) would
+    keep the sign).
 
     On a 1-D array every element takes Halley steps until all of them
     meet the residual test; none is frozen early.  On a (k, d) stack of
@@ -121,7 +122,7 @@ def _w0_halley(z: np.ndarray) -> np.ndarray:
     allocated once per call (again when rows leave).
     """
     near_branch = False
-    if z.min(initial=0.0) >= 0.0:
+    if not negative:
         # The prox's case: log1p(z) is the general start on z >= 0.
         w = np.log1p(z)
         target = np.maximum(z, 1.0)
@@ -142,7 +143,10 @@ def _w0_halley(z: np.ndarray) -> np.ndarray:
         np.exp(w, out=ew)
         np.multiply(w, ew, out=f)
         f -= z
-        if np.less_equal(np.abs(f, out=tmp), target, out=met).all():
+        # A count, not met.all(): the same truth value (a NaN residual
+        # fails both) at about half the per-call cost on small arrays.
+        np.less_equal(np.abs(f, out=tmp), target, out=met)
+        if np.count_nonzero(met) == met.size:
             if rows is None:
                 return w
             out[rows] = w
@@ -208,7 +212,7 @@ def lambert_w0(z):
     if np.any(arr > 1e300):
         raise NumericError("lambert_w0 overflow: z too large")
     # Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
-    w = _w0_halley(arr.reshape(-1) + 0.0).reshape(arr.shape)
+    w = _w0_halley(arr.reshape(-1) + 0.0, negative=arr.min(initial=0.0) < 0.0).reshape(arr.shape)
     if np.ndim(z) == 0:
         return float(w)
     return w

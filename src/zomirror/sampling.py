@@ -216,7 +216,7 @@ def _batch_estimates(
         # outlives the estimate fragmented the heap and raised
         # robust-d2000's peak RSS by ~4.5 MB.
         vector = total / m
-        if not np.isfinite(vector).all():
+        if np.count_nonzero(np.isfinite(vector)) != d:
             raise NumericError(f"batch estimate has a non-finite entry (nu={nu!r})")
         estimates.append(GradientEstimate(vector=vector, oracle_calls=2 * m))
     return tuple(estimates)

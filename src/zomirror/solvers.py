@@ -221,10 +221,15 @@ def stepsize_update(
     """
     if rule is None:
         return alpha, accum
-    # np.add.reduce is np.sum's pairwise sum without its Python wrapper.
-    l1 = np.add.reduce
-    lam = 1.0 / (max(float(l1(np.abs(x))), float(l1(np.abs(y)))) + 1.0)
-    accum += (lam * alpha * float(l1(np.abs(y - x)))) ** 2
+    # |x|, |y| and |y - x| as the rows of one buffer, summed by one
+    # np.add.reduce: each row's pairwise sum is np.sum of that row alone.
+    rows = np.empty((3, len(x)))
+    rows[0] = x
+    rows[1] = y
+    np.subtract(y, x, out=rows[2])
+    norm_x, norm_y, norm_step = np.add.reduce(np.abs(rows, out=rows), axis=1).tolist()
+    lam = 1.0 / (max(norm_x, norm_y) + 1.0)
+    accum += (lam * alpha * norm_step) ** 2
     alpha_next = rule(accum, t, m)
     if alpha_next < alpha:
         raise RuntimeError("stepsize invariant violated: alpha decreased")

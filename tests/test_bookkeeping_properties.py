@@ -6,7 +6,8 @@ directly.  Each must equal its frozen form in ``tests/oracles.py`` bit for
 bit, floats compared as uint64, over widths on both sides of numpy's
 pairwise-sum blocks and over entries that stress the arithmetic: signed
 zeros, subnormals, entries whose squares or sums overflow, and NaN for
-``contains``.
+``contains``.  ``FeasibleSet.clamp`` must equal ``np.clip`` bit for bit,
+NaN and infinities included.
 """
 
 import math
@@ -24,7 +25,8 @@ from zomirror.solvers import stepsize_update
 
 from oracles import contains_reference, objective_reference, stepsize_update_reference
 
-WIDTHS = [1, 7, 500, 2000]
+# 8, 128 and 129 sit at the edges of numpy's pairwise-sum blocks.
+WIDTHS = [1, 7, 8, 128, 129, 500, 2000]
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.5, 1e154, -1e200, 1e300, -1.7e308]
 ENTRIES = st.one_of(st.sampled_from(SPECIALS), st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
 WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-4, 0.5, 3.0, 1e300]), st.floats(0.0, 1e6))
@@ -126,3 +128,51 @@ def test_contains_equals_np_all_form(box, atol):
     with np.errstate(over="ignore"):
         assert fs.contains(x, atol=atol) is contains_reference(lo, hi, x, atol)
     assert FeasibleSet.unconstrained().contains(x, atol=atol) is True
+
+
+@settings(max_examples=100, deadline=None)
+@given(box=boxes(), rows=st.integers(1, 4), atol=st.sampled_from([0.0, 1e-12, 1.0]))
+def test_contains_on_a_stack_equals_np_all_form(box, rows, atol):
+    # A (k, d) stack of points is contained when every row is.
+    lo, hi, x = box
+    stack = np.vstack([np.where(np.isnan(x), lo, x)] * (rows - 1) + [x])
+    fs = FeasibleSet.box(lo, hi)
+    with np.errstate(over="ignore"):
+        assert fs.contains(stack, atol=atol) is contains_reference(lo, hi, stack, atol)
+
+
+CLAMP_ENTRIES = st.one_of(ENTRIES, st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bounds=stacks(2),
+    pool=st.lists(CLAMP_ENTRIES, min_size=1, max_size=8),
+    rows=st.integers(0, 3),
+    degenerate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_clamp_equals_np_clip(bounds, pool, rows, degenerate, seed):
+    # One point (rows 0) or a (rows, d) stack; a degenerate box has lo == hi.
+    lo, hi = np.sort(bounds, axis=0)
+    if degenerate:
+        hi = lo.copy()
+    gen = np.random.default_rng(seed)
+    x = gen.choice(np.array(pool), size=(rows, lo.size) if rows else lo.size)
+    got = FeasibleSet.box(lo, hi).clamp(x)
+    assert got.view(np.uint64).tolist() == np.clip(x, lo, hi).view(np.uint64).tolist()
+
+
+def test_clamp_special_values():
+    lo = np.array([-0.0, 0.0, -1.0, 5e-324, 2.0, -math.inf])
+    hi = np.array([0.0, 0.0, 1.0, 1e-310, 2.0, math.inf])
+    x = np.array(
+        [
+            [0.0, -0.0, math.nan, 0.0, math.inf, -math.inf],
+            [-0.0, -5e-324, math.inf, -0.0, -math.inf, math.nan],
+            [math.nan, 5e-324, -math.inf, 1e-309, 2.0, 1e308],
+        ]
+    )
+    fs = FeasibleSet.box(lo, hi)
+    for point in (x, *x):
+        assert fs.clamp(point).view(np.uint64).tolist() == np.clip(point, lo, hi).view(np.uint64).tolist()

@@ -419,6 +419,21 @@ class TestExecute:
         with pytest.raises(ValueError):
             execute(spec, jobs=0)
 
+    @pytest.mark.parametrize("jobs", [2.5, True, 2.0])
+    def test_non_integer_jobs_rejected(self, tmp_path, jobs):
+        # A float or a bool must not reach the thread pool.
+        out = tmp_path / "out"
+        spec = parse_run_spec(write_spec(tmp_path, base_spec(out)))
+        with pytest.raises(ValueError, match="^jobs must be a positive integer$"):
+            execute(spec, jobs=jobs)
+        assert not out.exists()
+
+    def test_numpy_integer_jobs_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        spec = parse_run_spec(write_spec(tmp_path, base_spec(out)))
+        assert execute(spec, jobs=np.int64(2), no_timing=True) == 0
+        assert (out / "summary.json").exists()
+
 
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
@@ -530,7 +545,7 @@ class TestMain:
         out = tmp_path / "out"
         path = write_spec(tmp_path, base_spec(out))
         assert main(["run", "--config", path, "--jobs", "0"]) == 2
-        assert capsys.readouterr().err == "jobs must be >= 1\n"
+        assert capsys.readouterr().err == "jobs must be a positive integer\n"
         assert not out.exists()
 
     def test_bad_jobs_reported_before_bad_env_seed(self, tmp_path, capsys, monkeypatch):
@@ -538,7 +553,7 @@ class TestMain:
         path = write_spec(tmp_path, base_spec(out))
         monkeypatch.setenv("ZOMIRROR_SEED", "1.5")
         assert main(["run", "--config", path, "--jobs", "0"]) == 2
-        assert capsys.readouterr().err == "jobs must be >= 1\n"
+        assert capsys.readouterr().err == "jobs must be a positive integer\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -663,6 +678,11 @@ class TestOutputWrites:
         assert (out / "zo-psgd_1.csv").exists()
         assert (out / blocked).is_dir()
         assert [name for name in os.listdir(out) if name.startswith(".tmp-")] == []
+        if blocked != "summary.json":
+            # A failed mean-curve write still leaves the summary of every run.
+            runs = json.loads((out / "summary.json").read_text())["runs"]
+            assert len(runs) == 4
+            assert all(run["status"] == "ok" for run in runs)
 
 
 # The (tag, variant) pairs a spec may name: every tag runs "adaptive", and

@@ -19,6 +19,7 @@ from zomirror import (
     prox_composite,
 )
 from zomirror import rng
+from zomirror.mirror import _LN_CAP, _w0_halley
 
 from oracles import prox_reference, scalar_bregman, scalar_dgf
 
@@ -205,6 +206,20 @@ class TestLambertW:
         # The start log1p(z) would keep -0.0; the Halley start of every
         # other input in the same array must not see the sign either.
         assert np.signbit(lambert_w0(np.array([-0.0, 1.0]))).tolist() == [False, False]
+
+    def test_prox_call_without_sign_probe_equals_lambert_w0(self):
+        # The prox passes exp(log_arg) >= 0 without lambert_w0's sign probe;
+        # that call must equal lambert_w0 bit for bit, up to the largest
+        # argument below the prox's overflow guard log_arg > _LN_CAP.
+        z = np.array([0.0, 5e-324, 1.0, 1e300, math.exp(_LN_CAP), math.exp(np.nextafter(_LN_CAP, 0.0))])
+        want = lambert_w0(z).view(np.uint64)
+        assert _w0_halley(z.copy()).view(np.uint64).tolist() == want.tolist()
+        for i, v in enumerate(z):
+            alone = _w0_halley(np.array([v]))
+            assert alone.view(np.uint64).tolist() == [lambert_w0(np.array([v])).view(np.uint64)[0]], i
+        stack = np.vstack([z, z[::-1]])
+        got = _w0_halley(stack.copy()).view(np.uint64)
+        assert got.tolist() == lambert_w0(stack).view(np.uint64).tolist()
 
 
 class TestProxComposite:
