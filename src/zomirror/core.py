@@ -113,9 +113,8 @@ class Problem:
     ``oracle(x, xi)`` must be deterministic given its arguments and defined
     on all of R^d (probe points may leave a box set).  Sample ids ``xi`` are
     63-bit integers; data-backed problems map them to rows by ``xi mod
-    num_samples``.  The oracle's ``x`` may be a row of the estimating
-    thread's block buffer, overwritten by the estimate's next block or by a
-    later estimate on the same thread, so an oracle must neither keep it
+    num_samples``.  A forward point x + nu*u handed to the oracle is a row
+    of the estimate's own buffer, so an oracle must neither keep its ``x``
     nor write to it.
     ``mean_loss`` and ``exact_gradient`` are evaluation-only hooks present
     on synthetic problems.  Each takes a (k, d) stack of points, one per

@@ -27,17 +27,10 @@ rows are added one by one.
 
 Each thread keeps one Philox generator, re-keyed per estimate with
 rng.rekey; all of an estimate's draws come before its first oracle call,
-so an oracle that runs an estimate itself can share it.  Each thread also
-keeps one flat float buffer for a block's [total; sign rows] stack and
-each point's block of forward points: 512 KB of signs and a STORM pair's
-two forward blocks fit a 2 MB per-core L2 cache, and a kept buffer spares
-every estimate the page faults of a fresh allocation above the C heap's
-mmap threshold.  An estimate takes the buffer, growing it if it is too
-small, and puts it back when it finishes: an estimate run inside an
-oracle allocates its own, and so does the next estimate after one that
-raised.  The x handed to the oracle for a forward point is a row of that
-buffer, overwritten by the estimate's next block or by a later estimate
-on the same thread, so an oracle must neither keep nor write it.  An
+so an oracle that runs an estimate itself can share it.  Each estimate
+allocates one flat float array for a block's [total; sign rows] stack and
+each point's block of forward points; the x handed to the oracle for a
+forward point is a row of it (see the oracle rule in core.Problem).  An
 estimate with a non-finite entry, such as a finite oracle difference that
 overflows when divided by a tiny nu, raises NumericError.
 """
@@ -70,12 +63,10 @@ _BLOCK_SIGNS = 65536
 
 
 class _ThreadState(threading.local):
-    """Per thread: the probe generator, re-keyed for each estimate, and the
-    block buffer, None before the first estimate and while one holds it."""
+    """Per thread: the probe generator, re-keyed for each estimate."""
 
     def __init__(self) -> None:
         self.generator = np.random.Generator(np.random.Philox(0))
-        self.buffer = None
 
 
 _thread = _ThreadState()
@@ -141,8 +132,8 @@ def _batch_estimates(
 
     Per element the oracle sees each point's forward point, then the point
     itself; each point's terms are summed in ascending element order.  The
-    packed signs are expanded one row block at a time into the thread's
-    buffer, and once the block's oracle calls are done one einsum per
+    packed signs are expanded one row block at a time into the estimate's
+    own array, and once the block's oracle calls are done one einsum per
     point adds the block's terms to that point's total.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
@@ -153,11 +144,8 @@ def _batch_estimates(
     # A total row, then a block's bytes expanded whole, which adds up to 7
     # signs at either end of its rows; then each point's forward block.
     width = d + rows * d + 16
-    need = width + len(points) * rows * d
-    flat, _thread.buffer = _thread.buffer, None
-    if flat is None or flat.size < need:
-        flat = np.empty(need)
-    forwards = flat[width:need].reshape(len(points), rows, d)
+    flat = np.empty(width + len(points) * rows * d)
+    forwards = flat[width:].reshape(len(points), rows, d)
     for j0 in range(0, m, rows):
         j1 = min(j0 + rows, m)
         lo, hi = j0 * d, j1 * d
@@ -209,7 +197,6 @@ def _batch_estimates(
             else:
                 for c, u in zip(coef[1:], signs):
                     total += c * u
-    _thread.buffer = flat
     estimates = []
     for total in totals:
         # A fresh vector, not the total divided in place: a total that

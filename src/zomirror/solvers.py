@@ -325,7 +325,8 @@ def _evaluate(
     the squared l1 norm of the gradient map, only at iterates its period
     selects.  One mean_loss and one exact_gradient call cover the stack,
     and one gradient_map call per chunk of at most _MAP_FLOATS floats of
-    the rows whose map is due.  Errors come as if each iterate were
+    the rows whose map is due.  An objective or stationarity that is not
+    finite raises NumericError.  Errors come as if each iterate were
     evaluated alone, in order: the NumericError names the first failing
     iterate and, within it, the first failing layer of objective, exact
     gradient and gradient map.  When a call fails on a stack, the rows are
@@ -341,6 +342,8 @@ def _evaluate(
     layer = "objective"
     try:
         objectives = _objective(problem, X)
+        if not all(map(math.isfinite, objectives)):
+            raise NumericError("objective is not finite")
         if has_grad and start < len(X):
             layer = "exact gradient"
             grads = _exact_gradient(problem, X if step == 1 else X[start::step])
@@ -354,6 +357,8 @@ def _evaluate(
                     X_due[chunk], G_due[chunk], etas_due[chunk], geo, problem.regularizer, problem.feasible_set
                 )
                 maps += result.sq_l1_norm.tolist()
+            if not all(map(math.isfinite, maps)):
+                raise NumericError("stationarity is not finite")
             stationarity[due::period] = maps
     except NumericError as exc:
         if len(X) == 1:

@@ -7,7 +7,12 @@ Run from the repository root:
 
 At each shape (d, m) = (50, 8), (500, 32) and (2000, 16) it times, in
 microseconds per call, the best of 7 repeats of a loop that takes about
-0.05 s (a quarter of the loop ``timeit.Timer.autorange`` picks):
+0.05 s (a quarter of the loop ``timeit.Timer.autorange`` picks).  The
+estimator rows also run at (20000, 8), whose signs span several blocks,
+and print beside their time the minor page faults per call of this
+process (``ru_minflt``) over the 7 repeats.  The repeats follow the
+auto-ranging loops, which warm the heap up, so an estimate whose arrays
+go back to the operating system after each call shows as faults:
 
 * ``prox 1-D``: ``prox_composite`` at one point, elastic net with both
   weights set and a box, so the Lambert-W solve and the clamp both run;
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import timeit
 
@@ -37,15 +43,29 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = [(50, 8), (500, 32), (2000, 16)]
+ESTIMATOR_SHAPES = SHAPES + [(20000, 8)]
+ESTIMATORS = ("minibatch", "paired")
 REPEATS = 7
 
 
-def _best_us(call) -> float:
-    """Best of REPEATS auto-ranged loops of ``call``, in microseconds per call."""
+def _best_us(call) -> tuple[float, float]:
+    """Best of REPEATS auto-ranged loops of ``call``, in microseconds per
+    call, and the minor page faults per call over all REPEATS loops."""
     timer = timeit.Timer(call)
     number, _ = timer.autorange()
     number = max(1, number // 4)
-    return min(timer.repeat(REPEATS, number)) / number * 1e6
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    best = min(timer.repeat(REPEATS, number))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best / number * 1e6, faults / (REPEATS * number)
+
+
+def _cell(name: str, calls: dict, shape: tuple) -> str:
+    """One table cell: us per call, with faults per call on estimator rows."""
+    if name in ESTIMATORS:
+        us, faults = _best_us(calls[name])
+        return f"{us:>11.2f} {faults:>6.2f}"
+    return f"{_best_us(calls[name])[0]:>18.2f}" if shape in SHAPES else f"{'':>18}"
 
 
 def _calls(zm, d: int, m: int) -> dict:
@@ -82,10 +102,11 @@ def main(argv=None) -> int:
     import zomirror as zm
 
     print(f"package {os.path.dirname(os.path.abspath(zm.__file__))}")
-    print(f"{'call':<22}" + "".join(f"{f'd={d} m={m}':>16}" for d, m in SHAPES) + "   (us per call)")
-    table = [_calls(zm, d, m) for d, m in SHAPES]
+    print(f"{'call':<22}" + "".join(f"{f'd={d} m={m}':>18}" for d, m in ESTIMATOR_SHAPES))
+    print(f"{'':<22}" + f"{'us  faults':>18}" * len(ESTIMATOR_SHAPES) + "   (per call)")
+    table = [_calls(zm, d, m) for d, m in ESTIMATOR_SHAPES]
     for name in table[0]:
-        print(f"{name:<22}" + "".join(f"{_best_us(calls[name]):>16.2f}" for calls in table))
+        print(f"{name:<22}" + "".join(_cell(name, calls, shape) for calls, shape in zip(table, ESTIMATOR_SHAPES)))
     print(f"prox stack rows: {', '.join(str(max(1, 8192 // d)) for d, _ in SHAPES)}")
     return 0
 

@@ -107,16 +107,18 @@ def boxes(draw):
     x = np.where(np.isfinite(mid) & (gen.random(lo.size) < 0.3), mid, x)
     i = draw(st.integers(0, lo.size - 1))
     kind = draw(st.sampled_from(["inside", "below", "above", "nan", "ulp-below", "ulp-above"]))
-    if kind == "below":
-        x[i] = lo[i] - draw(st.sampled_from([1e-12, 1e-9, 1.0, 1e300]))
-    elif kind == "above":
-        x[i] = hi[i] + draw(st.sampled_from([1e-12, 1e-9, 1.0, 1e300]))
-    elif kind == "nan":
-        x[i] = math.nan
-    elif kind == "ulp-below":
-        x[i] = np.nextafter(lo[i], -math.inf)
-    elif kind == "ulp-above":
-        x[i] = np.nextafter(hi[i], math.inf)
+    # A step past a bound near the float range may overflow to +-inf.
+    with np.errstate(over="ignore"):
+        if kind == "below":
+            x[i] = lo[i] - draw(st.sampled_from([1e-12, 1e-9, 1.0, 1e300]))
+        elif kind == "above":
+            x[i] = hi[i] + draw(st.sampled_from([1e-12, 1e-9, 1.0, 1e300]))
+        elif kind == "nan":
+            x[i] = math.nan
+        elif kind == "ulp-below":
+            x[i] = np.nextafter(lo[i], -math.inf)
+        elif kind == "ulp-above":
+            x[i] = np.nextafter(hi[i], math.inf)
     return lo, hi, x
 
 

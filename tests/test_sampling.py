@@ -325,22 +325,9 @@ def shares_any(xs, ys):
     return any(np.shares_memory(x, y) for x in xs for y in ys)
 
 
-class TestKeptBuffer:
-    # Each thread keeps one block buffer across estimates; a forward point
-    # handed to the oracle is a row of it.
-
-    def test_consecutive_estimates_reuse_the_buffer(self):
-        seen = []
-        problem = recording_problem(50, seen)
-        cfg = EstimatorConfig(nu=0.1, batch=4)
-        x = np.zeros(50)
-        firsts = []
-        for key in ((1, 1), (1, 2), (1, 3)):
-            seen.clear()
-            minibatch_gradient(problem, x, cfg, key)
-            firsts.append(seen[0])
-        assert np.shares_memory(firsts[0], firsts[1])
-        assert np.shares_memory(firsts[1], firsts[2])
+class TestEstimateBuffers:
+    # Each estimate allocates its own block buffer; a forward point handed
+    # to the oracle is a row of it.
 
     def test_nested_estimate_gets_its_own_buffer(self):
         inner_seen, outer_seen, inner_vectors = [], [], []
@@ -388,8 +375,8 @@ class TestKeptBuffer:
 
     def test_threads_never_share_a_buffer(self):
         # First both threads are inside an estimate at once; then they take
-        # turns, one thread's estimates after the other's, so a buffer one
-        # thread put back and the other took would show.
+        # turns, one thread's estimates after the other's, so a buffer
+        # shared across threads would show.
         barrier = threading.Barrier(2)
         seen = [[], []]
         done = [0, 0]

@@ -189,8 +189,8 @@ def test_one_raw_draw_equals_bytes_then_integers():
         assert xis == stream.integers(2**63, size=m).tolist()
 
 
-# Each estimate expands its signs and forward points into its thread's
-# buffer, grown to fit d: consecutive estimates at changing d, estimates
+# Each estimate expands its signs and forward points into a buffer of its
+# own, sized to fit d: consecutive estimates at changing d, estimates
 # nested in an oracle (which must not overwrite the outer estimate's
 # forward points) and estimates on concurrent threads all match the
 # sequential replay.

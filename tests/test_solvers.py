@@ -616,6 +616,40 @@ class TestSolverBehavior:
         with pytest.raises(NumericError, match=r"^oracle .* xi=0 at iteration 2 in objective$"):
             run_zo_psgd(prob, cfg)
 
+    @pytest.mark.parametrize("tag", list(RUNNERS))
+    @pytest.mark.parametrize(
+        "regularizer, what, layer",
+        [(ElasticNet(0.0, 1.0), "objective", "objective"), (ElasticNet(1.0, 0.0), "stationarity", "gradient map")],
+        ids=["objective", "stationarity"],
+    )
+    def test_overflowing_evaluation_names_iteration_and_layer(self, tag, regularizer, what, layer):
+        # At x_1 = 1e200 the l2 term overflows the objective; the l1 term
+        # keeps it finite at 3e200, but the squared l1 norm of the gradient
+        # map overflows.  Unchecked, those columns would hold inf.
+        prob = zero_problem(
+            d=3,
+            regularizer=regularizer,
+            start_point=np.full(3, 1e200),
+            mean_loss=lambda X: np.zeros(len(X)),
+            exact_gradient=np.zeros_like,
+        )
+        with pytest.raises(NumericError) as info:
+            RUNNERS[tag](prob, RunConfig(T=3, batch=2))
+        assert str(info.value) == f"{what} is not finite at iteration 1 in {layer}"
+        assert (info.value.iteration, info.value.layer) == (1, layer)
+
+    def test_overflowing_stationarity_names_a_later_iterate(self):
+        # A finite exact gradient of -500 at x_2 sends the gradient map's
+        # prox point to about 1e210, and its squared l1 norm overflows; the
+        # block's other iterates evaluate to finite values.
+        cfg = RunConfig(T=3, batch=1)
+        x_2 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1]
+        prob = draining_problem(
+            mean_loss=lambda X: np.zeros(len(X)), exact_gradient=fails_at(x_2, [-500.0, 0.0], [0.0, 0.0])
+        )
+        with pytest.raises(NumericError, match="^stationarity is not finite at iteration 2 in gradient map$"):
+            run_zo_ada_expgrad(prob, cfg)
+
 
 class TestOutputSampling:
     def test_single_iteration_always_returns_start(self):
