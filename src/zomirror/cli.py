@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import ElasticNet, Problem, _check_count, _is_integer
+from .core import _MAX_BYTES, ElasticNet, Problem, _check_count, _is_integer
 from .problems import (
     _DEFAULT_N_CLASSES,
     check_classifier,
@@ -40,6 +40,7 @@ from .problems import (
     make_sparse_regression,
     make_tiny_classifier,
 )
+from .sampling import check_batch_size
 from .solvers import ALGORITHMS, RunConfig, run_algorithm
 
 __all__ = [
@@ -51,10 +52,6 @@ __all__ = [
 ]
 
 TRACE_HEADER = ("iter", "oracle_calls", "objective", "stationarity_sq_l1", "alpha", "eta", "wall_ms")
-
-# Specs whose data matrix (n_samples x d for sparse regression, n_classes x d
-# for an explanation) would take more bytes than this fail at parse time.
-_MAX_DESIGN_BYTES = 1 << 32
 
 # Looked up per run, so a caller may wrap the runners in place.
 _RUNNERS = {tag: functools.partial(run_algorithm, algorithm=tag) for tag in ALGORITHMS}
@@ -90,10 +87,10 @@ def _as_number(doc: dict, key: str, context: str) -> float:
 
 
 def _check_design_size(rows: int, d: int, what: str) -> None:
-    if 8 * rows * d > _MAX_DESIGN_BYTES:
+    if 8 * rows * d > _MAX_BYTES:
         raise ValueError(
             f"problem: the {what} x d = {rows} x {d} matrix needs {8 * rows * d:,} bytes, "
-            f"above the limit of {_MAX_DESIGN_BYTES:,}"
+            f"above the limit of {_MAX_BYTES:,}"
         )
 
 
@@ -135,9 +132,10 @@ def _parse_problem(doc: dict) -> dict:
     return doc
 
 
-def _parse_algorithm(doc: dict, index: int) -> RunConfig:
+def _parse_algorithm(doc: dict, index: int, d: int) -> RunConfig:
     """One algorithm entry as a RunConfig, which checks every value it
-    holds; a key the entry leaves out keeps RunConfig's default."""
+    holds, and whose batch meets check_batch_size at the problem's d; a
+    key the entry leaves out keeps RunConfig's default."""
     context = f"algorithms[{index}]"
     if not isinstance(doc, dict):
         raise ValueError(f"{context} must be an object")
@@ -154,7 +152,9 @@ def _parse_algorithm(doc: dict, index: int) -> RunConfig:
     if "stationarity_eval_period" in doc:
         fields["stationarity_eval_period"] = doc["stationarity_eval_period"]
     try:
-        return RunConfig(**fields)
+        cfg = RunConfig(**fields)
+        check_batch_size(cfg.batch, d)
+        return cfg
     except ValueError as exc:
         raise ValueError(f"{context}: {exc}") from None
 
@@ -194,7 +194,7 @@ def parse_run_spec(path: str) -> RunSpec:
     algos_doc = raw["algorithms"]
     if not isinstance(algos_doc, list) or not algos_doc:
         raise ValueError("'algorithms' must be a nonempty list")
-    algorithms = tuple(_parse_algorithm(doc, i) for i, doc in enumerate(algos_doc))
+    algorithms = tuple(_parse_algorithm(doc, i, problem["d"]) for i, doc in enumerate(algos_doc))
     tags = [a.algorithm for a in algorithms]
     if len(set(tags)) != len(tags):
         raise ValueError("duplicate algorithm tags would collide on output files")

@@ -19,6 +19,11 @@ __all__ = [
 ]
 
 
+# Most bytes one input may make the program allocate: a spec's data matrix
+# (n_samples x d or n_classes x d floats) or one estimate's draw.
+_MAX_BYTES = 1 << 32
+
+
 def _is_integer(value) -> bool:
     """An int or numpy integer; bool is an int subclass but no count or seed."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

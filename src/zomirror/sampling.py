@@ -13,26 +13,28 @@ estimate is a pure function of its key path.
 
 The batch estimators call the scalar oracle per element in ascending
 element order: the forward point x + nu*u_j, then the base point x, both
-with sample id xi_j (a paired STORM step does this at x_t, then at
-x_prev).  Each element's term is added to a running total in that same
-order.  The packed signs are expanded to floats one block of whole rows
-at a time, each block holding at most 65,536 signs (a single row when d
-is larger), so an estimate holds O(d) floats however large m*d is, and
-every m*d up to 65,536 is one block.  A copy of the total sits in the row
-just before the block's sign rows, and one einsum over that stack adds
-the block's terms to the total in row order.  Each sign is +-1, so every
-product is exact and the contraction equals the sequential sum bit for
-bit; a single column (d = 1) is summed pairwise by einsum, so there the
-rows are added one by one.
+with sample id xi_j.  Each element's term is added to a running total in
+that same order.  The packed signs are expanded to floats one block of
+whole rows at a time, each block holding at most 65,536 signs (a single
+row when d is larger), so an estimate holds O(d) floats however large m*d
+is, and every m*d up to 65,536 is one block.  A paired STORM estimate
+runs that one element loop on each block at x_t, then at x_prev: per
+block, the oracle sees every element at x_t before any at x_prev.  A
+copy of the total sits in the row just before the block's sign rows, and
+one einsum over that stack adds the block's terms to the total in row
+order.  Each sign is +-1, so every product is exact and the contraction
+equals the sequential sum bit for bit; a single column (d = 1) is summed
+pairwise by einsum, so there the rows are added one by one.
 
 Each thread keeps one Philox generator, re-keyed per estimate with
 rng.rekey; all of an estimate's draws come before its first oracle call,
 so an oracle that runs an estimate itself can share it.  Each estimate
 allocates one flat float array for a block's [total; sign rows] stack and
-each point's block of forward points; the x handed to the oracle for a
-forward point is a row of it (see the oracle rule in core.Problem).  An
-estimate with a non-finite entry, such as a finite oracle difference that
-overflows when divided by a tiny nu, raises NumericError.
+one block of forward points, which each point fills in turn; the x
+handed to the oracle for a forward point is a row of it (see the oracle
+rule in core.Problem).  An estimate with a non-finite entry, such as a
+finite oracle difference that overflows when divided by a tiny nu, raises
+NumericError.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import NumericError, Problem, _check_count, _check_scale, _nonfinite, _oracle
+from .core import _MAX_BYTES, NumericError, Problem, _check_count, _check_scale, _nonfinite, _oracle
 
 __all__ = [
     "EstimatorConfig",
@@ -53,6 +55,7 @@ __all__ = [
     "minibatch_gradient",
     "paired_storm_estimates",
     "default_smoothing",
+    "check_batch_size",
 ]
 
 # Row b holds the eight signs of byte b in np.unpackbits order (bit 1 is +1).
@@ -60,6 +63,10 @@ _BYTE_SIGNS = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=
 
 # Most signs expanded per row block: 512 KB of floats.
 _BLOCK_SIGNS = 65536
+
+# Bytes a draw holds per sample id beside its raw word: the shifted word,
+# the Python int of 63 bits and its list slot.
+_ID_BYTES = 8 + 36 + 8
 
 
 class _ThreadState(threading.local):
@@ -124,17 +131,29 @@ def _draw(stream: np.random.Generator, m: int, d: int) -> tuple[np.ndarray, list
     return packed, (raw[words:] >> 1).tolist()
 
 
+def check_batch_size(m: int, d: int) -> None:
+    """Reject a batch size m whose draw at width d would take more than
+    4 GiB: ceil(m*d/64) + m raw words, and per sample id a shifted word, a
+    Python int and a list slot.  The draw is one call, so it is all held
+    at once, however the signs are then expanded."""
+    n_bytes = 8 * (-(-m * d // 64) + m) + _ID_BYTES * m
+    if n_bytes > _MAX_BYTES:
+        raise ValueError(
+            f"batch m = {m} at d = {d} draws {n_bytes:,} bytes per estimate, above the limit of {_MAX_BYTES:,}"
+        )
+
+
 def _batch_estimates(
     problem: Problem, points: tuple, cfg: EstimatorConfig, key: tuple
 ) -> tuple[GradientEstimate, ...]:
     """Batch estimates at one point, or at the pair (x_t, x_prev), all on
     the key's (u, xi) pairs.
 
-    Per element the oracle sees each point's forward point, then the point
-    itself; each point's terms are summed in ascending element order.  The
-    packed signs are expanded one row block at a time into the estimate's
-    own array, and once the block's oracle calls are done one einsum per
-    point adds the block's terms to that point's total.
+    The packed signs are expanded one row block at a time into the
+    estimate's own array.  For each point in turn, the block's forward
+    points fill the one forward block, the oracle sees each element's
+    forward point and then the point itself in ascending element order,
+    and one einsum adds the block's terms to that point's total.
     """
     d, m, nu = problem.dimension, cfg.batch, cfg.nu
     oracle, isfinite = problem.oracle, math.isfinite
@@ -142,10 +161,10 @@ def _batch_estimates(
     totals = [np.zeros(d) for _ in points]
     rows = min(m, max(1, _BLOCK_SIGNS // d))
     # A total row, then a block's bytes expanded whole, which adds up to 7
-    # signs at either end of its rows; then each point's forward block.
+    # signs at either end of its rows; then the forward block.
     width = d + rows * d + 16
-    flat = np.empty(width + len(points) * rows * d)
-    forwards = flat[width:].reshape(len(points), rows, d)
+    flat = np.empty(width + rows * d)
+    forwards = flat[width:].reshape(rows, d)
     for j0 in range(0, m, rows):
         j1 = min(j0 + rows, m)
         lo, hi = j0 * d, j1 * d
@@ -155,14 +174,11 @@ def _batch_estimates(
         # Row 0 is the total row, the rest are the block's sign rows.
         stack = flat[lo % 8 : d + lo % 8 + hi - lo].reshape(j1 - j0 + 1, d)
         signs = stack[1:]
-        blocks = [forward[: j1 - j0] for forward in forwards]
-        for x, block in zip(points, blocks):
+        block, ids = forwards[: j1 - j0], xis[j0:j1]
+        for x, total in zip(points, totals):
             np.multiply(signs, nu, out=block)
             block += x
-        ids = xis[j0:j1]
-        coefs = [[1.0] for _ in points]
-        if len(points) == 1:
-            (x,), (block,), (coef,) = points, blocks, coefs
+            coef = [1.0]
             append = coef.append
             for row, xi in zip(block, ids):
                 forward = oracle(row, xi)
@@ -172,25 +188,6 @@ def _batch_estimates(
                 if not isfinite(base):
                     raise _nonfinite(xi)
                 append((forward - base) / nu)
-        else:
-            (x, y), (block, block_y), (coef, coef_y) = points, blocks, coefs
-            append, append_y = coef.append, coef_y.append
-            for row, row_y, xi in zip(block, block_y, ids):
-                forward = oracle(row, xi)
-                if not isfinite(forward):
-                    raise _nonfinite(xi)
-                base = oracle(x, xi)
-                if not isfinite(base):
-                    raise _nonfinite(xi)
-                append((forward - base) / nu)
-                forward = oracle(row_y, xi)
-                if not isfinite(forward):
-                    raise _nonfinite(xi)
-                base = oracle(y, xi)
-                if not isfinite(base):
-                    raise _nonfinite(xi)
-                append_y((forward - base) / nu)
-        for total, coef in zip(totals, coefs):
             if d > 1:
                 stack[0] = total
                 np.einsum("j,ji->i", coef, stack, out=total)
@@ -235,7 +232,9 @@ def paired_storm_estimates(
     The shared randomness is what makes the difference of the two
     estimates track the gradient difference; each point costs 2*batch
     oracle calls, 4*batch in total.  The x_t estimate equals
-    minibatch_gradient(problem, x_t, cfg, key) bit for bit.
+    minibatch_gradient(problem, x_t, cfg, key) bit for bit.  Per block of
+    sign rows (one block whenever batch*d <= 65,536), the oracle sees
+    every element at x_t, then every element at x_prev.
     """
     points = (np.asarray(x_t, dtype=float), np.asarray(x_prev, dtype=float))
     return _batch_estimates(problem, points, cfg, key)

@@ -15,15 +15,16 @@ trajectory using the run's own stream.
 
 Evaluation is reporting, not part of the algorithm: the objective at each
 iterate and, when the problem has an exact gradient, the squared l1 norm
-of its gradient map.  Iterates wait in a buffer of at most _EVAL_FLOATS
-floats (one row when d is larger), and a full buffer, or the last one,
-costs one mean_loss and one exact_gradient call on the (k, d) stack and
-one gradient_map call per chunk of at most _MAP_FLOATS floats of the rows
+of its gradient map and, for a momentum run, the tracking errors of its
+estimates.  Iterates wait in a buffer of at most _EVAL_FLOATS floats (one
+row when d is larger), and a full buffer, or the last one, costs one
+mean_loss and one exact_gradient call on the (k, d) stack and one
+gradient_map call per chunk of at most _MAP_FLOATS floats of the rows
 whose map is due.  The trajectory never depends on it.  Errors keep the
-order of a loop that evaluates x_t before it estimates at x_t: when the
-estimator or the step fails at iteration t, the buffered iterates up to
-x_t are evaluated first, and an evaluation error among them is the one
-raised.
+order of a loop that evaluates x_t before it estimates at x_t, and checks
+x_t's tracking errors after iteration t's step: when the estimator or the
+step fails at iteration t, the buffered iterates up to x_t are evaluated
+first, and an evaluation error among them is the one raised.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .core import (
 from .mirror import MirrorGeometry, gradient_map, prox_composite
 from .sampling import (
     EstimatorConfig,
+    check_batch_size,
     default_smoothing,
     minibatch_gradient,
     paired_storm_estimates,
@@ -152,7 +154,9 @@ class Trace:
     ``iterates`` holds x_1..x_T, or None for runs whose T*d exceeds the
     retention limit.  ``tracking_sq`` and ``minibatch_tracking_sq`` are
     momentum diagnostics (squared max-norm estimation error per
-    iteration), present only when the problem exposes an exact gradient.
+    iteration), present only when the problem exposes an exact gradient;
+    an error whose square passes the float range raises NumericError in
+    layer "tracking".
     Records and tracking values are filled in a block of iterates at a
     time; ``iterates``, the sampled point and each record's oracle calls,
     alpha and eta do not depend on that evaluation.
@@ -315,30 +319,53 @@ def _exact_gradient(problem: Problem, X: np.ndarray) -> np.ndarray:
     return grads
 
 
+def _tracking_sq(grad: np.ndarray, estimates: tuple) -> tuple[float, ...]:
+    """The squared max-norm error of each estimate from the exact gradient,
+    as Python floats; one past the float range raises NumericError."""
+    with np.errstate(over="ignore"):
+        errors = [float(np.max(np.abs(v - grad))) for v in estimates]
+    try:
+        if all(map(math.isfinite, errors)):
+            return tuple(e**2 for e in errors)
+    except OverflowError:
+        pass
+    raise NumericError("tracking error is not finite")
+
+
 def _evaluate(
-    problem: Problem, geo: MirrorGeometry, X: np.ndarray, first: int, etas: list[float], period: int, track: bool
-) -> list[tuple[float, float | None, np.ndarray | None]]:
-    """(objective, stationarity, exact gradient) at each iterate x_first,
+    problem: Problem,
+    geo: MirrorGeometry,
+    X: np.ndarray,
+    first: int,
+    etas: list[float],
+    period: int,
+    estimates: list | None,
+) -> list[tuple[float, float | None, tuple[float, float] | None]]:
+    """(objective, stationarity, tracking) at each iterate x_first,
     x_first+1, ... stacked in the rows of X, with eta_t from ``etas``.
 
-    The gradient is kept only where ``track`` asks for it; the stationarity,
-    the squared l1 norm of the gradient map, only at iterates its period
-    selects.  One mean_loss and one exact_gradient call cover the stack,
-    and one gradient_map call per chunk of at most _MAP_FLOATS floats of
-    the rows whose map is due.  An objective or stationarity that is not
-    finite raises NumericError.  Errors come as if each iterate were
-    evaluated alone, in order: the NumericError names the first failing
-    iterate and, within it, the first failing layer of objective, exact
-    gradient and gradient map.  When a call fails on a stack, the rows are
-    evaluated again one at a time to find that iterate.
+    The stationarity, the squared l1 norm of the gradient map, is computed
+    only at iterates its period selects.  ``estimates`` is None, or holds
+    the momentum estimate and the batch estimate (d_t, g_t) of the first
+    len(estimates) rows, each row's tracking being their squared max-norm errors from the
+    exact gradient.  One mean_loss and one exact_gradient call cover the
+    stack, and one gradient_map call per chunk of at most _MAP_FLOATS
+    floats of the rows whose map is due.  An objective, stationarity or
+    tracking error that is not finite raises NumericError.  Errors come as
+    if each iterate were evaluated alone, in order: the NumericError names
+    the first failing iterate and, within it, the first failing layer of
+    objective, exact gradient, gradient map and tracking.  When a call
+    fails on a stack, the rows are evaluated again one at a time to find
+    that iterate.
     """
     has_grad = problem.exact_gradient is not None
+    track = estimates is not None
     # Rows start, start + step, ... need an exact gradient, and rows due,
     # due + period, ... a gradient map.
     step = 1 if track else period
     start = (1 - first) % step
     due = (1 - first) % period
-    stationarity = [None] * len(X)
+    stationarity, tracking = [None] * len(X), [None] * len(X)
     layer = "objective"
     try:
         objectives = _objective(problem, X)
@@ -360,16 +387,19 @@ def _evaluate(
             if not all(map(math.isfinite, maps)):
                 raise NumericError("stationarity is not finite")
             stationarity[due::period] = maps
+            if track:
+                layer = "tracking"
+                tracking[: len(estimates)] = [_tracking_sq(g, pair) for g, pair in zip(grads, estimates)]
     except NumericError as exc:
         if len(X) == 1:
             raise NumericError(f"{exc} at iteration {first} in {layer}", iteration=first, layer=layer) from exc
         return [
-            _evaluate(problem, geo, X[i : i + 1], first + i, etas[i : i + 1], period, track)[0] for i in range(len(X))
+            _evaluate(
+                problem, geo, X[i : i + 1], first + i, etas[i : i + 1], period, estimates and estimates[i : i + 1]
+            )[0]
+            for i in range(len(X))
         ]
-    return [
-        (objective, sq, grads[i] if track else None)
-        for i, (objective, sq) in enumerate(zip(objectives, stationarity))
-    ]
+    return list(zip(objectives, stationarity, tracking))
 
 
 def _start_point(problem: Problem) -> np.ndarray:
@@ -396,6 +426,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     algo = ALGORITHM_TABLE[algorithm]
     rule = algo.alpha_rules[cfg.stepsize_variant]
     d, m = problem.dimension, cfg.batch
+    check_batch_size(m, d)
     geo = MirrorGeometry(d)
     smoothing_kind = "storm" if algo.paired else "minibatch"
     nu = cfg.nu if cfg.nu is not None else default_smoothing(d, cfg.T, smoothing_kind)
@@ -415,11 +446,12 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     x_t = x_prev = _start_point(problem)
     # Iterates wait in the rows of this buffer until it is full or the run
     # ends, then are evaluated together.  Per buffered iterate, etas holds
-    # eta_t and pending (t, oracle calls, alpha_t, loop seconds, d_t, g_t),
-    # the last two only when tracking.
+    # eta_t, pending (t, oracle calls, alpha_t, loop seconds) and, when
+    # tracking, estimates (d_t, g_t).
     block = np.empty((min(cfg.T, max(1, _EVAL_FLOATS // d)), d))
     etas: list[float] = []
     pending: list[tuple] = []
+    estimates = [] if track_momentum else None
     for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
         alpha_t, eta_t = alpha, cfg.eta_base * alpha
@@ -458,26 +490,27 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             # Evaluating x_t comes first in iteration t, so the buffered
             # iterates up to x_t are evaluated before this error is raised,
             # and an error of theirs takes its place.
-            _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, track_momentum)
+            _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, estimates)
             if isinstance(exc, NumericError):
                 raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
             raise
 
-        kept = (d_vec, g_est.vector) if track_momentum else (None, None)
-        pending.append((t, calls, alpha_t, time.perf_counter() - tick, *kept))
+        if track_momentum:
+            estimates.append((d_vec, g_est.vector))
+        pending.append((t, calls, alpha_t, time.perf_counter() - tick))
         x_prev, x_t = x_t, x_next
         if len(etas) < len(block) and t < cfg.T:
             continue
         tick = time.perf_counter()
-        evaluated = _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, track_momentum)
+        evaluated = _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, estimates)
         # Each row's wall time is its own loop time plus an equal share of
         # the block's evaluation.
         share = (time.perf_counter() - tick) / len(etas)
         rows = zip(pending, etas, evaluated)
-        for (t_i, calls_i, alpha_i, seconds, d_i, g_i), eta_i, (objective, stationarity, grad) in rows:
+        for (t_i, calls_i, alpha_i, seconds), eta_i, (objective, stationarity, tracked) in rows:
             if track_momentum:
-                tracking.append(float(np.max(np.abs(d_i - grad))) ** 2)
-                mb_tracking.append(float(np.max(np.abs(g_i - grad))) ** 2)
+                tracking.append(tracked[0])
+                mb_tracking.append(tracked[1])
             records.append(
                 TraceRecord(
                     iteration=t_i,
@@ -491,6 +524,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             )
         etas.clear()
         pending.clear()
+        estimates = [] if track_momentum else None
 
     return Trace(
         records=records,

@@ -283,3 +283,19 @@ def objective_reference(losses, X: np.ndarray, gamma1: float, gamma2: float) -> 
 def contains_reference(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, atol: float) -> bool:
     """Whether lo - atol <= x <= hi + atol holds everywhere."""
     return bool(np.all(x >= lo - atol) and np.all(x <= hi + atol))
+
+
+def paired_call_order(m: int, d: int, block_signs: int = 65536) -> list[tuple[int, int, bool]]:
+    """The oracle calls of a paired estimate as (point, element, forward).
+
+    Point 0 is x_t and point 1 is x_prev.  The m probe rows go in blocks of
+    max(1, block_signs // d) whole rows; per block, each element at x_t
+    (its forward point, then x_t), then each element at x_prev.
+    """
+    rows = max(1, block_signs // d)
+    order = []
+    for j0 in range(0, m, rows):
+        for point in (0, 1):
+            for j in range(j0, min(j0 + rows, m)):
+                order += [(point, j, True), (point, j, False)]
+    return order

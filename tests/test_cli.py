@@ -578,6 +578,23 @@ class TestMain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_oversize_batch_rejected_at_parse(self, tmp_path, capsys, command):
+        # m = 10**12 at d = 10 would draw ~61 TB in the first estimate.
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.json")
+        with open(config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        out = tmp_path / "out"
+        doc["algorithms"][0]["m"] = 10**12
+        doc["output_dir"] = str(out)
+        assert main([command, "--config", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "invalid run spec: algorithms[0]: batch m = 1000000000000 at d = 10 draws "
+            "61,250,000,000,000 bytes per estimate, above the limit of 4,294,967,296\n"
+        )
+        assert not out.exists()
+
     def test_problem_build_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(doc):
             raise MemoryError("Unable to allocate 728. TiB for an array")

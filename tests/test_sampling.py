@@ -11,14 +11,17 @@ from zomirror import (
     EstimatorConfig,
     NumericError,
     Problem,
+    RunConfig,
+    check_batch_size,
     default_smoothing,
     minibatch_gradient,
     paired_storm_estimates,
+    run_zo_expstorm,
     two_point_estimate,
 )
 from zomirror import rng
 
-from oracles import all_sign_vectors, enumerated_linear_mean
+from oracles import all_sign_vectors, enumerated_linear_mean, paired_call_order
 
 
 def quadratic_problem(d=2):
@@ -246,8 +249,9 @@ class TestOracleCallContract:
 
     @pytest.mark.parametrize("d", [5, 3000, 30000])
     def test_paired_order_per_element(self, d):
-        # Element j: x_t's forward point, x_t, x_prev's forward point,
-        # x_prev, all with xi_j and both forward points on the same u_j.
+        # Per block: each element's forward point and x_t, then each
+        # element's forward point and x_prev, with xi_j and both forward
+        # points of element j on the same u_j.
         seen = []
 
         def oracle(x, xi):
@@ -259,26 +263,32 @@ class TestOracleCallContract:
         x_prev = np.resize([-0.75, 0.125], d)
         paired_storm_estimates(Problem(dimension=d, oracle=oracle), x_t, x_prev, EstimatorConfig(nu=nu, batch=m), key)
         signs, xis = stream_draws(key, m, d)
-        assert len(seen) == 4 * m
-        for j in range(m):
-            want = [x_t + nu * signs[j], x_t, x_prev + nu * signs[j], x_prev]
-            for (point, xi), expected in zip(seen[4 * j : 4 * j + 4], want):
-                assert xi == xis[j]
-                assert np.array_equal(point, expected)
+        order = paired_call_order(m, d)
+        assert len(seen) == len(order) == 4 * m
+        # Rows [0, 5) are one block at d = 5 and 3000; at d = 30000 the
+        # blocks are [0, 2), [2, 4) and [4, 5).
+        blocks = [range(5)] if d < 30000 else [range(0, 2), range(2, 4), range(4, 5)]
+        assert [(p, j) for p, j, _ in order[::2]] == [(p, j) for block in blocks for p in (0, 1) for j in block]
+        for (point, xi), (p, j, forward) in zip(seen, order):
+            base = (x_t, x_prev)[p]
+            assert xi == xis[j]
+            assert np.array_equal(point, base + nu * signs[j] if forward else base)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("d", [5, 3000, 30000])
     def test_nonfinite_value_stops_the_estimate_at_once(self, bad, d):
         # A non-finite value at element j raises, naming xi_j, before any
         # later call: the one-point estimate's forward point is call 2j + 1
-        # and its base point 2j + 2; the paired estimate's calls are
-        # 4j + 1 to 4j + 4, the last one at x_prev.
+        # and its base point 2j + 2; the paired estimate's four calls of
+        # element j are where paired_call_order puts them.
         m, key = 5, (2, 8)
         _, xis = stream_draws(key, m, d)
         x_t, x_prev = np.full(d, 0.5), np.full(d, -0.25)
         cfg = EstimatorConfig(nu=0.1, batch=m)
+        order = paired_call_order(m, d)
         for j in range(m):
-            for paired, stop in [(False, 2 * j + 1), (False, 2 * j + 2)] + [(True, 4 * j + p) for p in (1, 2, 3, 4)]:
+            paired_stops = [n + 1 for n, (_, element, _) in enumerate(order) if element == j]
+            for paired, stop in [(False, 2 * j + 1), (False, 2 * j + 2)] + [(True, n) for n in paired_stops]:
                 calls = []
 
                 def oracle(x, xi):
@@ -415,6 +425,33 @@ class TestEstimateBuffers:
         forwards = [[x for x in points if x.base is not None] for points in seen]
         assert forwards[0] and forwards[1]
         assert not shares_any(forwards[0], forwards[1])
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("d", [1, 10, 64, 2000, 10**6])
+    def test_limit_is_four_gib_of_draw(self, d):
+        # ceil(m*d/64) + m raw words of 8 bytes, and 52 bytes per sample id.
+        def draw_bytes(m):
+            return 8 * (math.ceil(m * d / 64) + m) + 52 * m
+
+        m = 1
+        while draw_bytes(2 * m) <= 2**32:
+            m *= 2
+        step = m
+        while step > 1:
+            step //= 2
+            if draw_bytes(m + step) <= 2**32:
+                m += step
+        check_batch_size(m, d)
+        with pytest.raises(ValueError, match=rf"^batch m = {m + 1} at d = {d} draws {draw_bytes(m + 1):,} bytes"):
+            check_batch_size(m + 1, d)
+
+    def test_run_rejects_the_batch_before_any_oracle_call(self):
+        calls = []
+        problem = Problem(dimension=10, oracle=lambda x, xi: calls.append(xi) or 0.0)
+        with pytest.raises(ValueError, match=r"^batch m = 1000000000000 at d = 10 draws "):
+            run_zo_expstorm(problem, RunConfig(T=120, batch=10**12))
+        assert calls == []
 
 
 class TestDefaultSmoothing:

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from zomirror import EstimatorConfig, Problem, minibatch_gradient, paired_storm_estimates
 from zomirror import rng, sampling
 
+from oracles import paired_call_order
+
 # B = sampling._BLOCK_SIGNS sign floats per row block (65,536): d above B
 # is one row per block, and B//3 + 1, B//2 and B//2 + 1 put two, two and
 # one rows in a block.
@@ -105,11 +107,14 @@ def test_estimators_match_sequential_replay(case):
     calls.clear()
     cur, prev = paired_storm_estimates(problem, x, x_prev, cfg, key)
     assert len(calls) == 4 * m
-    # Per element: x_t forward, x_t, x_prev forward, x_prev, one sample id.
-    for j in range(m):
-        (_, xi), (at_t, _), (_, _), (at_prev, _) = calls[4 * j : 4 * j + 4]
-        assert {i for _, i in calls[4 * j : 4 * j + 4]} == {xi}
-        assert np.array_equal(at_t, x) and np.array_equal(at_prev, x_prev)
+    # Per block: each element's forward point and x_t, then each element's
+    # forward point and x_prev, with xi_j on all four calls of element j.
+    stream = rng.stream(*key)
+    stream.bytes(math.ceil(m * d / 8))
+    xis = stream.integers(2**63, size=m).tolist()
+    for (point, xi), (p, j, forward) in zip(calls, paired_call_order(m, d, B)):
+        assert xi == xis[j]
+        assert forward or np.array_equal(point, (x, x_prev)[p])
     assert est.oracle_calls == cur.oracle_calls == prev.oracle_calls == 2 * m
 
     assert same_bits(est.vector, replay(problem, x, cfg, key))

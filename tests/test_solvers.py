@@ -638,6 +638,27 @@ class TestSolverBehavior:
         assert str(info.value) == f"{what} is not finite at iteration 1 in {layer}"
         assert (info.value.iteration, info.value.layer) == (1, layer)
 
+    def test_overflowing_tracking_error_names_iteration_and_layer(self):
+        # An exact gradient of (1e160, 0) at x_2 puts both tracking errors
+        # near 1e160, whose squares pass the float range; x_2's gradient map
+        # is not due, so only the tracking sees it.  Unchecked, squaring the
+        # Python float raised a bare OverflowError.
+        cfg = RunConfig(T=3, batch=1, stationarity_eval_period=5)
+        x_2 = run_zo_expstorm(draining_problem(), cfg).iterates[1]
+        prob = draining_problem(exact_gradient=fails_at(x_2, [1e160, 0.0], [0.0, 0.0]))
+        with pytest.raises(NumericError) as info:
+            run_zo_expstorm(prob, cfg)
+        assert str(info.value) == "tracking error is not finite at iteration 2 in tracking"
+        assert (info.value.iteration, info.value.layer) == (2, "tracking")
+
+    def test_large_finite_tracking_error_is_kept(self):
+        # An error of 1e150 squares to 1e300, inside the float range.
+        cfg = RunConfig(T=3, batch=1, stationarity_eval_period=5)
+        x_2 = run_zo_expstorm(draining_problem(), cfg).iterates[1]
+        prob = draining_problem(exact_gradient=fails_at(x_2, [1e150, 0.0], [0.0, 0.0]))
+        trace = run_zo_expstorm(prob, cfg)
+        assert trace.tracking_sq[1] == trace.minibatch_tracking_sq[1] == pytest.approx(1e300, rel=1e-12)
+
     def test_overflowing_stationarity_names_a_later_iterate(self):
         # A finite exact gradient of -500 at x_2 sends the gradient map's
         # prox point to about 1e210, and its squared l1 norm overflows; the
