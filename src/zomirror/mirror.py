@@ -6,26 +6,18 @@ The distance-generating function
 
 is strictly convex, coordinate-separable, and symmetric.  Its gradient and
 conjugate gradient have closed forms, and the proximal step for an elastic
-net reduces per coordinate to a soft shrinkage in the dual followed by a
-scalar Lambert-W solve.
-
-The prox solves that Lambert equation over the whole vector, or over a
-(k, d) stack of points with one eta per row, in one array call, not over
-a gathered subset of active coordinates; each row of a stack stops its
-Halley steps when its own coordinates converge, so it equals the prox of
-that point alone bit for bit.  A coordinate that the l1 weight zeroes
-carries the argument ``log_arg = -inf``: exp(-inf) = 0 and W(0) = 0
-exactly, so it meets the residual test at the start, every Halley step
-leaves it at exactly 0, and it cannot change how many steps the active
-coordinates take.  Its magnitude 0/b - 1/d is then clipped to 0, which
-is what the shrinkage gives it.  A heavy quadratic weight gamma2/(eta*d)
-can push the Lambert argument exp(s) past the overflow guard although
-the prox itself is small; those coordinates solve w + ln(w) = s for
-w = W(exp(s)) instead.
+net reduces per coordinate to a soft shrinkage in the dual and a scalar
+equation ln(d*m + 1) + (gamma2/eta)*m = q for the magnitude m, whose root
+is a Lambert-W value.  The prox solves it for v = ln(d*m + 1), so that
+m = expm1(v)/d has no cancellation and nothing overflows, by Halley steps
+over the whole vector, or over a (k, d) stack of points with one eta per
+row, in one array call; each row of a stack stops when its own coordinates
+converge, so it equals the prox of that point alone bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +41,7 @@ _LN_CAP = float(np.log(1e300))
 _W_TOL = 1e-12
 _W_MAX_ITER = 50
 _NEG_INV_E = -float(np.exp(-1.0))
-_MIN_NORMAL = float(np.finfo(float).tiny)
+_TINIEST = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -108,119 +100,106 @@ def bregman(geo: MirrorGeometry, y, x) -> float:
     return float(np.sum(np.maximum(terms, 0.0)))
 
 
-def _w0_halley(z: np.ndarray, negative: bool = False) -> np.ndarray:
-    """Principal Lambert branch on an array of one or more dimensions;
-    assumes z >= -1/e element-wise, ``negative`` true if z holds a
-    negative element, and no -0.0 otherwise (its start log1p(z) would
-    keep the sign).
-
-    On a 1-D array every element takes Halley steps until all of them
-    meet the residual test; none is frozen early.  On a (k, d) stack of
-    z >= 0 rows, a row stops once all of its own elements meet the test:
-    it is written out and leaves the working set, so each row takes the
-    steps it would take alone.  The steps run in place on buffers
-    allocated once per call (again when rows leave).
-    """
-    near_branch = False
-    if not negative:
-        # The prox's case: log1p(z) is the general start on z >= 0.
-        w = np.log1p(z)
-        target = np.maximum(z, 1.0)
-    else:
-        w = np.where(z >= 0.0, np.log1p(np.maximum(z, 0.0)), z)
-        near = z < -0.36
-        if np.any(near):
-            near_branch = True
-            p = np.sqrt(2.0 * (1.0 + np.e * np.where(near, z, 0.0)))
-            w = np.where(near, -1.0 + p - p * p / 3.0, w)
-        target = np.abs(z)
-        np.maximum(target, 1.0, out=target)
-    target *= _W_TOL
-    ew, f, wp1, tmp = np.empty((4, *w.shape))
-    met = np.empty(w.shape, dtype=bool)
-    out = rows = None
-    for step in range(_W_MAX_ITER + 1):
-        np.exp(w, out=ew)
-        np.multiply(w, ew, out=f)
-        f -= z
-        # A count, not met.all(): the same truth value (a NaN residual
-        # fails both) at about half the per-call cost on small arrays.
-        np.less_equal(np.abs(f, out=tmp), target, out=met)
-        if np.count_nonzero(met) == met.size:
-            if rows is None:
-                return w
-            out[rows] = w
-            return out
-        if step == _W_MAX_ITER:
-            break
-        if w.ndim == 2 and len(w) > 1:
-            done = met.all(axis=1)
-            if done.any():
-                if rows is None:
-                    out, rows = np.empty_like(w), np.arange(len(w))
-                out[rows[done]] = w[done]
-                keep = ~done
-                rows, w, z, target, ew, f, met = (a[keep] for a in (rows, w, z, target, ew, f, met))
-                wp1, tmp = np.empty((2, *w.shape))
-        np.add(w, 1.0, out=wp1)
-        if near_branch:
-            # An element solved exactly on the branch point has wp1 = 0 and
-            # f = 0, so its Halley step would be 0/0 while the rest of the
-            # array still converges.  A unit wp1 makes that step exactly
-            # zero; elsewhere a zero residual already gives a zero step.
-            np.copyto(wp1, 1.0, where=f == 0.0)
-        # w -= f / (ew * wp1 - (w + 2) * f / (2 * wp1))
-        ew *= wp1
-        np.add(w, 2.0, out=tmp)
-        tmp *= f
-        wp1 *= 2.0
-        tmp /= wp1
-        ew -= tmp
-        f /= ew
-        w -= f
-    raise NumericError("lambert_w0 failed to converge")
-
-
-def _w0_of_exp(s: np.ndarray) -> np.ndarray:
-    """W(exp(s)) for s > _LN_CAP, where exp(s) itself may overflow.
-
-    w = W(exp(s)) is the root of w + ln(w) = s, found by Newton steps from
-    s - ln(s); the residual is driven below 1e-12 * s, the precision that
-    s itself carries.  An infinite s raises NumericError.
-    """
-    if not np.isfinite(s).all():
-        raise NumericError("prox overflow: Lambert argument too large")
-    w = s - np.log(s)
-    for _ in range(_W_MAX_ITER):
-        f = w + np.log(w) - s
-        if np.all(np.abs(f) <= _W_TOL * s):
-            return w
-        w -= f / (1.0 + 1.0 / w)
-    raise NumericError("lambert_w0 failed to converge")
-
-
 def lambert_w0(z):
     """Principal branch of the Lambert function: w with w * exp(w) = z.
 
     Accepts a scalar or an array; defined for z >= -1/e, so NaN is
-    rejected too.  The residual |w * exp(w) - z| is driven below
-    1e-12 * max(1, |z|).
+    rejected too.  Every element takes Halley steps until all residuals
+    |w * exp(w) - z| are below 1e-12 * max(1, |z|).
     """
     arr = np.asarray(z, dtype=float)
     if not (arr >= _NEG_INV_E).all():
         raise ValueError("lambert_w0 domain is z >= -1/e")
     if np.any(arr > 1e300):
         raise NumericError("lambert_w0 overflow: z too large")
-    # Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
-    w = _w0_halley(arr.reshape(-1) + 0.0, negative=arr.min(initial=0.0) < 0.0).reshape(arr.shape)
-    if np.ndim(z) == 0:
-        return float(w)
-    return w
+    # Adding +0.0 turns -0.0, whose start log1p(z) would keep the sign,
+    # into +0.0 and leaves every other value alone.
+    flat = arr.reshape(-1) + 0.0
+    w = np.where(flat >= 0.0, np.log1p(np.maximum(flat, 0.0)), flat)
+    near = flat < -0.36
+    if near.any():
+        p = np.sqrt(2.0 * (1.0 + np.e * np.where(near, flat, 0.0)))
+        w = np.where(near, -1.0 + p - p * p / 3.0, w)
+    target = _W_TOL * np.maximum(1.0, np.abs(flat))
+    for _ in range(_W_MAX_ITER + 1):
+        ew = np.exp(w)
+        f = w * ew - flat
+        if np.all(np.abs(f) <= target):
+            w = w.reshape(arr.shape)
+            return float(w) if np.ndim(z) == 0 else w
+        # An element solved exactly on the branch point has w + 1 = 0 and
+        # f = 0; a unit w + 1 makes its step exactly zero, not 0/0.
+        wp1 = np.where(f == 0.0, 1.0, w + 1.0)
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    raise NumericError("lambert_w0 failed to converge")
 
 
-def _rows_apart(geo, x_t, g, eta, reg, feasible_set) -> np.ndarray:
-    """A stack's prox solved one row at a time; eta is a (k, 1) column."""
-    return np.stack([prox_composite(geo, x, gi, e, reg, feasible_set) for x, gi, (e,) in zip(x_t, g, eta)])
+def _expm1_root(q: np.ndarray, a) -> np.ndarray:
+    """expm1(v) at the root v of h(v) = v + a*expm1(v) - q, elementwise, for
+    q >= 0 and a finite a >= 0, a float or a (k, 1) column for a (k, d) stack.
+
+    h is increasing and convex with h(0) <= 0 <= h(q), so Halley steps close
+    in from an upper bound: q, or where a*expm1(q) > 1 the smaller of q and
+    ln(1 + q/a).  Below a = 1e-300 no q <= _LN_CAP passes that threshold, so
+    the floor on a only keeps q/a finite.  The steps stop at |h| <= 1e-12*q,
+    q being the size of h's largest term; q = 0 (and gamma2 = 0) meets that
+    at the start.  All elements of a 1-D array step until all meet it; a row
+    of a stack stops once its own elements do, as it would alone.
+    """
+    if isinstance(a, float):
+        floor = max(a, 1e-300)
+        threshold = math.log1p(1.0 / floor)
+    else:
+        floor = np.maximum(a, 1e-300)
+        # Row by row on Python floats, as for one point.
+        threshold = np.array([math.log1p(1.0 / f) for f in floor[:, 0].tolist()])[:, None]
+    far = q > threshold
+    if far.any():
+        v = np.where(far, np.minimum(q, np.log1p(q / floor)), q)
+    else:
+        v = q.copy()
+    target = q * _W_TOL
+    # A subnormal step of v moves h by (1 + a) * 5e-324: no finer root exists.
+    target += (1.0 + a) * _TINIEST
+    # em1 becomes the result, so it is not a view that keeps the others alive.
+    em1 = np.empty(q.shape)
+    ae, h, hp, tmp = np.empty((4, *q.shape))
+    met = np.empty(q.shape, dtype=bool)
+    out = rows = None
+    for step in range(_W_MAX_ITER + 1):
+        np.expm1(v, out=em1)
+        np.multiply(em1, a, out=ae)
+        np.add(ae, v, out=h)
+        h -= q
+        # A count, not met.all(): half the per-call cost on small arrays.
+        np.less_equal(np.abs(h, out=tmp), target, out=met)
+        if np.count_nonzero(met) == met.size:
+            if rows is None:
+                return em1
+            out[rows] = em1
+            return out
+        if step == _W_MAX_ITER:
+            break
+        if v.ndim == 2 and len(v) > 1:
+            done = met.all(axis=1)
+            if done.any():
+                if rows is None:
+                    out, rows = np.empty_like(v), np.arange(len(v))
+                out[rows[done]] = em1[done]
+                keep = ~done
+                rows, v, q, a, target, ae, h, met = (x[keep] for x in (rows, v, q, a, target, ae, h, met))
+                em1, hp, tmp = np.empty((3, *v.shape))
+        # v -= h / (h' - h*h''/(2*h')) with h'' = a*exp(v) and h' = 1 + h'';
+        # h''/h' <= 1 is formed first, so no product can overflow.
+        ae += a
+        np.add(ae, 1.0, out=hp)
+        ae /= hp
+        ae *= h
+        ae *= 0.5
+        hp -= ae
+        h /= hp
+        v -= h
+    raise NumericError("prox magnitude failed to converge")
 
 
 def prox_composite(
@@ -235,20 +214,18 @@ def prox_composite(
 
     Coordinate-separable: the dual point z_i = grad phi(x_t)_i - g_i/eta is
     mapped back through the conjugate gradient, the l1 weight zeroes every
-    coordinate with ln(d*|y_i| + 1) <= gamma1/eta, and the surviving
-    magnitudes solve ln(d*m + 1) + (gamma2/eta)*m = ln(d*|y_i| + 1) -
-    gamma1/eta, which is a Lambert-W evaluation (a plain exponential when
-    gamma2 = 0).  Box constraints clamp the result coordinate-wise, valid
-    because each scalar objective is convex.
+    coordinate with ln(d*|y_i| + 1) <= gamma1/eta, and each magnitude m
+    solves ln(d*m + 1) + (gamma2/eta)*m = q_i = max(ln(d*|y_i| + 1) -
+    gamma1/eta, 0) (``_expm1_root``).  Box constraints clamp the result
+    coordinate-wise, valid because each scalar objective is convex.
 
     ``x_t`` and ``g`` are one point of shape (d,) with a scalar ``eta``,
     or a (k, d) stack of points, one per row, with ``eta`` a scalar or a
     sequence of k step weights, one per row.  Each row of a stack's
     result equals the one-point prox of that row bit for bit, and a stack
     raises what its first failing row raises alone: ValueError for a NaN
-    in ``x_t`` or ``g``, NumericError for an overflow.  Rows that straddle
-    the switch to the gamma2 = 0 formula, or reach the log-space Lambert
-    solve, are solved one at a time.
+    in ``x_t`` or ``g``, NumericError for an overflow.  A stack with a NaN
+    or an overflowing dual point is solved one row at a time.
     """
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -259,7 +236,7 @@ def prox_composite(
             _check_scale("eta", e)
     else:
         # One scalar, used as a Python float as a stack's rows are: in
-        # float32, gamma2/eta = 0 would not count as small.  A float
+        # float32, gamma2/eta could round apart from them.  A float
         # (np.float64 included) skips np.ndim's array conversion.
         if not isinstance(eta, float) and np.ndim(eta):
             raise ValueError("one point takes one scalar eta")
@@ -275,64 +252,45 @@ def prox_composite(
         eta = np.broadcast_to(eta.reshape(-1, 1), (len(x_t), 1))
 
     # z = mirror_map(x_t) - g/eta, built in place; s is the second buffer.
-    z = np.abs(x_t)
-    z *= geo.dimension
-    np.log1p(z, out=z)
-    s = np.sign(x_t)
-    z *= s
-    np.divide(g, eta, out=s)
-    z -= s
+    # A term past the float range is inf or NaN, which the guard rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.abs(x_t)
+        z *= geo.dimension
+        np.log1p(z, out=z)
+        s = np.sign(x_t)
+        z *= s
+        np.divide(g, eta, out=s)
+        z -= s
     abs_z = np.abs(z, out=s)
     # maximum propagates NaN, so one reduction also catches a NaN.
     if not np.maximum.reduce(abs_z, axis=None) <= _LN_CAP:
         if stacked:
-            return _rows_apart(geo, x_t, g, eta, reg, feasible_set)
+            return np.stack([prox_composite(geo, x, gi, e, reg, feasible_set) for x, gi, (e,) in zip(x_t, g, eta)])
         if np.isnan(x_t).any() or np.isnan(g).any():
             raise ValueError("x_t and g must not hold NaN")
         raise NumericError("prox overflow: dual point too large")
     sign_z = np.sign(z, out=z)
 
-    # q_i = ln(d*|y_i| + 1) - gamma1/eta without forming y_i explicitly.
+    # q_i without forming y_i explicitly; fmax sends q <= 0 to +0.
     q = abs_z
     q -= reg.gamma1 / eta
-    b = reg.gamma2 / eta
-    ab = geo.inv_d * b
-    small = ab < _MIN_NORMAL
-    if stacked:
-        if small.any() != small.all():
-            return _rows_apart(geo, x_t, g, eta, reg, feasible_set)
-        small = small[0, 0]
-    if small:
-        # gamma2 = 0, or (1/d)*gamma2/eta underflows to 0 or to a subnormal
-        # too coarse for ln(ab); the quadratic term is then negligible and
-        # drops out.  fmax sends q <= 0 to +0, and expm1(+0) = +0.
-        magnitude = np.expm1(np.fmax(q, 0.0, out=q), out=q)
-        magnitude *= geo.inv_d
-    else:
-        active = q > 0.0
-        if stacked:
-            # ln(ab) + ab row by row on Python floats, as for one point.
-            q += np.array([np.log(v) + v for v in ab[:, 0].tolist()])[:, None]
-        else:
-            q += np.log(ab) + ab
-        log_arg = np.where(active, q, -np.inf)
-        big = None
-        if np.fmax.reduce(log_arg, axis=None) > _LN_CAP:
-            if stacked:
-                return _rows_apart(geo, x_t, g, eta, reg, feasible_set)
-            # exp(log_arg) would overflow on these coordinates, so they
-            # solve in log space; the Halley call sees them as W(0) = 0.
-            big = log_arg > _LN_CAP
-            big_arg = log_arg[big]
-            log_arg[big] = -np.inf
-        magnitude = _w0_halley(np.exp(log_arg, out=log_arg))
-        if big is not None:
-            magnitude[big] = _w0_of_exp(big_arg)
-        magnitude /= b
-        magnitude -= geo.inv_d
-        # Shrinkage never produces a negative magnitude; clip roundoff.
-        np.maximum(magnitude, 0.0, out=magnitude)
+    np.fmax(q, 0.0, out=q)
+    # Row by row on Python floats, as for one point: no overflow warning.
+    a = [geo.inv_d * (reg.gamma2 / e) for e in (eta[:, 0].tolist() if stacked else [eta])]
+    if math.inf in a:
+        # gamma2/eta overflowed: an active coordinate has no finite solve,
+        # and an inactive one is 0 whatever a is.
+        if ((np.array(a)[:, None] == math.inf) & (q > 0.0)).any():
+            raise NumericError("prox overflow: Lambert argument too large")
+        a = [0.0 if v == math.inf else v for v in a]
+    a = np.array(a)[:, None] if stacked else a[0]
+    magnitude = _expm1_root(q, a)
+    magnitude *= geo.inv_d
     np.multiply(sign_z, magnitude, out=magnitude)
+    if stacked and geo.dimension == 1:
+        # numpy clips a one-column stack in a strided loop that keeps a -0.0
+        # tied with a bound of 0.0, where one point's loop returns the bound.
+        return np.stack([feasible_set.clamp(row) for row in magnitude])
     return feasible_set.clamp(magnitude)
 
 

@@ -131,10 +131,12 @@ class SparseRegressionProblem:
     def mean_loss(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         R = self._residuals(X)
-        if self.kind == "least_squares":
-            loss = 0.5 * np.mean(np.square(R), axis=-1)
-        else:
-            loss = np.mean(robust_loss(R), axis=-1)
+        # Past the float range, quietly inf or NaN as in the oracle's floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "least_squares":
+                loss = 0.5 * np.mean(np.square(R), axis=-1)
+            else:
+                loss = np.mean(robust_loss(R), axis=-1)
         # A copy of X guards the memo against changes to X in place.
         self._residual_slot[0] = (X, X.copy(), R)
         return loss
@@ -149,7 +151,8 @@ class SparseRegressionProblem:
         else:
             R = self._residuals(X)
         del memo  # frees the copy of X before the gradient is allocated
-        grad = (R if self.kind == "least_squares" else robust_loss_derivative(R)) @ self.matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = (R if self.kind == "least_squares" else robust_loss_derivative(R)) @ self.matrix
         grad /= self.n_samples
         return grad
 
@@ -195,7 +198,9 @@ def sparse_regression_design(
     planted = np.zeros(d)
     planted[support] = magnitudes * signs
     noise = stream.standard_normal(n_samples)
-    targets = matrix @ planted + noise_sigma * noise
+    # A noise_sigma near the float range may give inf targets, quietly.
+    with np.errstate(over="ignore"):
+        targets = matrix @ planted + noise_sigma * noise
     return SparseRegressionProblem(matrix=matrix, targets=targets, kind=kind, planted=planted)
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import rng
 from .core import (
+    _MAX_BYTES,
     NumericError,
     Problem,
     _check_count,
@@ -86,6 +87,10 @@ _EVAL_FLOATS = 65_536
 # peak RSS by 8.6% at d = 500 and 5.0% at d = 2000.
 _MAP_FLOATS = 8_192
 
+# Bytes a run keeps per iteration: a TraceRecord with its numbers and list
+# slot (328 by tracemalloc) and a momentum run's two tracking floats (64).
+_ITERATION_BYTES = 392
+
 # alpha_{t+1} from (accum, t, m): the accumulator after iteration t's move,
 # the iteration and the batch size.
 AlphaRule = Callable[[float, int, int], float]
@@ -102,7 +107,8 @@ class RunConfig:
     ``algorithm`` of None lets the runner fill its own tag in.  A set tag
     must be in ALGORITHM_TABLE and the stepsize word must be in its row;
     both are checked here, and a runner rejects a config that names
-    another algorithm.
+    another algorithm.  So is T: a run keeps one trace record per
+    iteration, and their bytes may not pass the 4 GiB input limit.
     """
 
     T: int
@@ -117,6 +123,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("T", "batch", "stationarity_eval_period"):
             _check_count(name, getattr(self, name))
+        kept = _ITERATION_BYTES * self.T
+        if kept > _MAX_BYTES:
+            raise ValueError(f"T = {self.T} keeps {kept:,} bytes of trace records, above the limit of {_MAX_BYTES:,}")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
         _check_scale("eta_base", self.eta_base)

@@ -15,7 +15,10 @@ auto-ranging loops, which warm the heap up, so an estimate whose arrays
 go back to the operating system after each call shows as faults:
 
 * ``prox 1-D``: ``prox_composite`` at one point, elastic net with both
-  weights set and a box, so the Lambert-W solve and the clamp both run;
+  weights set and a box, so the magnitude solve and the clamp both run;
+* ``prox 1-D heavy``: the same with a quadratic weight gamma2/(eta*d) of
+  1000, whose every active coordinate once took the log-space Lambert
+  solve past the overflow guard;
 * ``prox stack``: the same on a stack of 8192 // d rows, one gradient-map
   chunk of the run loop's evaluation, one eta per row;
 * ``minibatch`` and ``paired``: ``minibatch_gradient`` and
@@ -72,6 +75,7 @@ def _calls(zm, d: int, m: int) -> dict:
     gen = np.random.default_rng(d * 1000 + m)
     geo = zm.MirrorGeometry(d)
     reg = zm.ElasticNet(1e-3, 1e-2)
+    heavy = zm.ElasticNet(1e-3, 1000.0 * 2.0 * d)
     box = zm.FeasibleSet.box(-np.ones(d), np.ones(d))
     x = box.clamp(0.1 * gen.standard_normal(d))
     g = gen.standard_normal(d)
@@ -85,6 +89,7 @@ def _calls(zm, d: int, m: int) -> dict:
     rule = zm.solvers._md_alpha
     return {
         "prox 1-D": lambda: zm.prox_composite(geo, x, g, 2.0, reg, box),
+        "prox 1-D heavy": lambda: zm.prox_composite(geo, x, g, 2.0, heavy, box),
         "prox stack": lambda: zm.prox_composite(geo, xs, gs, etas, reg, box),
         "minibatch": lambda: zm.minibatch_gradient(problem, x, cfg, (7, 1)),
         "paired": lambda: zm.paired_storm_estimates(problem, x, y, cfg, (7, 1)),

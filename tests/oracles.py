@@ -4,11 +4,11 @@ Everything here is written from the mathematical definitions using only
 the standard library and numpy, deliberately avoiding the package's own
 helpers, so agreement between the two is meaningful evidence.  The
 exceptions are frozen copies of earlier forms of package code, kept to pin
-the rewritten code bit for bit: the pair
-``prox_composite_reference``/``w0_halley_reference``, a masked-gather
-formulation of the prox and Lambert-W kernels that raises the package's
-``NumericError`` so that messages compare too, and the run loop's
-bookkeeping in ``np.sum``/``np.all`` form (``stepsize_update_reference``,
+the rewritten code bit for bit: ``w0_halley_reference``, a masked-gather
+Lambert-W kernel, and ``prox_unweighted_reference``, the gamma2 = 0 prox
+in closed form, both raising the package's ``NumericError`` so that
+messages compare too, and the run loop's bookkeeping in
+``np.sum``/``np.all`` form (``stepsize_update_reference``,
 ``objective_reference``, ``contains_reference``).
 """
 
@@ -168,6 +168,37 @@ def decimal_bregman_margin(d: int, y, x, prec: int = 50) -> float:
         return float(breg - bound)
 
 
+def decimal_prox_magnitude(d: int, gamma2: float, eta: float, q: float, prec: int = 50) -> float:
+    """Root m >= 0 of ln(d*m + 1) + (gamma2/eta)*m = q, at ``prec`` decimal digits.
+
+    Newton steps on v = ln(d*m + 1), the root of the increasing convex
+    v + (gamma2/(eta*d))*(e^v - 1) - q, decrease monotonically from the
+    upper bound min(q, ln(1 + q*eta*d/gamma2)).  e^v - 1 is taken at
+    enough extra digits to keep ``prec`` significant ones for tiny v.
+    Decimal(float(.)) conversions are exact, so the root is that of the
+    floats given, not of their rounded ratio.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        q = decimal.Decimal(float(q))
+        if q <= 0:
+            return 0.0
+        a = decimal.Decimal(float(gamma2)) / (decimal.Decimal(float(eta)) * d)
+
+        def expm1(v: decimal.Decimal) -> decimal.Decimal:
+            with decimal.localcontext() as wide:
+                wide.prec = prec + max(0, -v.adjusted())
+                return +(v.exp() - 1)
+
+        v = q if a == 0 else min(q, (1 + q / a).ln())
+        while True:
+            e = expm1(v)
+            step = (v + a * e - q) / (1 + a * (e + 1))
+            v -= step
+            if abs(step) <= v.scaleb(-prec + 5):
+                return float(expm1(v) / d)
+
+
 def mean_loss_reference(matrix: np.ndarray, targets: np.ndarray, kind: str, x: np.ndarray) -> float:
     """Mean row loss from its own residual: 0.5*mean(r^2) or mean(r^2/(1 + r^2))."""
     r = matrix @ x - targets
@@ -219,10 +250,9 @@ def w0_halley_reference(z: np.ndarray) -> np.ndarray:
     raise NumericError("lambert_w0 failed to converge")
 
 
-def prox_composite_reference(
-    d: int, x_t, g, eta: float, gamma1: float, gamma2: float, feasible_set: FeasibleSet
-) -> np.ndarray:
-    """Composite mirror prox: gather the active coordinates, solve, scatter back."""
+def prox_unweighted_reference(d: int, x_t, g, eta: float, gamma1: float, feasible_set: FeasibleSet) -> np.ndarray:
+    """Composite mirror prox at gamma2 = 0: gather the active coordinates,
+    take (1/d)*expm1(q) in closed form, scatter back."""
     inv_d = 1.0 / d
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -235,18 +265,7 @@ def prox_composite_reference(
     q = abs_z - gamma1 / eta
     active = q > 0.0
     magnitude = np.zeros_like(z)
-    if np.any(active):
-        qa = q[active]
-        if gamma2 == 0.0:
-            magnitude[active] = inv_d * np.expm1(qa)
-        else:
-            b = gamma2 / eta
-            ab = inv_d * b
-            log_arg = np.log(ab) + ab + qa
-            if np.any(log_arg > _REF_LN_CAP):
-                raise NumericError("prox overflow: Lambert argument too large")
-            magnitude[active] = w0_halley_reference(np.exp(log_arg)) / b - inv_d
-            np.maximum(magnitude, 0.0, out=magnitude)
+    magnitude[active] = inv_d * np.expm1(q[active])
     candidate = np.sign(z) * magnitude
     return feasible_set.clamp(candidate)
 

@@ -595,6 +595,23 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overlong_run_rejected_at_parse(self, tmp_path, capsys, command):
+        # T = 10**12 would keep ~392 TB of trace records.
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "acceptance.json")
+        with open(config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        out = tmp_path / "out"
+        doc["algorithms"][0]["T"] = 10**12
+        doc["output_dir"] = str(out)
+        assert main([command, "--config", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "invalid run spec: algorithms[0]: T = 1000000000000 keeps "
+            "392,000,000,000,000 bytes of trace records, above the limit of 4,294,967,296\n"
+        )
+        assert not out.exists()
+
     def test_problem_build_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(doc):
             raise MemoryError("Unable to allocate 728. TiB for an array")

@@ -19,7 +19,6 @@ from zomirror import (
     prox_composite,
 )
 from zomirror import rng
-from zomirror.mirror import _LN_CAP, _w0_halley
 
 from oracles import prox_reference, scalar_bregman, scalar_dgf
 
@@ -207,20 +206,6 @@ class TestLambertW:
         # other input in the same array must not see the sign either.
         assert np.signbit(lambert_w0(np.array([-0.0, 1.0]))).tolist() == [False, False]
 
-    def test_prox_call_without_sign_probe_equals_lambert_w0(self):
-        # The prox passes exp(log_arg) >= 0 without lambert_w0's sign probe;
-        # that call must equal lambert_w0 bit for bit, up to the largest
-        # argument below the prox's overflow guard log_arg > _LN_CAP.
-        z = np.array([0.0, 5e-324, 1.0, 1e300, math.exp(_LN_CAP), math.exp(np.nextafter(_LN_CAP, 0.0))])
-        want = lambert_w0(z).view(np.uint64)
-        assert _w0_halley(z.copy()).view(np.uint64).tolist() == want.tolist()
-        for i, v in enumerate(z):
-            alone = _w0_halley(np.array([v]))
-            assert alone.view(np.uint64).tolist() == [lambert_w0(np.array([v])).view(np.uint64)[0]], i
-        stack = np.vstack([z, z[::-1]])
-        got = _w0_halley(stack.copy()).view(np.uint64)
-        assert got.tolist() == lambert_w0(stack).view(np.uint64).tolist()
-
 
 class TestProxComposite:
     def test_dead_zone_snaps_to_zero(self):
@@ -358,6 +343,17 @@ class TestProxComposite:
         geo = MirrorGeometry(1)
         with pytest.raises(NumericError, match="prox overflow: Lambert argument too large"):
             prox_composite(geo, np.zeros(1), np.array([-1e-300]), 1e-300, ElasticNet(0.0, 1e300), FREE)
+
+    def test_overflowing_ratio_in_a_stack(self):
+        # A row whose gamma2/eta overflows is 0 where the l1 weight zeroes
+        # every coordinate, as alone; with an active coordinate it raises.
+        geo, X, G, etas = MirrorGeometry(3), np.array([[0.1, 0.2, 0.3]] * 2), np.zeros((2, 3)), [1.0, 1e-300]
+        reg = ElasticNet(1e-290, 1e300)
+        got = prox_composite(geo, X, G, etas, reg, FREE)
+        want = [prox_composite(geo, x, g, eta, reg, FREE) for x, g, eta in zip(X, G, etas)]
+        assert got.tobytes() == np.array(want).tobytes() and not got[1].any()
+        with pytest.raises(NumericError, match="prox overflow: Lambert argument too large"):
+            prox_composite(geo, X, G, etas, ElasticNet(0.0, 1e300), FREE)
 
     @pytest.mark.parametrize("where", ["x_t", "g"])
     def test_nan_entry_is_rejected(self, where):

@@ -160,6 +160,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^tag {tag!r} has no None-stepsize variant$"):
             RUNNERS[tag](zero_problem(), RunConfig(T=1, batch=1, stepsize_variant=None))
 
+    def test_trace_bound_on_T(self):
+        # 392 bytes a record: 10,956,549 iterations fit in 4 GiB, one more does not.
+        assert RunConfig(T=10_956_549, batch=1).T == 10_956_549
+        with pytest.raises(ValueError, match=r"^T = 10956550 keeps 4,294,967,600 bytes of trace records, "):
+            RunConfig(T=10_956_550, batch=1)
+
+    def test_run_rejects_T_before_any_oracle_call(self):
+        calls = []
+        problem = Problem(dimension=10, oracle=lambda x, xi: calls.append(xi) or 0.0)
+        with pytest.raises(ValueError, match=r"^T = 1000000000000 keeps 392,000,000,000,000 bytes "):
+            run_zo_ada_expgrad(problem, RunConfig(T=10**12, batch=8))
+        assert calls == []
+
     def test_numpy_integers_accepted(self):
         cfg = RunConfig(T=np.int64(3), batch=np.int32(2), stationarity_eval_period=np.uint8(2))
         assert run_zo_psgd(zero_problem(), cfg).records[-1].iteration == 3
