@@ -1,10 +1,12 @@
 """Zeroth-order composite optimization in an entropy-like mirror geometry.
 
-The package bundles a two-point Rademacher gradient estimator, a
-Lambert-W based elastic-net proximal step, adaptive and recursive-momentum
-mirror-descent solvers, a Euclidean proximal-SGD baseline, synthetic
-benchmark problems, and a reproducible experiment CLI.  It republishes
-the public names of its modules, each listed in that module's __all__.
+The package bundles a two-point Rademacher gradient estimator, an
+elastic-net proximal step that solves ln(d*m + 1) + (gamma2/eta)*m = q
+for each magnitude m by Halley steps in log space, adaptive and
+recursive-momentum mirror-descent solvers, a Euclidean proximal-SGD
+baseline, synthetic benchmark problems, and a reproducible experiment
+CLI.  It republishes the public names of its modules, each listed in that
+module's __all__.
 """
 
 from . import core, mirror, problems, sampling, solvers

@@ -96,12 +96,11 @@ class FeasibleSet:
     def is_box(self) -> bool:
         return self.lo is not None
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         if not self.is_box:
             return True
-        lo, hi = (self.lo, self.hi) if atol == 0.0 else (self.lo - atol, self.hi + atol)
         # Counted, not reduced with logical_and: cheaper on small arrays.
-        above, below = x >= lo, x <= hi
+        above, below = x >= self.lo, x <= self.hi
         return bool(np.count_nonzero(above) == above.size and np.count_nonzero(below) == below.size)
 
     def clamp(self, x: np.ndarray) -> np.ndarray:

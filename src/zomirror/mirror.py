@@ -11,8 +11,12 @@ equation ln(d*m + 1) + (gamma2/eta)*m = q for the magnitude m, whose root
 is a Lambert-W value.  The prox solves it for v = ln(d*m + 1), so that
 m = expm1(v)/d has no cancellation and nothing overflows, by Halley steps
 over the whole vector, or over a (k, d) stack of points with one eta per
-row, in one array call; each row of a stack stops when its own coordinates
-converge, so it equals the prox of that point alone bit for bit.
+row, in one array call.  A stack follows one row rule: each row's weights
+over eta are computed once, with the bits a Python float gives at one
+point; a row whose coordinates have all converged stops in place by a zero
+step while the others go on; and a failing stack raises what its first
+failing row raises.  So each row equals the prox of that point alone bit
+for bit and warns only where that point would.
 """
 
 from __future__ import annotations
@@ -134,25 +138,21 @@ def lambert_w0(z):
     raise NumericError("lambert_w0 failed to converge")
 
 
-def _expm1_root(q: np.ndarray, a) -> np.ndarray:
+def _expm1_root(q: np.ndarray, a, floor, threshold) -> np.ndarray:
     """expm1(v) at the root v of h(v) = v + a*expm1(v) - q, elementwise, for
-    q >= 0 and a finite a >= 0, a float or a (k, 1) column for a (k, d) stack.
+    q >= 0 and a finite a >= 0.  The weights are floats for one point, or
+    (k, 1) columns, one value per row, for a (k, d) stack: a, its floor
+    max(a, 1e-300) and the far-start threshold ln(1 + 1/floor).
 
     h is increasing and convex with h(0) <= 0 <= h(q), so Halley steps close
     in from an upper bound: q, or where a*expm1(q) > 1 the smaller of q and
     ln(1 + q/a).  Below a = 1e-300 no q <= _LN_CAP passes that threshold, so
     the floor on a only keeps q/a finite.  The steps stop at |h| <= 1e-12*q,
     q being the size of h's largest term; q = 0 (and gamma2 = 0) meets that
-    at the start.  All elements of a 1-D array step until all meet it; a row
-    of a stack stops once its own elements do, as it would alone.
+    at the start.  All elements of a point step until all meet it.  A row of
+    a stack whose elements all meet it stops in place, by a zero step, so it
+    returns the bits it would alone.
     """
-    if isinstance(a, float):
-        floor = max(a, 1e-300)
-        threshold = math.log1p(1.0 / floor)
-    else:
-        floor = np.maximum(a, 1e-300)
-        # Row by row on Python floats, as for one point.
-        threshold = np.array([math.log1p(1.0 / f) for f in floor[:, 0].tolist()])[:, None]
     far = q > threshold
     if far.any():
         v = np.where(far, np.minimum(q, np.log1p(q / floor)), q)
@@ -165,8 +165,7 @@ def _expm1_root(q: np.ndarray, a) -> np.ndarray:
     em1 = np.empty(q.shape)
     ae, h, hp, tmp = np.empty((4, *q.shape))
     met = np.empty(q.shape, dtype=bool)
-    out = rows = None
-    for step in range(_W_MAX_ITER + 1):
+    for _ in range(_W_MAX_ITER + 1):
         np.expm1(v, out=em1)
         np.multiply(em1, a, out=ae)
         np.add(ae, v, out=h)
@@ -174,21 +173,7 @@ def _expm1_root(q: np.ndarray, a) -> np.ndarray:
         # A count, not met.all(): half the per-call cost on small arrays.
         np.less_equal(np.abs(h, out=tmp), target, out=met)
         if np.count_nonzero(met) == met.size:
-            if rows is None:
-                return em1
-            out[rows] = em1
-            return out
-        if step == _W_MAX_ITER:
-            break
-        if v.ndim == 2 and len(v) > 1:
-            done = met.all(axis=1)
-            if done.any():
-                if rows is None:
-                    out, rows = np.empty_like(v), np.arange(len(v))
-                out[rows[done]] = em1[done]
-                keep = ~done
-                rows, v, q, a, target, ae, h, met = (x[keep] for x in (rows, v, q, a, target, ae, h, met))
-                em1, hp, tmp = np.empty((3, *v.shape))
+            return em1
         # v -= h / (h' - h*h''/(2*h')) with h'' = a*exp(v) and h' = 1 + h'';
         # h''/h' <= 1 is formed first, so no product can overflow.
         ae += a
@@ -198,8 +183,24 @@ def _expm1_root(q: np.ndarray, a) -> np.ndarray:
         ae *= 0.5
         hp -= ae
         h /= hp
+        if h.ndim == 2:
+            done = met.all(axis=1)
+            if done.any():
+                h[done] = 0.0
         v -= h
     raise NumericError("prox magnitude failed to converge")
+
+
+def _row_error(x_t: np.ndarray, g: np.ndarray, peak) -> Exception:
+    """The error of one point whose prox fails, ``peak`` being the largest
+    |z_i| of its dual point: ValueError for a NaN in ``x_t`` or ``g``,
+    NumericError for an overflowing dual point or, if that is in range, for
+    gamma2/eta past the float range with a coordinate active."""
+    if peak <= _LN_CAP:
+        return NumericError("prox overflow: Lambert argument too large")
+    if np.isnan(x_t).any() or np.isnan(g).any():
+        return ValueError("x_t and g must not hold NaN")
+    return NumericError("prox overflow: dual point too large")
 
 
 def prox_composite(
@@ -224,8 +225,10 @@ def prox_composite(
     sequence of k step weights, one per row.  Each row of a stack's
     result equals the one-point prox of that row bit for bit, and a stack
     raises what its first failing row raises alone: ValueError for a NaN
-    in ``x_t`` or ``g``, NumericError for an overflow.  A stack with a NaN
-    or an overflowing dual point is solved one row at a time.
+    in ``x_t`` or ``g``, NumericError for an overflow.  The elastic-net
+    weights act as Python floats, numpy scalars included, and a weight over
+    eta past the float range is inf without a warning, in a stack's rows as
+    at one point.
     """
     x_t = np.asarray(x_t, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -251,8 +254,12 @@ def prox_composite(
         # one-point call's Python-float values.
         eta = np.broadcast_to(eta.reshape(-1, 1), (len(x_t), 1))
 
+    # The weights are Python floats, so numpy-scalar ones act as floats do.
+    gamma1, gamma2 = float(reg.gamma1), float(reg.gamma2)
     # z = mirror_map(x_t) - g/eta, built in place; s is the second buffer.
     # A term past the float range is inf or NaN, which the guard rejects.
+    # The weights over eta, a float or one per row, have the bits of Python
+    # floats: past the float range they are inf, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.abs(x_t)
         z *= geo.dimension
@@ -261,30 +268,39 @@ def prox_composite(
         z *= s
         np.divide(g, eta, out=s)
         z -= s
+        shrink = gamma1 / eta
+        a = geo.inv_d * (gamma2 / eta)
     abs_z = np.abs(z, out=s)
-    # maximum propagates NaN, so one reduction also catches a NaN.
-    if not np.maximum.reduce(abs_z, axis=None) <= _LN_CAP:
-        if stacked:
-            return np.stack([prox_composite(geo, x, gi, e, reg, feasible_set) for x, gi, (e,) in zip(x_t, g, eta)])
-        if np.isnan(x_t).any() or np.isnan(g).any():
-            raise ValueError("x_t and g must not hold NaN")
-        raise NumericError("prox overflow: dual point too large")
+    # A row fails on a dual point past the guard or NaN (maximum propagates
+    # NaN), or where gamma2/eta is inf with a coordinate active (|z_i| >
+    # gamma1/eta); a row with none active solves as if gamma2 were 0.
+    peak = np.maximum.reduce(abs_z, axis=None)
+    if stacked:
+        inf = a == math.inf
+        if not peak <= _LN_CAP or inf.any():
+            peak = np.maximum.reduce(abs_z, axis=1, keepdims=True)
+            fails = ~(peak <= _LN_CAP) | (inf & (peak > shrink))
+            if fails.any():
+                i = int(fails.argmax())
+                raise _row_error(x_t[i], g[i], peak[i, 0])
+            a[inf] = 0.0
+        floor = np.maximum(a, 1e-300)
+        # Row by row with math.log1p, as for one point: np.log1p may round
+        # apart from it.
+        threshold = np.array([math.log1p(1.0 / f) for f in floor[:, 0].tolist()])[:, None]
+    else:
+        if not peak <= _LN_CAP or (a == math.inf and peak > shrink):
+            raise _row_error(x_t, g, peak)
+        a = 0.0 if a == math.inf else a
+        floor = max(a, 1e-300)
+        threshold = math.log1p(1.0 / floor)
     sign_z = np.sign(z, out=z)
 
     # q_i without forming y_i explicitly; fmax sends q <= 0 to +0.
     q = abs_z
-    q -= reg.gamma1 / eta
+    q -= shrink
     np.fmax(q, 0.0, out=q)
-    # Row by row on Python floats, as for one point: no overflow warning.
-    a = [geo.inv_d * (reg.gamma2 / e) for e in (eta[:, 0].tolist() if stacked else [eta])]
-    if math.inf in a:
-        # gamma2/eta overflowed: an active coordinate has no finite solve,
-        # and an inactive one is 0 whatever a is.
-        if ((np.array(a)[:, None] == math.inf) & (q > 0.0)).any():
-            raise NumericError("prox overflow: Lambert argument too large")
-        a = [0.0 if v == math.inf else v for v in a]
-    a = np.array(a)[:, None] if stacked else a[0]
-    magnitude = _expm1_root(q, a)
+    magnitude = _expm1_root(q, a, floor, threshold)
     magnitude *= geo.inv_d
     np.multiply(sign_z, magnitude, out=magnitude)
     if stacked and geo.dimension == 1:

@@ -20,7 +20,12 @@ go back to the operating system after each call shows as faults:
   1000, whose every active coordinate once took the log-space Lambert
   solve past the overflow guard;
 * ``prox stack``: the same on a stack of 8192 // d rows, one gradient-map
-  chunk of the run loop's evaluation, one eta per row;
+  chunk of the run loop's evaluation, with one eta per row over two
+  decades, so its rows' magnitude solves converge at different passes;
+* ``gradient map``: ``gradient_map`` on such a chunk as a run evaluates
+  it: nearby iterates and gradients, with eta growing slowly as an
+  adaptive run's does (0.2 times the square root of a running sum), so
+  the rows converge together;
 * ``minibatch`` and ``paired``: ``minibatch_gradient`` and
   ``paired_storm_estimates`` with batch m and an oracle that returns 0.0,
   so only the estimator's own cost is left;
@@ -84,6 +89,9 @@ def _calls(zm, d: int, m: int) -> dict:
     xs = box.clamp(0.1 * gen.standard_normal((k, d)))
     gs = gen.standard_normal((k, d))
     etas = 10.0 ** gen.uniform(-1.0, 1.0, k)
+    xm = box.clamp(x + 1e-3 * np.cumsum(gen.standard_normal((k, d)), axis=0))
+    gm = g + 0.1 * gen.standard_normal((k, d))
+    etam = 0.2 * np.sqrt(1.0 + np.cumsum(gen.uniform(0.0, 0.02, k)))
     problem = zm.Problem(dimension=d, oracle=lambda point, xi: 0.0)
     cfg = zm.EstimatorConfig(nu=1e-3, batch=m)
     rule = zm.solvers._md_alpha
@@ -91,6 +99,7 @@ def _calls(zm, d: int, m: int) -> dict:
         "prox 1-D": lambda: zm.prox_composite(geo, x, g, 2.0, reg, box),
         "prox 1-D heavy": lambda: zm.prox_composite(geo, x, g, 2.0, heavy, box),
         "prox stack": lambda: zm.prox_composite(geo, xs, gs, etas, reg, box),
+        "gradient map": lambda: zm.gradient_map(xm, gm, etam, geo, reg, box),
         "minibatch": lambda: zm.minibatch_gradient(problem, x, cfg, (7, 1)),
         "paired": lambda: zm.paired_storm_estimates(problem, x, y, cfg, (7, 1)),
         "stepsize": lambda: zm.stepsize_update(x, y, 1.0, 0.5, rule, 3, m),
@@ -112,7 +121,7 @@ def main(argv=None) -> int:
     table = [_calls(zm, d, m) for d, m in ESTIMATOR_SHAPES]
     for name in table[0]:
         print(f"{name:<22}" + "".join(_cell(name, calls, shape) for calls, shape in zip(table, ESTIMATOR_SHAPES)))
-    print(f"prox stack rows: {', '.join(str(max(1, 8192 // d)) for d, _ in SHAPES)}")
+    print(f"prox stack and gradient map rows: {', '.join(str(max(1, 8192 // d)) for d, _ in SHAPES)}")
     return 0
 
 

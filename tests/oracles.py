@@ -299,9 +299,9 @@ def objective_reference(losses, X: np.ndarray, gamma1: float, gamma2: float) -> 
     return out
 
 
-def contains_reference(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, atol: float) -> bool:
-    """Whether lo - atol <= x <= hi + atol holds everywhere."""
-    return bool(np.all(x >= lo - atol) and np.all(x <= hi + atol))
+def contains_reference(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> bool:
+    """Whether lo <= x <= hi holds everywhere."""
+    return bool(np.all(x >= lo) and np.all(x <= hi))
 
 
 def paired_call_order(m: int, d: int, block_signs: int = 65536) -> list[tuple[int, int, bool]]:

@@ -319,7 +319,7 @@ class TestProxComposite:
             fs = FeasibleSet.box(lo, hi)
             p = prox_composite(geo, x, g, eta, ElasticNet(g1, g2), fs)
             ref = prox_reference(d, x, g, eta, g1, g2, lo=lo, hi=hi)
-            assert fs.contains(p, atol=1e-12)
+            assert FeasibleSet.box(lo - 1e-12, hi + 1e-12).contains(p)
             assert np.max(np.abs(p - ref)) <= 1e-6
 
     def test_dual_overflow_guard(self):
@@ -384,6 +384,19 @@ class TestProxComposite:
         error = NumericError if order[1] == 1 else ValueError
         with pytest.raises(error, match="dual point too large" if error is NumericError else "NaN"):
             prox_composite(MirrorGeometry(2), X, G, [1.0, 2.0, 3.0], ElasticNet(0.1, 0.1), FREE)
+
+    @pytest.mark.parametrize("ratio_row", [0, 1], ids=["ratio-first", "overflow-first"])
+    def test_stack_raises_its_first_failing_row_of_either_kind(self, ratio_row):
+        # One row's gamma2/eta overflows with a coordinate active, another's
+        # dual point overflows: the stack raises the first row's error.
+        x = np.array([0.1, 0.2])
+        rows = [(1e-300, np.zeros(2)), (1.0, np.array([-1e300, 0.0]))]
+        if ratio_row:
+            rows.reverse()
+        etas, G = zip(*rows)
+        match = "Lambert argument too large" if ratio_row == 0 else "dual point too large"
+        with pytest.raises(NumericError, match=match):
+            prox_composite(MirrorGeometry(2), np.array([x, x]), np.array(G), etas, ElasticNet(0.0, 1e300), FREE)
 
     def test_stack_takes_one_eta_for_all_rows(self):
         gen = np.random.default_rng(8)

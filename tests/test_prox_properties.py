@@ -15,11 +15,14 @@ subnormal to past 1, no, some or all coordinates active, no box and boxes
 that contain zero, end at zero or exclude it, eta over six decades, d from
 1 to 2000, q from just above 0 to the overflow guard and dual points at
 that guard.  A NaN entry must raise ValueError.  ``lambert_w0`` must equal
-its frozen masked-gather copy bit for bit.
+its frozen masked-gather copy bit for bit.  A stack must equal its rows
+alone bit for bit and warn only as they do, and numpy-scalar weights must
+act as the same Python floats.
 """
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +49,18 @@ def outcome(fn):
             return fn().tobytes()
         except NumericError as exc:
             return f"NumericError: {exc}"
+
+
+def recorded(fn):
+    """The output bytes or the error's type and message, and the set of
+    warning messages the call gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn().tobytes()
+        except (NumericError, ValueError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return out, {str(w.message) for w in caught}
 
 
 def box_around_zero(gen, d, shape):
@@ -246,16 +261,14 @@ def test_lambert_w0_matches_frozen_reference_on_mixed_arrays(seed, size, branch_
     assert outcome(lambda: lambert_w0(z)) == outcome(lambda: w0_halley_reference(z))
 
 
-def bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
-
-
 def stack_inputs(seed, k, d, gamma2_kind, box, rare):
     """A (k, d) stack with per-row eta over six decades and one shared
     elastic net and feasible set.  About a third of the rows lie wholly
     inside the l1 dead zone (no Halley step) while the others need one or
     more.  ``rare`` gives rows 0 and 1 a subnormal and a normal
-    (1/d)*gamma2/eta, or row 0 a heavy one of 1000."""
+    (1/d)*gamma2/eta, or row 0 a heavy one of 1000, or row 1 the least
+    positive eta with g = 0, whose weights over eta pass the float range,
+    or a NaN in row 1's g."""
     gen = np.random.default_rng(seed)
     if rare != "none":
         k = max(k, 2)
@@ -275,44 +288,87 @@ def stack_inputs(seed, k, d, gamma2_kind, box, rare):
     magnitudes[dead] = gen.uniform(0.0, 1.0, (dead.sum(), d)) * (gamma1 / etas[dead])[:, None]
     target = magnitudes * gen.choice([-1.0, 1.0], (k, d))
     G = etas[:, None] * (np.log1p(d * np.abs(X)) * np.sign(X) - target)
+    if rare == "tiny-eta":
+        etas[1], G[1] = TINIEST, 0.0
+    elif rare == "nan":
+        G[1, 0] = math.nan
     fs = FeasibleSet() if box == "none" else FeasibleSet.box(*box_around_zero(gen, d, box))
     return X, G, etas, ElasticNet(gamma1, gamma2), fs
 
 
+def flat(m, x):
+    """A gradient map's three fields side by side, one row per point."""
+    assert m.mapped_point.shape == m.map_vector.shape == x.shape
+    assert np.shape(m.sq_l1_norm) == x.shape[:-1]
+    return np.concatenate([m.mapped_point, m.map_vector, np.asarray(m.sq_l1_norm)[..., None]], axis=-1)
+
+
+def shaped(p, x):
+    assert p.shape == x.shape
+    return p
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
-    k=st.integers(1, 6),
-    d=st.one_of(st.integers(1, 8), st.sampled_from([50, 500, 2000])),
-    gamma2_kind=st.sampled_from(["zero", "some"]),
-    box=st.sampled_from(["none", "contains", "edge", "excludes"]),
-    rare=st.sampled_from(["none", "none", "subnormal", "heavy"]),
+    inputs=st.builds(
+        stack_inputs,
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        d=st.one_of(st.integers(1, 8), st.sampled_from([50, 500, 2000])),
+        gamma2_kind=st.sampled_from(["zero", "some"]),
+        box=st.sampled_from(["none", "contains", "edge", "excludes"]),
+        rare=st.sampled_from(["none", "none", "none", "subnormal", "heavy", "tiny-eta", "nan"]),
+    )
 )
-@example(seed=3, k=6, d=500, gamma2_kind="some", box="none", rare="none")
-@example(seed=4, k=3, d=2000, gamma2_kind="some", box="edge", rare="subnormal")
-@example(seed=5, k=4, d=50, gamma2_kind="some", box="contains", rare="heavy")
-def test_stacked_rows_match_one_point_calls(seed, k, d, gamma2_kind, box, rare):
+@example(inputs=stack_inputs(seed=3, k=6, d=500, gamma2_kind="some", box="none", rare="none"))
+@example(inputs=stack_inputs(seed=4, k=3, d=2000, gamma2_kind="some", box="edge", rare="subnormal"))
+@example(inputs=stack_inputs(seed=5, k=4, d=50, gamma2_kind="some", box="contains", rare="heavy"))
+# Row 1's gamma1/eta is inf: alone it returns zeros without a warning.
+@example(
+    inputs=(np.array([[0.1, 0.2, 0.3]] * 2), np.zeros((2, 3)), np.array([1.0, 1e-300]), ElasticNet(1e10, 0.0), FeasibleSet())
+)
+def test_stacked_rows_match_one_point_calls(inputs):
     """Each row of a stacked prox_composite and gradient_map equals the
     one-point call bit for bit; a stack raises what its first failing row
-    raises."""
-    X, G, etas, reg, fs = stack_inputs(seed, k, d, gamma2_kind, box, rare)
-    geo = MirrorGeometry(d)
-    ones = [outcome(lambda i=i: prox_composite(geo, X[i], G[i], etas[i], reg, fs)) for i in range(len(X))]
-    failed = [one for one in ones if isinstance(one, str)]
-    stacked = outcome(lambda: prox_composite(geo, X, G, etas, reg, fs))
-    if failed:
-        assert stacked == failed[0]
-        return
-    with np.errstate(all="ignore"):
-        P = prox_composite(geo, X, G, etas, reg, fs)
-        M = gradient_map(X, G, etas, geo, reg, fs)
-    assert P.shape == M.mapped_point.shape == M.map_vector.shape == X.shape
-    assert M.sq_l1_norm.shape == (len(X),)
-    for i, (x, g, eta) in enumerate(zip(X, G, etas)):
-        assert np.array_equal(bits(P[i]), bits(np.frombuffer(ones[i])))
-        with np.errstate(all="ignore"):
-            one = gradient_map(x, g, eta, geo, reg, fs)
-        assert np.array_equal(bits(M.mapped_point[i]), bits(one.mapped_point))
-        assert np.array_equal(bits(M.map_vector[i]), bits(one.map_vector))
-        assert bits(M.sq_l1_norm[i]) == bits(one.sq_l1_norm)
+    raises, and warns only with messages that one of its rows gives
+    alone."""
+    X, G, etas, reg, fs = inputs
+    geo = MirrorGeometry(X.shape[1])
+    calls = {
+        "prox": lambda x, g, eta: shaped(prox_composite(geo, x, g, eta, reg, fs), x),
+        "map": lambda x, g, eta: flat(gradient_map(x, g, eta, geo, reg, fs), x),
+    }
+    for name, call in calls.items():
+        ones = [recorded(lambda i=i: call(X[i], G[i], etas[i])) for i in range(len(X))]
+        stacked, warned = recorded(lambda: call(X, G, etas))
+        assert warned <= set().union(*(w for _, w in ones)), name
+        failed = [out for out, _ in ones if isinstance(out, str)]
+        if failed:
+            assert stacked == failed[0], name
+            continue
+        rows = np.frombuffer(stacked).reshape(len(X), -1)
+        for i, (one, _) in enumerate(ones):
+            assert rows[i].tobytes() == one, (name, i)
 
+
+@pytest.mark.parametrize(
+    "eta, gamma1, gamma2",
+    [(1e-300, np.float64(1e-290), np.float64(1e300)), (0.3, np.float32(0.1), np.float32(0.2))],
+    ids=["ratio-past-float-range", "float32"],
+)
+def test_numpy_scalar_weights_act_as_python_floats(eta, gamma1, gamma2):
+    """Numpy-scalar elastic-net weights give the bytes and the warnings of
+    the Python floats they equal: with gamma2/eta past the float range and
+    no coordinate active (zeros, no warning), and in float32, which would
+    divide by eta in float32, with coordinates active."""
+    geo, x, g = MirrorGeometry(3), np.array([0.1, 0.2, 0.3]), np.zeros(3)
+
+    def prox(*weights):
+        return recorded(lambda: prox_composite(geo, x, g, eta, ElasticNet(*weights), FeasibleSet()))
+
+    want = prox(float(gamma1), float(gamma2))
+    assert prox(gamma1, gamma2) == want
+    if eta == 1e-300:
+        assert want == (np.zeros(3).tobytes(), set())
+    else:
+        assert np.frombuffer(want[0]).any()

@@ -479,7 +479,7 @@ class TestRunMechanics:
         for name, runner in RUNNERS.items():
             trace = runner(prob, RunConfig(T=25, batch=2, eta_base=2.0, seed=3))
             for x in trace.iterates:
-                assert fs.contains(x, atol=0.0), name
+                assert fs.contains(x), name
 
 
 class TestSolverBehavior:
