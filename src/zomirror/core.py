@@ -104,10 +104,13 @@ class FeasibleSet:
         return bool(np.count_nonzero(above) == above.size and np.count_nonzero(below) == below.size)
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
+        """The box point nearest x, coordinate by coordinate: np.clip of a
+        point bit for bit, NaN and signed zeros included.  The rows of a
+        (k, d) stack clamp as points, where np.clip of a one-column stack
+        may keep a -0.0 tied with a bound of 0.0."""
         if not self.is_box:
             return x
-        # The method np.clip forwards to: the same ufunc, fewer Python layers.
-        return x.clip(self.lo, self.hi)
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
 
 @dataclass(frozen=True)

@@ -235,8 +235,10 @@ def prox_composite(
     stacked = x_t.ndim == 2
     if stacked:
         eta = np.asarray(eta, dtype=float)
-        for e in eta.reshape(-1):
-            _check_scale("eta", e)
+        # Its extremes fail where any entry does (NaN propagates to both);
+        # the initial 1.0 lets an empty eta through to the shape check.
+        _check_scale("eta", eta.min(initial=1.0))
+        _check_scale("eta", eta.max(initial=1.0))
     else:
         # One scalar, used as a Python float as a stack's rows are: in
         # float32, gamma2/eta could round apart from them.  A float
@@ -303,10 +305,6 @@ def prox_composite(
     magnitude = _expm1_root(q, a, floor, threshold)
     magnitude *= geo.inv_d
     np.multiply(sign_z, magnitude, out=magnitude)
-    if stacked and geo.dimension == 1:
-        # numpy clips a one-column stack in a strided loop that keeps a -0.0
-        # tied with a bound of 0.0, where one point's loop returns the bound.
-        return np.stack([feasible_set.clamp(row) for row in magnitude])
     return feasible_set.clamp(magnitude)
 
 

@@ -17,7 +17,9 @@ Evaluation is reporting, not part of the algorithm: the objective at each
 iterate and, when the problem has an exact gradient, the squared l1 norm
 of its gradient map and, for a momentum run, the tracking errors of its
 estimates.  Iterates wait in a buffer of at most _EVAL_FLOATS floats (one
-row when d is larger), and a full buffer, or the last one, costs one
+row when d is larger), each with one pending entry of its iteration,
+eta_t, alpha_t, oracle calls, loop seconds and, in a tracked run, its
+estimates (d_t, g_t).  A full buffer, or the last one, costs one
 mean_loss and one exact_gradient call on the (k, d) stack and one
 gradient_map call per chunk of at most _MAP_FLOATS floats of the rows
 whose map is due.  The trajectory never depends on it.  Errors keep the
@@ -342,37 +344,30 @@ def _tracking_sq(grad: np.ndarray, estimates: tuple) -> tuple[float, ...]:
 
 
 def _evaluate(
-    problem: Problem,
-    geo: MirrorGeometry,
-    X: np.ndarray,
-    first: int,
-    etas: list[float],
-    period: int,
-    estimates: list | None,
+    problem: Problem, geo: MirrorGeometry, X: np.ndarray, entries: list[tuple], period: int, track: bool
 ) -> list[tuple[float, float | None, tuple[float, float] | None]]:
-    """(objective, stationarity, tracking) at each iterate x_first,
-    x_first+1, ... stacked in the rows of X, with eta_t from ``etas``.
+    """(objective, stationarity, tracking) at the iterates stacked in the
+    rows of X, one pending entry (t, eta_t, alpha_t, oracle calls, loop
+    seconds, estimates) per row.
 
     The stationarity, the squared l1 norm of the gradient map, is computed
-    only at iterates its period selects.  ``estimates`` is None, or holds
-    the momentum estimate and the batch estimate (d_t, g_t) of the first
-    len(estimates) rows, each row's tracking being their squared max-norm errors from the
-    exact gradient.  One mean_loss and one exact_gradient call cover the
-    stack, and one gradient_map call per chunk of at most _MAP_FLOATS
-    floats of the rows whose map is due.  An objective, stationarity or
-    tracking error that is not finite raises NumericError.  Errors come as
-    if each iterate were evaluated alone, in order: the NumericError names
-    the first failing iterate and, within it, the first failing layer of
+    only at iterates its period selects.  In a tracked run the exact
+    gradient is computed at every row, and a row whose entry holds the
+    momentum estimate and the batch estimate (d_t, g_t) gets their squared
+    max-norm errors from it as its tracking.  One mean_loss and one
+    exact_gradient call cover the stack (the stack itself when every row
+    needs a gradient, so a hook may reuse what mean_loss computed), and
+    one gradient_map call per chunk of at most _MAP_FLOATS floats of the
+    rows whose map is due.  An objective, stationarity or tracking error
+    that is not finite raises NumericError.  Errors come as if each
+    iterate were evaluated alone, in order: the NumericError names the
+    first failing iterate and, within it, the first failing layer of
     objective, exact gradient, gradient map and tracking.  When a call
     fails on a stack, the rows are evaluated again one at a time to find
     that iterate.
     """
-    has_grad = problem.exact_gradient is not None
-    track = estimates is not None
-    # Rows start, start + step, ... need an exact gradient, and rows due,
-    # due + period, ... a gradient map.
-    step = 1 if track else period
-    start = (1 - first) % step
+    first = entries[0][0]
+    # Rows due, due + period, ... need a gradient map.
     due = (1 - first) % period
     stationarity, tracking = [None] * len(X), [None] * len(X)
     layer = "objective"
@@ -380,11 +375,12 @@ def _evaluate(
         objectives = _objective(problem, X)
         if not all(map(math.isfinite, objectives)):
             raise NumericError("objective is not finite")
-        if has_grad and start < len(X):
+        if track or (problem.exact_gradient is not None and due < len(X)):
             layer = "exact gradient"
-            grads = _exact_gradient(problem, X if step == 1 else X[start::step])
+            grads = _exact_gradient(problem, X if track or period == 1 else X[due::period])
             layer = "gradient map"
-            X_due, G_due, etas_due = X[due::period], grads[due::period] if track else grads, etas[due::period]
+            X_due, G_due = X[due::period], grads[due::period] if track else grads
+            etas_due = [entry[1] for entry in entries[due::period]]
             rows = max(1, _MAP_FLOATS // problem.dimension)
             maps = []
             for i in range(0, len(X_due), rows):
@@ -398,16 +394,11 @@ def _evaluate(
             stationarity[due::period] = maps
             if track:
                 layer = "tracking"
-                tracking[: len(estimates)] = [_tracking_sq(g, pair) for g, pair in zip(grads, estimates)]
+                tracking = [_tracking_sq(g, entry[5]) if entry[5] else None for g, entry in zip(grads, entries)]
     except NumericError as exc:
         if len(X) == 1:
             raise NumericError(f"{exc} at iteration {first} in {layer}", iteration=first, layer=layer) from exc
-        return [
-            _evaluate(
-                problem, geo, X[i : i + 1], first + i, etas[i : i + 1], period, estimates and estimates[i : i + 1]
-            )[0]
-            for i in range(len(X))
-        ]
+        return [_evaluate(problem, geo, X[i : i + 1], entries[i : i + 1], period, track)[0] for i in range(len(X))]
     return list(zip(objectives, stationarity, tracking))
 
 
@@ -423,7 +414,11 @@ def _start_point(problem: Problem) -> np.ndarray:
     fs = problem.feasible_set
     if fs.contains(x):
         return x
-    return 0.5 * (fs.lo + fs.hi)
+    # The midpoint where both bounds are finite, else the box point nearest 0.
+    x = fs.clamp(x)
+    finite = np.isfinite(fs.lo) & np.isfinite(fs.hi)
+    x[finite] = 0.5 * (fs.lo[finite] + fs.hi[finite])
+    return x
 
 
 def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
@@ -454,13 +449,11 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     alpha, accum = 1.0, 0.0
     x_t = x_prev = _start_point(problem)
     # Iterates wait in the rows of this buffer until it is full or the run
-    # ends, then are evaluated together.  Per buffered iterate, etas holds
-    # eta_t, pending (t, oracle calls, alpha_t, loop seconds) and, when
-    # tracking, estimates (d_t, g_t).
+    # ends, then are evaluated together.  Per buffered iterate, pending
+    # holds one entry (t, eta_t, alpha_t, oracle calls, loop seconds,
+    # estimates), the estimates being (d_t, g_t) when tracking, else None.
     block = np.empty((min(cfg.T, max(1, _EVAL_FLOATS // d)), d))
-    etas: list[float] = []
     pending: list[tuple] = []
-    estimates = [] if track_momentum else None
     for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
         alpha_t, eta_t = alpha, cfg.eta_base * alpha
@@ -468,8 +461,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
             iterates.append(x_t)
         if t == tau:
             sampled_point = x_t
-        block[len(etas)] = x_t
-        etas.append(eta_t)
+        block[len(pending)] = x_t
 
         # A NumericError from any layer names the iteration and the layer,
         # in its message and in its attributes.
@@ -497,26 +489,26 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
                 raise RuntimeError("feasibility invariant violated")
         except Exception as exc:
             # Evaluating x_t comes first in iteration t, so the buffered
-            # iterates up to x_t are evaluated before this error is raised,
-            # and an error of theirs takes its place.
-            _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, estimates)
+            # iterates up to x_t, whose own entry has no estimates, are
+            # evaluated before this error is raised, and an error of theirs
+            # takes its place.
+            entries = [*pending, (t, eta_t, alpha_t, calls, 0.0, None)]
+            _evaluate(problem, geo, block[: len(entries)], entries, period, track_momentum)
             if isinstance(exc, NumericError):
                 raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
             raise
 
-        if track_momentum:
-            estimates.append((d_vec, g_est.vector))
-        pending.append((t, calls, alpha_t, time.perf_counter() - tick))
+        estimates = (d_vec, g_est.vector) if track_momentum else None
+        pending.append((t, eta_t, alpha_t, calls, time.perf_counter() - tick, estimates))
         x_prev, x_t = x_t, x_next
-        if len(etas) < len(block) and t < cfg.T:
+        if len(pending) < len(block) and t < cfg.T:
             continue
         tick = time.perf_counter()
-        evaluated = _evaluate(problem, geo, block[: len(etas)], t + 1 - len(etas), etas, period, estimates)
+        evaluated = _evaluate(problem, geo, block[: len(pending)], pending, period, track_momentum)
         # Each row's wall time is its own loop time plus an equal share of
         # the block's evaluation.
-        share = (time.perf_counter() - tick) / len(etas)
-        rows = zip(pending, etas, evaluated)
-        for (t_i, calls_i, alpha_i, seconds), eta_i, (objective, stationarity, tracked) in rows:
+        share = (time.perf_counter() - tick) / len(pending)
+        for (t_i, eta_i, alpha_i, calls_i, seconds, _), (objective, stationarity, tracked) in zip(pending, evaluated):
             if track_momentum:
                 tracking.append(tracked[0])
                 mb_tracking.append(tracked[1])
@@ -531,9 +523,7 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
                     wall_ms=(seconds + share) * 1000.0,
                 )
             )
-        etas.clear()
         pending.clear()
-        estimates = [] if track_momentum else None
 
     return Trace(
         records=records,

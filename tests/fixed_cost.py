@@ -5,14 +5,15 @@ Run from the repository root:
     python3 tests/fixed_cost.py                   # the package under ./src
     python3 tests/fixed_cost.py --src OTHER/src   # another checkout's package
 
-At each shape (d, m) = (50, 8), (500, 32) and (2000, 16) it times, in
-microseconds per call, the best of 7 repeats of a loop that takes about
-0.05 s (a quarter of the loop ``timeit.Timer.autorange`` picks).  The
-estimator rows also run at (20000, 8), whose signs span several blocks,
-and print beside their time the minor page faults per call of this
-process (``ru_minflt``) over the 7 repeats.  The repeats follow the
-auto-ranging loops, which warm the heap up, so an estimate whose arrays
-go back to the operating system after each call shows as faults:
+At each shape (d, m) = (1, 8), (50, 8), (500, 32) and (2000, 16) it
+times, in microseconds per call, the best of 7 repeats of a loop that
+takes about 0.05 s (a quarter of the loop ``timeit.Timer.autorange``
+picks).  The estimator rows also run at (20000, 8), whose signs span
+several blocks, and print beside their time the minor page faults per
+call of this process (``ru_minflt``) over the 7 repeats.  The repeats
+follow the auto-ranging loops, which warm the heap up, so an estimate
+whose arrays go back to the operating system after each call shows as
+faults:
 
 * ``prox 1-D``: ``prox_composite`` at one point, elastic net with both
   weights set and a box, so the magnitude solve and the clamp both run;
@@ -20,8 +21,9 @@ go back to the operating system after each call shows as faults:
   1000, whose every active coordinate once took the log-space Lambert
   solve past the overflow guard;
 * ``prox stack``: the same on a stack of 8192 // d rows, one gradient-map
-  chunk of the run loop's evaluation, with one eta per row over two
-  decades, so its rows' magnitude solves converge at different passes;
+  chunk of the run loop's evaluation (8,192 one-column rows at d = 1),
+  with one eta per row over two decades, so its rows' magnitude solves
+  converge at different passes;
 * ``gradient map``: ``gradient_map`` on such a chunk as a run evaluates
   it: nearby iterates and gradients, with eta growing slowly as an
   adaptive run's does (0.2 times the square root of a running sum), so
@@ -50,7 +52,7 @@ import timeit
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHAPES = [(50, 8), (500, 32), (2000, 16)]
+SHAPES = [(1, 8), (50, 8), (500, 32), (2000, 16)]
 ESTIMATOR_SHAPES = SHAPES + [(20000, 8)]
 ESTIMATORS = ("minibatch", "paired")
 REPEATS = 7

@@ -7,7 +7,7 @@ bit, floats compared as uint64, over widths on both sides of numpy's
 pairwise-sum blocks and over entries that stress the arithmetic: signed
 zeros, subnormals, entries whose squares or sums overflow, and NaN for
 ``contains``.  ``FeasibleSet.clamp`` must equal ``np.clip`` bit for bit,
-NaN and infinities included.
+NaN and infinities included, and clamp the rows of a stack as points.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zomirror import ElasticNet, FeasibleSet, Problem, elastic_net_value
@@ -152,6 +152,9 @@ CLAMP_ENTRIES = st.one_of(ENTRIES, st.sampled_from([math.nan, math.inf, -math.in
     degenerate=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# Seed 1 draws x = [[-0.0], [0.5]] from this pool: np.clip of the stack
+# keeps the -0.0 tied with lo = 0.0, where np.clip of its row returns 0.0.
+@example(bounds=np.array([[0.0], [1.0]]), pool=[-0.0, 0.5], rows=2, degenerate=False, seed=1)
 def test_clamp_equals_np_clip(bounds, pool, rows, degenerate, seed):
     # One point (rows 0) or a (rows, d) stack; a degenerate box has lo == hi.
     lo, hi = np.sort(bounds, axis=0)
@@ -160,7 +163,9 @@ def test_clamp_equals_np_clip(bounds, pool, rows, degenerate, seed):
     gen = np.random.default_rng(seed)
     x = gen.choice(np.array(pool), size=(rows, lo.size) if rows else lo.size)
     got = FeasibleSet.box(lo, hi).clamp(x)
-    assert got.view(np.uint64).tolist() == np.clip(x, lo, hi).view(np.uint64).tolist()
+    # A one-column stack is compared row by row: its rows clamp as points.
+    want = np.array([np.clip(row, lo, hi) for row in x]) if rows and lo.size == 1 else np.clip(x, lo, hi)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_clamp_special_values():

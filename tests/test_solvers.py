@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from zomirror import (
     storm_schedule,
 )
 from zomirror import rng, solvers
-from zomirror.problems import sparse_regression_design
+from zomirror.problems import SparseRegressionProblem, sparse_regression_design
 from zomirror.solvers import ALGORITHM_TABLE, stepsize_update
 
 from oracles import gradient_reference, mean_loss_reference
@@ -454,6 +455,26 @@ class TestRunMechanics:
         shifted = zero_problem(d=1, feasible_set=FeasibleSet.box([1.0], [2.0]))
         assert run_zo_psgd(shifted, RunConfig(T=1, batch=1)).iterates[0].tolist() == [1.5]
 
+    @pytest.mark.parametrize(
+        "lo, hi, want",
+        [
+            ([1.0], [math.inf], [1.0]),
+            ([-math.inf], [-1.0], [-1.0]),
+            # Both bounds finite in the second coordinate only.
+            ([-math.inf, 1.0], [math.inf, 2.0], [0.0, 1.5]),
+        ],
+        ids=["above", "below", "mixed"],
+    )
+    def test_default_start_with_infinite_bounds(self, lo, hi, want):
+        # Where 0 is infeasible, a coordinate with an infinite bound starts at
+        # the box point nearest 0; these once started at inf or NaN.
+        prob = zero_problem(d=len(lo), feasible_set=FeasibleSet.box(lo, hi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_zo_psgd(prob, RunConfig(T=1, batch=1))
+        assert trace.iterates[0].tolist() == want
+        assert trace.records[0].objective == 0.0
+
     def test_start_point_validation(self):
         bad_shape = zero_problem(d=2, start_point=np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
@@ -797,22 +818,63 @@ class TestBlockEvaluation:
         have = [r.iteration for r in trace.records if r.stationarity_sq_l1 is not None]
         assert have == list(range(1, 71, 3))
 
-    @pytest.mark.parametrize("layer", ["objective", "exact gradient"])
-    def test_evaluation_error_wins_over_a_later_estimator_error(self, layer):
+    @pytest.mark.parametrize(
+        "runner, period, residuals",
+        [
+            (run_zo_ada_expgrad, 1, 11),
+            (run_zo_expstorm, 1, 11),
+            # The gradient sees only the due rows, a view that misses the memo.
+            (run_zo_ada_expgrad, 3, 22),
+            # Tracking needs a gradient at every row, so it sees the stack.
+            (run_zo_expstorm, 3, 11),
+        ],
+    )
+    def test_gradient_reuses_the_residuals_of_its_block(self, monkeypatch, runner, period, residuals):
+        # T = 350 at d = 2000 is 11 blocks of at most 32 rows.  mean_loss
+        # leaves its residuals in a memo that exact_gradient takes only when
+        # handed the same stack, so one residual product serves both.
+        design = sparse_regression_design(2000, 50, 5, 0.1, "robust_nonconvex", seed=1)
+        prob = design.to_problem(ElasticNet(0.01, 1e-4))
+        count = []
+
+        def spy(self, X):
+            count.append(len(X))
+            return residuals_of(self, X)
+
+        residuals_of = SparseRegressionProblem._residuals
+        monkeypatch.setattr(SparseRegressionProblem, "_residuals", spy)
+        runner(prob, RunConfig(T=350, batch=1, eta_base=0.5, stationarity_eval_period=period))
+        assert len(count) == residuals
+
+    @pytest.mark.parametrize(
+        "runner, layer",
+        [pytest.param(run_zo_ada_expgrad, layer, id=layer) for layer in ("objective", "exact gradient")]
+        + [
+            pytest.param(run_zo_expstorm, layer, id=f"tracked-{layer}")
+            for layer in ("objective", "exact gradient", "tracking")
+        ],
+    )
+    def test_evaluation_error_wins_over_a_later_estimator_error(self, runner, layer):
         # The evaluation fails at x_2 and the estimator at iteration 3, in
         # the same block: evaluating x_2 came first, so its error is raised.
-        cfg = RunConfig(T=5, batch=1)
-        x_2, x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[1:3]
+        # A momentum run with an exact gradient tracks its estimates; x_2's
+        # gradient of (1e160, 0) overflows its tracking errors' squares, and
+        # a period of 5 keeps it out of the gradient map.
+        cfg = RunConfig(T=5, batch=1, stationarity_eval_period=5 if layer == "tracking" else 1)
+        x_2, x_3 = runner(draining_problem(), cfg).iterates[1:3]
         hooks = {
-            "objective": {"mean_loss": fails_at(x_2, math.inf, 1.0)},
+            "objective": {"mean_loss": fails_at(x_2, math.inf, 1.0), "exact_gradient": np.zeros_like},
             "exact gradient": {"exact_gradient": fails_at(x_2, [math.nan, 0.0], [0.0, 0.0])},
+            "tracking": {"exact_gradient": fails_at(x_2, [1e160, 0.0], [0.0, 0.0])},
         }[layer]
         prob = draining_problem(**hooks)
         prob = dataclasses.replace(prob, oracle=lambda x, xi: math.inf if np.array_equal(x, x_3) else 0.0)
         with pytest.raises(NumericError) as info:
-            run_zo_ada_expgrad(prob, cfg)
+            runner(prob, cfg)
         assert (info.value.iteration, info.value.layer) == (2, layer)
         assert str(info.value).endswith(f"at iteration 2 in {layer}")
+        if layer == "tracking":
+            assert str(info.value) == "tracking error is not finite at iteration 2 in tracking"
 
     def test_other_estimator_errors_propagate_unchanged(self):
         # Only a NumericError gains an iteration and a layer: an oracle's
@@ -837,15 +899,16 @@ class TestBlockEvaluation:
         with pytest.raises(NumericError, match="^mean_loss returned a non-finite value at iteration 2 in objective$"):
             run_zo_ada_expgrad(prob, cfg)
 
-    def test_estimator_error_follows_a_clean_evaluation_of_its_block(self):
+    @pytest.mark.parametrize("runner", [run_zo_ada_expgrad, run_zo_expstorm], ids=["untracked", "tracked"])
+    def test_estimator_error_follows_a_clean_evaluation_of_its_block(self, runner):
         cfg = RunConfig(T=5, batch=1)
-        x_3 = run_zo_ada_expgrad(draining_problem(), cfg).iterates[2]
+        x_3 = runner(draining_problem(), cfg).iterates[2]
         seen = []
         prob = draining_problem(mean_loss=lambda X: np.zeros(len(X)), exact_gradient=np.zeros_like)
         prob = self.spied(prob, seen)
         prob = dataclasses.replace(prob, oracle=lambda x, xi: math.inf if np.array_equal(x, x_3) else 0.0)
         with pytest.raises(NumericError, match=r"^oracle .* at iteration 3 in estimator$"):
-            run_zo_ada_expgrad(prob, cfg)
+            runner(prob, cfg)
         # x_1..x_3 were evaluated, once, before the error was raised.
         assert [(name, len(rows)) for name, rows in seen] == [("mean_loss", 3), ("exact_gradient", 3)]
 
