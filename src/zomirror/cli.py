@@ -30,9 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import _MAX_BYTES, ElasticNet, Problem, _check_count, _is_integer
+from .core import ElasticNet, Problem, _check_count, _is_integer
 from .problems import (
-    _DEFAULT_N_CLASSES,
     check_classifier,
     check_design,
     check_explanation_mode,
@@ -86,20 +85,18 @@ def _as_number(doc: dict, key: str, context: str) -> float:
     return float(v)
 
 
-def _check_design_size(rows: int, d: int, what: str) -> None:
-    if 8 * rows * d > _MAX_BYTES:
-        raise ValueError(
-            f"problem: the {what} x d = {rows} x {d} matrix needs {8 * rows * d:,} bytes, "
-            f"above the limit of {_MAX_BYTES:,}"
-        )
-
-
 def _builder_check(check, *args, **kwargs) -> None:
     """A problem builder's own check on spec values, its message prefixed."""
     try:
         check(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"problem: {exc}") from None
+
+
+def _classes(doc: dict) -> dict:
+    """The n_classes an explanation descriptor sets, as a keyword; left
+    out, the classifier builder's default holds."""
+    return {key: doc[key] for key in ("n_classes",) if key in doc}
 
 
 def _parse_problem(doc: dict) -> dict:
@@ -116,12 +113,9 @@ def _parse_problem(doc: dict) -> dict:
         )
         _as_number(doc, "noise_sigma", "problem")
         _builder_check(check_design, doc["d"], doc["n_samples"], doc["k"], doc["noise_sigma"], doc["loss"])
-        _check_design_size(doc["n_samples"], doc["d"], "n_samples")
     elif kind == "explanation":
         _check_keys(doc, {"kind", "seed", "d", "mode"}, {"n_classes", "gamma1", "gamma2"}, "problem")
-        n_classes = doc.get("n_classes", _DEFAULT_N_CLASSES)
-        _builder_check(check_classifier, doc["d"], n_classes)
-        _check_design_size(n_classes, doc["d"], "n_classes")
+        _builder_check(check_classifier, doc["d"], **_classes(doc))
         _builder_check(check_explanation_mode, doc["mode"])
     else:
         raise ValueError(f"problem: unknown kind {kind!r}")
@@ -240,7 +234,7 @@ def problem_from_descriptor(doc: dict) -> Problem:
         )
     d = doc["d"]
     seed = doc["seed"]
-    classifier = make_tiny_classifier(d, doc.get("n_classes", _DEFAULT_N_CLASSES), seed)
+    classifier = make_tiny_classifier(d, seed=seed, **_classes(doc))
     anchor = rng.stream("anchor", seed, d).uniform(0.05, 0.95, size=d)
     return make_explanation_problem(classifier, anchor, doc["mode"], **weights)
 

@@ -19,8 +19,8 @@ __all__ = [
 ]
 
 
-# Most bytes one input may make the program allocate: a spec's data matrix
-# (n_samples x d or n_classes x d floats) or one estimate's draw.
+# Most bytes one input may make the program allocate: a problem's data
+# matrix, one estimate's draw or a run's trace records.
 _MAX_BYTES = 1 << 32
 
 
@@ -33,6 +33,13 @@ def _check_count(name: str, value) -> None:
     """Reject a count that is not an integer (see _is_integer) of at least 1."""
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
+
+
+def _check_bytes(n_bytes: int, head: str, tail: str) -> None:
+    """Reject an input that would make the program allocate n_bytes >
+    _MAX_BYTES at once, as "<head> <n_bytes> <tail>, above the limit"."""
+    if n_bytes > _MAX_BYTES:
+        raise ValueError(f"{head} {n_bytes:,} {tail}, above the limit of {_MAX_BYTES:,}")
 
 
 def _check_scale(name: str, value) -> None:
@@ -128,6 +135,8 @@ class Problem:
     row, and returns k losses or a (k, d) stack of gradients.  The stack
     may be a view of a run's own buffer, which later blocks overwrite, so
     a hook must not write to it nor rely on its values after returning.
+    A hook's own stacks may hold num_samples floats per row (a residual
+    per sample), so a run sizes its stacks by max(d, num_samples).
     """
 
     dimension: int

@@ -340,11 +340,12 @@ def gradient_map(
     """
     # prox_composite checks eta first of all.
     mapped = prox_composite(geometry, x, g, eta, reg, feasible_set)
-    map_vector = np.asarray(x, dtype=float) - mapped
     stacked = mapped.ndim == 2
-    map_vector *= np.reshape(eta, (-1, 1)) if stacked else eta
-    l1 = np.abs(map_vector).sum(axis=-1)
-    # A norm past 1e154 squares to inf quietly, as a Python float does.
+    # Past the float range, the map and its norm are inf quietly, as
+    # Python floats are, and a norm past 1e154 squares to inf.
     with np.errstate(over="ignore"):
+        map_vector = np.asarray(x, dtype=float) - mapped
+        map_vector *= np.reshape(eta, (-1, 1)) if stacked else eta
+        l1 = np.abs(map_vector).sum(axis=-1)
         sq = l1 * l1
     return GradientMapResult(mapped_point=mapped, map_vector=map_vector, sq_l1_norm=sq if stacked else float(sq))

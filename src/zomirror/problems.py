@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core import ElasticNet, FeasibleSet, Problem, _check_count
+from .core import ElasticNet, FeasibleSet, Problem, _check_bytes, _check_count
 
 __all__ = [
     "SparseRegressionProblem",
@@ -47,6 +47,11 @@ EXPLANATION_MODES = ("PP", "PN")
 _EXPLANATION_GAMMA = 0.0625
 _DEFAULT_N_CLASSES = 3
 
+# Longest dot product taken in one ddot call: OpenBLAS splits a longer sum
+# (16,384 floats and up on one build) across threads, and its bits then
+# depend on the thread count; up to 10,000 they did not.
+_DOT_CHUNK = 8192
+
 # Stable softplus: beyond these the dropped term is below 1e-13 absolute.
 _SOFTPLUS_HI = 30.0
 _SOFTPLUS_LO = -30.0
@@ -61,6 +66,17 @@ def robust_loss(t: np.ndarray) -> np.ndarray:
 def robust_loss_derivative(t: np.ndarray) -> np.ndarray:
     """rho'(t) = 2t / (1 + t^2)^2; bounded by 3*sqrt(3)/8 in magnitude."""
     return 2.0 * t / np.square(1.0 + np.square(t))
+
+
+class _ChunkedRows(np.ndarray):
+    """Design rows wider than _DOT_CHUNK: a row's dot product adds the
+    dots of its ascending _DOT_CHUNK-float chunks in order, one ddot each."""
+
+    def dot(self, x: np.ndarray) -> float:
+        total = 0.0
+        for i in range(0, len(x), _DOT_CHUNK):
+            total += float(np.ndarray.dot(self[i : i + _DOT_CHUNK], x[i : i + _DOT_CHUNK]))
+        return total
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,10 @@ class SparseRegressionProblem:
     The design is read at construction: ``sample_loss`` indexes pairs of a
     row view of ``matrix`` and its target as a float, built once, so a
     change to ``targets`` in place afterwards reaches the mean loss and
-    gradient but not the oracle.  A pickle or copy carries the four fields
+    gradient but not the oracle.  Past d = 8,192 a row's dot product adds
+    those of its 8,192-float chunks in ascending order, so the oracle's
+    bits do not depend on the BLAS thread count; up to there it is one
+    ``ndarray.dot``.  A pickle or copy carries the four fields
     alone and builds the pairs anew over its own ``matrix``.
     """
 
@@ -99,7 +118,8 @@ class SparseRegressionProblem:
         if self.planted.shape != (d,):
             raise ValueError("planted solution must match the design width")
         object.__setattr__(self, "_residual_slot", [None])
-        object.__setattr__(self, "_rows", tuple(zip(self.matrix, self.targets.tolist())))
+        rows = self.matrix if d <= _DOT_CHUNK else self.matrix.view(_ChunkedRows)
+        object.__setattr__(self, "_rows", tuple(zip(rows, self.targets.tolist())))
 
     def __reduce__(self):
         return type(self), (self.matrix, self.targets, self.kind, self.planted)
@@ -168,7 +188,8 @@ class SparseRegressionProblem:
 
 
 def check_design(d: int, n_samples: int, k: int, noise_sigma: float, kind: str) -> None:
-    """sparse_regression_design's argument checks, which draw nothing."""
+    """sparse_regression_design's argument checks, which draw nothing; the
+    last is the 4 GiB input limit on the n_samples x d design."""
     for name, count in (("d", d), ("k", k), ("n_samples", n_samples)):
         _check_count(name, count)
     if k > d:
@@ -177,6 +198,7 @@ def check_design(d: int, n_samples: int, k: int, noise_sigma: float, kind: str) 
         raise ValueError("noise_sigma must be nonnegative and finite")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind: {kind!r}")
+    _check_bytes(8 * int(n_samples) * int(d), f"the n_samples x d = {n_samples} x {d} matrix needs", "bytes")
 
 
 def sparse_regression_design(
@@ -248,12 +270,14 @@ class TinyClassifier:
         return self.weights.dot(x) + self.bias
 
 
-def check_classifier(d: int, n_classes: int) -> None:
-    """make_tiny_classifier's argument checks, which draw nothing."""
+def check_classifier(d: int, n_classes: int = _DEFAULT_N_CLASSES) -> None:
+    """make_tiny_classifier's argument checks, which draw nothing; the
+    last is the 4 GiB input limit on the n_classes x d weights."""
     _check_count("d", d)
     _check_count("n_classes", n_classes)
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
+    _check_bytes(8 * int(n_classes) * int(d), f"the n_classes x d = {n_classes} x {d} matrix needs", "bytes")
 
 
 def make_tiny_classifier(d: int, n_classes: int = _DEFAULT_N_CLASSES, seed: int = 0) -> TinyClassifier:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import _MAX_BYTES, NumericError, Problem, _check_count, _check_scale, _nonfinite, _oracle
+from .core import NumericError, Problem, _check_bytes, _check_count, _check_scale, _nonfinite, _oracle
 
 __all__ = [
     "EstimatorConfig",
@@ -136,11 +136,9 @@ def check_batch_size(m: int, d: int) -> None:
     4 GiB: ceil(m*d/64) + m raw words, and per sample id a shifted word, a
     Python int and a list slot.  The draw is one call, so it is all held
     at once, however the signs are then expanded."""
+    m, d = int(m), int(d)  # numpy integers would wrap past 2**63
     n_bytes = 8 * (-(-m * d // 64) + m) + _ID_BYTES * m
-    if n_bytes > _MAX_BYTES:
-        raise ValueError(
-            f"batch m = {m} at d = {d} draws {n_bytes:,} bytes per estimate, above the limit of {_MAX_BYTES:,}"
-        )
+    _check_bytes(n_bytes, f"batch m = {m} at d = {d} draws", "bytes per estimate")
 
 
 def _batch_estimates(

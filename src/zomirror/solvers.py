@@ -16,17 +16,19 @@ trajectory using the run's own stream.
 Evaluation is reporting, not part of the algorithm: the objective at each
 iterate and, when the problem has an exact gradient, the squared l1 norm
 of its gradient map and, for a momentum run, the tracking errors of its
-estimates.  Iterates wait in a buffer of at most _EVAL_FLOATS floats (one
-row when d is larger), each with one pending entry of its iteration,
-eta_t, alpha_t, oracle calls, loop seconds and, in a tracked run, its
-estimates (d_t, g_t).  A full buffer, or the last one, costs one
+estimates.  Iterates wait in a buffer of _EVAL_FLOATS // max(d,
+num_samples) rows (at least one), each with one pending entry of its
+iteration, eta_t, alpha_t, oracle calls, loop seconds and, in a tracked
+run, its estimates (d_t, g_t).  A full buffer, or the last one, costs one
 mean_loss and one exact_gradient call on the (k, d) stack and one
 gradient_map call per chunk of at most _MAP_FLOATS floats of the rows
 whose map is due.  The trajectory never depends on it.  Errors keep the
 order of a loop that evaluates x_t before it estimates at x_t, and checks
 x_t's tracking errors after iteration t's step: when the estimator or the
 step fails at iteration t, the buffered iterates up to x_t are evaluated
-first, and an evaluation error among them is the one raised.
+first, and an evaluation error among them is the one raised.  A non-finite
+eta_t comes first in iteration t, since x_t's gradient map takes it: it
+raises in layer "stepsize" once the iterates up to x_{t-1} are evaluated.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import numpy as np
 
 from . import rng
 from .core import (
-    _MAX_BYTES,
     NumericError,
     Problem,
+    _check_bytes,
     _check_count,
     _check_scale,
     _is_integer,
@@ -78,8 +80,9 @@ __all__ = [
 # Traces retain full iterate lists only below this many stored floats.
 _ITERATE_STORE_LIMIT = 4_000_000
 
-# Most floats in one block of iterates evaluated together (a single iterate
-# when d is larger): 512 KB, 32 iterates at d = 2000.
+# Most floats in one block of iterates evaluated together, counted by the
+# widest row an evaluation hook may hold per iterate, max(d, num_samples)
+# (a single iterate when that is larger): 512 KB, 32 iterates at d = 2000.
 _EVAL_FLOATS = 65_536
 
 # Most floats in one gradient_map call over a block's due rows (a single
@@ -125,9 +128,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("T", "batch", "stationarity_eval_period"):
             _check_count(name, getattr(self, name))
-        kept = _ITERATION_BYTES * self.T
-        if kept > _MAX_BYTES:
-            raise ValueError(f"T = {self.T} keeps {kept:,} bytes of trace records, above the limit of {_MAX_BYTES:,}")
+        _check_bytes(_ITERATION_BYTES * int(self.T), f"T = {self.T} keeps", "bytes of trace records")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
         _check_scale("eta_base", self.eta_base)
@@ -271,8 +272,12 @@ def _combined_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
 def _psgd_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
     # min_y <d_t, y> + r(y) + (eta/2)*||y - x||_2^2: soft-threshold then clamp.
     reg = problem.regularizer
-    v = eta * x - d_t
-    y = np.sign(v) * np.maximum(np.abs(v) - reg.gamma1, 0.0) / (reg.gamma2 + eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = eta * x - d_t
+        y = np.sign(v) * np.maximum(np.abs(v) - reg.gamma1, 0.0) / (reg.gamma2 + eta)
+    # An inf or NaN in v stays one in y, but gamma2 + eta = inf zeroes y.
+    if reg.gamma2 + eta == math.inf or np.count_nonzero(np.isfinite(y)) != y.size:
+        raise NumericError("Euclidean step overflows")
     return problem.feasible_set.clamp(y), alpha, accum
 
 
@@ -417,7 +422,11 @@ def _start_point(problem: Problem) -> np.ndarray:
     # The midpoint where both bounds are finite, else the box point nearest 0.
     x = fs.clamp(x)
     finite = np.isfinite(fs.lo) & np.isfinite(fs.hi)
-    x[finite] = 0.5 * (fs.lo[finite] + fs.hi[finite])
+    # Halves first, so huge bounds cannot overflow.  In the normal range
+    # halving is exact, so this is 0.5*(lo + hi) bit for bit; a subnormal
+    # half may round out of the box (5e-324 halves to 0.0), so clip.
+    lo, hi = fs.lo[finite], fs.hi[finite]
+    x[finite] = np.clip(0.5 * lo + 0.5 * hi, lo, hi)
     return x
 
 
@@ -452,11 +461,17 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     # ends, then are evaluated together.  Per buffered iterate, pending
     # holds one entry (t, eta_t, alpha_t, oracle calls, loop seconds,
     # estimates), the estimates being (d_t, g_t) when tracking, else None.
-    block = np.empty((min(cfg.T, max(1, _EVAL_FLOATS // d)), d))
+    block = np.empty((min(cfg.T, max(1, _EVAL_FLOATS // max(d, problem.num_samples))), d))
     pending: list[tuple] = []
     for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
         alpha_t, eta_t = alpha, cfg.eta_base * alpha
+        if not eta_t < math.inf:
+            # x_t's gradient map takes eta_t, so x_t is not evaluated.
+            if pending:
+                _evaluate(problem, geo, block[: len(pending)], pending, period, track_momentum)
+            message = f"eta_t = {cfg.eta_base!r} * {alpha!r} is not finite at iteration {t} in stepsize"
+            raise NumericError(message, iteration=t, layer="stepsize")
         if iterates is not None:
             iterates.append(x_t)
         if t == tau:

@@ -230,6 +230,18 @@ class TestGradientMap:
         with pytest.raises(ValueError, match="eta must be positive"):
             gradient_map(np.full(3, 0.1), np.ones(3), math.inf, MirrorGeometry(3), self.none, self.free)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_map_past_the_float_range_is_inf_quietly(self, stacked):
+        # x - P is one ulp of 5e149, times eta = 1e300: inf, as Python
+        # floats give it, where the product once raised a RuntimeWarning.
+        x = np.array([-5e149])
+        fs = FeasibleSet.box([-1e150], [-1e8])
+        args = (x[None], (x - 1.0)[None], [1e300]) if stacked else (x, x - 1.0, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = gradient_map(*args, self.geo, self.none, fs)
+        assert np.isinf(res.map_vector).all() and np.all(res.sq_l1_norm == math.inf)
+
     def test_scaling_identity(self):
         stream = rng.stream("test-gm", 0)
         geo = MirrorGeometry(5)

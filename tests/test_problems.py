@@ -215,6 +215,23 @@ class TestSparseRegressionDesign:
                 want = sample_loss_reference(design.matrix, design.targets, kind, x, i)
                 assert design.sample_loss(x, i) == want
 
+    @pytest.mark.parametrize("d", [8192, 8193, 20000])
+    def test_wide_rows_add_ascending_chunk_dots(self, d):
+        # One ndarray.dot up to 8,192 floats; past it, the dots of the
+        # row's 8,192-float chunks added in order, a sum whose bits do not
+        # depend on the BLAS thread count (tests/test_blas_threads.py).
+        design = sparse_regression_design(d, 3, 2, 0.1, "least_squares", 4)
+        x = rng.stream("test-sr-wide", d).standard_normal(d)
+        for i, (row, target) in enumerate(zip(design.matrix, design.targets.tolist())):
+            if d <= 8192:
+                dot = float(row.dot(x))
+            else:
+                dot = 0.0
+                for j in range(0, d, 8192):
+                    dot += float(row[j : j + 8192].dot(x[j : j + 8192]))
+            r = dot - target
+            assert design.sample_loss(x, i) == 0.5 * r * r
+
     @pytest.mark.parametrize("kind", ["least_squares", "robust_nonconvex"])
     def test_pickled_design_indexes_its_own_rows(self, kind):
         # sample_loss indexes row views built at construction.  A pickle
@@ -432,8 +449,40 @@ class TestBuilderChecks:
     def test_valid_arguments_pass(self):
         check_design(5, 4, 5, 0.0, "robust_nonconvex")
         check_classifier(1, 2)
+        check_classifier(1)
         for mode in ("PP", "PN"):
             check_explanation_mode(mode)
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (
+                sparse_regression_design,
+                (10**8, 10**8, 1, 0.1, "least_squares", 0),
+                "the n_samples x d = 100000000 x 100000000 matrix needs 80,000,000,000,000,000 bytes",
+            ),
+            (make_tiny_classifier, (10**12, 3, 0), "the n_classes x d = 3 x 1000000000000 matrix needs 24,000,000,000,000 bytes"),
+            (make_tiny_classifier, (10**12,), "the n_classes x d = 3 x 1000000000000 matrix needs 24,000,000,000,000 bytes"),
+        ],
+    )
+    def test_oversize_matrix_refused_before_any_draw(self, monkeypatch, build, args, message):
+        # These once raised MemoryError from the draw itself.
+        def no_stream(*path):
+            raise AssertionError("drew from a stream")
+
+        monkeypatch.setattr(rng, "stream", no_stream)
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        assert str(info.value) == f"{message}, above the limit of 4,294,967,296"
+
+    def test_matrix_limit_is_four_gib(self):
+        # 8 * 2**29 bytes is exactly the limit; one more row is past it.
+        check_design(1, 2**29, 1, 0.0, "least_squares")
+        check_classifier(2**28, 2)
+        with pytest.raises(ValueError, match=r"^the n_samples x d = 536870913 x 1 matrix needs 4,294,967,304 bytes, "):
+            check_design(1, 2**29 + 1, 1, 0.0, "least_squares")
+        with pytest.raises(ValueError, match=r"^the n_classes x d = 2 x 268435457 matrix needs 4,294,967,312 bytes, "):
+            check_classifier(2**28 + 1, 2)
 
 
 def two_class(w_rows, bias):

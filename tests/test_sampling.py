@@ -454,6 +454,12 @@ class TestBatchSize:
         assert calls == []
 
 
+    def test_numpy_counts_do_not_wrap(self):
+        # 2**40 * 2**30 wraps past 2**63 as numpy int64 products.
+        with pytest.raises(ValueError, match=r"^batch m = 1099511627776 at d = 1073741824 draws "):
+            check_batch_size(np.int64(2**40), np.int64(2**30))
+
+
 class TestDefaultSmoothing:
     def test_minibatch_rule(self):
         assert default_smoothing(1, 1, "minibatch") == 1.0

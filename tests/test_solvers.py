@@ -174,6 +174,11 @@ class TestRunConfig:
             run_zo_ada_expgrad(problem, RunConfig(T=10**12, batch=8))
         assert calls == []
 
+    def test_numpy_T_is_counted_without_wrapping(self):
+        # 392 * 10**17 wraps past 2**63 as a numpy int64.
+        with pytest.raises(ValueError, match=r"^T = 100000000000000000 keeps 39,200,000,000,000,000,000 bytes "):
+            RunConfig(T=np.int64(10**17), batch=1)
+
     def test_numpy_integers_accepted(self):
         cfg = RunConfig(T=np.int64(3), batch=np.int32(2), stationarity_eval_period=np.uint8(2))
         assert run_zo_psgd(zero_problem(), cfg).records[-1].iteration == 3
@@ -462,12 +467,18 @@ class TestRunMechanics:
             ([-math.inf], [-1.0], [-1.0]),
             # Both bounds finite in the second coordinate only.
             ([-math.inf, 1.0], [math.inf, 2.0], [0.0, 1.5]),
+            # lo + hi overflows, so the midpoint adds the halves.
+            ([1e308], [1.7e308], [1.35e308]),
+            ([-1.7e308], [-1e308], [-1.35e308]),
+            # Halves alone would both round to 0.0, outside the box.
+            ([5e-324], [5e-324], [5e-324]),
         ],
-        ids=["above", "below", "mixed"],
+        ids=["above", "below", "mixed", "huge", "huge-negative", "subnormal"],
     )
     def test_default_start_with_infinite_bounds(self, lo, hi, want):
         # Where 0 is infeasible, a coordinate with an infinite bound starts at
-        # the box point nearest 0; these once started at inf or NaN.
+        # the box point nearest 0, one with finite bounds at their midpoint;
+        # these once started at inf or NaN, or warned of an overflow.
         prob = zero_problem(d=len(lo), feasible_set=FeasibleSet.box(lo, hi))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -705,6 +716,61 @@ class TestSolverBehavior:
         with pytest.raises(NumericError, match="^stationarity is not finite at iteration 2 in gradient map$"):
             run_zo_ada_expgrad(prob, cfg)
 
+    @staticmethod
+    def steep_line(**kw):
+        """The loss x[0] - 2*x[1] with a small l2 weight, over all of R^2."""
+        return Problem(dimension=2, oracle=lambda x, xi: x[0] - 2.0 * x[1], regularizer=ElasticNet(0.0, 1e-3), **kw)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overflowing_eta_names_iteration_and_stepsize(self, seed):
+        # eta_t = 1.7e308 * alpha_t is inf once alpha_t > 1.  Unchecked, the
+        # prox's input check raised a bare ValueError in mid-run.
+        cfg = RunConfig(T=7, batch=1, eta_base=1.7e308, seed=seed)
+        with pytest.raises(NumericError, match=r"^eta_t = 1\.7e\+308 \* 1\.\d+ is not finite at iteration \d in stepsize$") as info:
+            run_zo_expstorm(self.steep_line(), cfg)
+        assert info.value.layer == "stepsize" and info.value.iteration > 1
+
+    def test_overflowing_eta_comes_after_the_earlier_iterates(self):
+        # x_t's gradient map needs eta_t, so x_t is not evaluated; the
+        # buffered x_1 .. x_{t-1} are, and an error among them comes first.
+        cfg = RunConfig(T=7, batch=1, eta_base=1.7e308)
+        with pytest.raises(NumericError) as info:
+            run_zo_expstorm(self.steep_line(), cfg)
+        t = info.value.iteration
+        x_prev = run_zo_expstorm(self.steep_line(), dataclasses.replace(cfg, T=t - 1)).iterates[-1]
+        prob = self.steep_line(mean_loss=fails_at(x_prev, math.nan, 0.0))
+        with pytest.raises(NumericError, match=f"at iteration {t - 1} in objective$"):
+            run_zo_expstorm(prob, cfg)
+
+    @pytest.mark.parametrize(
+        "box, start, gamma2, eta",
+        [
+            # eta * x = 1e310 overflows; unchecked, the clamp put x_2 on the
+            # upper bound 2e10, while the exact step stays near 1e10.
+            (([1e10], [2e10]), 1e10, 0.0, 1e300),
+            # gamma2 + eta = inf; unchecked, y = v/inf read 0.0, while the
+            # exact step is about 0.5.
+            (([-10.0], [10.0]), 1.0, 1.7e308, 1.7e308),
+            # v / eta = 1e8 / 5e-324 overflows the quotient.
+            (None, 0.0, 0.0, 5e-324),
+        ],
+        ids=["product", "scale", "quotient"],
+    )
+    def test_overflowing_euclidean_step_raises_in_step(self, box, start, gamma2, eta):
+        fs = FeasibleSet.box(*box) if box else FREE
+        prob = Problem(
+            dimension=1,
+            oracle=lambda x, xi: 1e8 * x[0] if box is None else x[0],
+            regularizer=ElasticNet(0.0, gamma2),
+            feasible_set=fs,
+            start_point=np.array([start]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^Euclidean step overflows at iteration 1 in step$") as info:
+                run_zo_psgd(prob, RunConfig(T=3, batch=1, eta_base=eta))
+        assert (info.value.iteration, info.value.layer) == (1, "step")
+
 
 class TestOutputSampling:
     def test_single_iteration_always_returns_start(self):
@@ -805,6 +871,18 @@ class TestBlockEvaluation:
         want = [x.tobytes() for x in trace.iterates]
         blocks = [want[0:32], want[32:64], want[64:70]]
         assert seen == [(name, rows) for rows in blocks for name in ("mean_loss", "exact_gradient")]
+
+    def test_blocks_count_the_residual_row(self):
+        # At d = 1 and 2,000 samples a stacked hook holds 2,000 residuals per
+        # iterate, so a block holds 65,536 // 2,000 = 32 iterates, not 100.
+        design = sparse_regression_design(1, 2000, 1, 0.1, "least_squares", seed=2)
+        seen = []
+        prob = self.spied(design.to_problem(), seen)
+        trace = run_zo_ada_expgrad(prob, RunConfig(T=100, batch=1, eta_base=1e3))
+        stacks = [rows for name, rows in seen if name == "mean_loss"]
+        assert [len(rows) for rows in stacks] == [32, 32, 32, 4]
+        assert max(len(rows) for rows in stacks) * design.n_samples <= 65_536
+        assert sum(stacks, []) == [x.tobytes() for x in trace.iterates]
 
     def test_exact_gradient_sees_only_the_iterates_its_period_selects(self):
         # Period 3 over blocks of 32 rows: x_1, x_4, ..., x_70, in three calls.

@@ -77,6 +77,10 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   ``gradient_map``.  ``RunConfig.nu`` and the ``nu`` of
   ``two_point_estimate`` are left out.
 
+Before the sections it prints numpy's BLAS build, ``OPENBLAS_NUM_THREADS``
+and the CPU count: the ``traces`` section holds only for one BLAS build
+and thread count, the others for one BLAS build at any thread count.
+
 The last line is one digest over all seven.  This is a comparison tool,
 not a test: it pins no hash, since any deliberate change of output moves
 it.
@@ -611,6 +615,15 @@ def digest_errors(zm) -> str:
     return h.hexdigest()
 
 
+def _blas_build() -> str:
+    """numpy's BLAS: its name, version and build configuration."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration', 'no configuration')})"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the zomirror package")
@@ -631,6 +644,10 @@ def main(argv=None) -> int:
         "errors": digest_errors(zm),
     }
     print(f"package {os.path.dirname(zm.__file__)}")
+    # The estimates and trajectory sections hold for a given BLAS build at
+    # any thread count; the traces section only at one thread count.
+    print(f"blas {_blas_build()}")
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}, {os.cpu_count()} CPUs")
     print(f"{raised} of the traced runs and {paths_raised} of the path runs raised NumericError")
     for name, value in sections.items():
         print(f"{name:10s} {value}")
