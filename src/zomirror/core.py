@@ -42,10 +42,12 @@ def _check_bytes(n_bytes: int, head: str, tail: str) -> None:
         raise ValueError(f"{head} {n_bytes:,} {tail}, above the limit of {_MAX_BYTES:,}")
 
 
-def _check_scale(name: str, value) -> None:
-    """Reject a scale that is not positive and finite (NaN included)."""
+def _check_scale(name: str, value) -> float:
+    """Reject a scale that is not positive and finite (NaN included), and
+    return it as a Python float."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
+    return float(value)
 
 
 class NumericError(RuntimeError):
@@ -97,6 +99,8 @@ class FeasibleSet:
             raise ValueError("box bounds must have equal shapes")
         if not np.all(lo <= hi):
             raise ValueError("box requires lo_i <= hi_i for all i")
+        if not (np.all(lo < math.inf) and np.all(hi > -math.inf)):
+            raise ValueError("box requires lo_i < inf and hi_i > -inf for all i, so that it holds a finite point")
         return FeasibleSet(lo=lo, hi=hi)
 
     @property

@@ -1,17 +1,18 @@
 """Optimization loops over the entropy geometry plus a Euclidean baseline.
 
-Four algorithms share one driver: a mirror-descent step with adaptive
-stepsizes (zo-ada-expgrad), a combined-step variant that moves along a
-convex combination toward the prox target (zo-ada-expgrad-plus), the same
-combined step driven by recursive-momentum estimates (zo-expstorm), and a
-proximal SGD baseline in the Euclidean geometry (zo-psgd).  ALGORITHM_TABLE
-is the one place that tells them apart, stepsize rules included: each
-entry maps the stepsize words it accepts, "adaptive" and "constant", to
-its rule for alpha_{t+1}, with eta_t = eta_base * alpha_t.  Every run is a
-pure function of (problem, config): each iteration's batch estimate draws
-its probe signs and sample ids from one stream keyed by (seed, iteration),
-and the reported output iterate x_tau is drawn uniformly from the
-trajectory using the run's own stream.
+The four methods are one loop over four choices, and ALGORITHM_TABLE is
+the one place that states them: the prox target v_t, in the mirror
+geometry or the Euclidean one; whether x_{t+1} is v_t or the average
+(1 - r)*x_t + r*v_t with r = alpha_t/alpha_{t+1}; mini-batch or paired
+recursive-momentum (STORM) estimates; and the stepsize rule for each
+stepsize word a method accepts, "adaptive" and "constant", with eta_t =
+eta_base * alpha_t.  zo-ada-expgrad moves to its mirror target,
+zo-ada-expgrad-plus averages toward it, zo-expstorm averages toward it on
+STORM estimates, and zo-psgd moves to its Euclidean target at a constant
+stepsize.  Every run is a pure function of (problem, config): each
+iteration's batch estimate draws its probe signs and sample ids from one
+stream keyed by (seed, iteration), and the reported output iterate x_tau
+is drawn uniformly from the trajectory using the run's own stream.
 
 Evaluation is reporting, not part of the algorithm: the objective at each
 iterate and, when the problem has an exact gradient, the squared l1 norm
@@ -27,8 +28,8 @@ order of a loop that evaluates x_t before it estimates at x_t, and checks
 x_t's tracking errors after iteration t's step: when the estimator or the
 step fails at iteration t, the buffered iterates up to x_t are evaluated
 first, and an evaluation error among them is the one raised.  A non-finite
-eta_t comes first in iteration t, since x_t's gradient map takes it: it
-raises in layer "stepsize" once the iterates up to x_{t-1} are evaluated.
+eta_t comes first in iteration t, in layer "stepsize", and since x_t's
+gradient map takes it, only the iterates up to x_{t-1} are evaluated.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ class RunConfig:
         _check_bytes(_ITERATION_BYTES * int(self.T), f"T = {self.T} keeps", "bytes of trace records")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        _check_scale("eta_base", self.eta_base)
+        # Python floats, whose products overflow to inf without a warning.
+        object.__setattr__(self, "eta_base", _check_scale("eta_base", self.eta_base))
         if self.nu is not None:
-            _check_scale("nu", self.nu)
+            object.__setattr__(self, "nu", _check_scale("nu", self.nu))
         # Tuples test membership with ==, so a tag or word that is not a
         # string fails here rather than as unhashable in a dict lookup.
         if self.algorithm not in (None, *ALGORITHMS):
@@ -252,24 +254,13 @@ def stepsize_update(
     return alpha_next, accum
 
 
-def _md_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
-    # x_{t+1} is the prox of d_t at x_t.
-    x_next = prox_composite(geo, x, d_t, eta, problem.regularizer, problem.feasible_set)
-    return (x_next, *stepsize_update(x, x_next, alpha, accum, rule, t, m))
+def _mirror_target(problem, geo, x, d_t, eta):
+    # The composite prox of d_t at x_t, read from the module so that a
+    # caller may wrap prox_composite.
+    return prox_composite(geo, x, d_t, eta, problem.regularizer, problem.feasible_set)
 
 
-def _combined_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
-    # Prox target v_t, then x_{t+1} = (1 - r) * x_t + r * v_t with
-    # r = alpha_t/alpha_{t+1}.
-    v = prox_composite(geo, x, d_t, eta, problem.regularizer, problem.feasible_set)
-    alpha_next, accum = stepsize_update(x, v, alpha, accum, rule, t, m)
-    ratio = alpha / alpha_next
-    x_next = (1.0 - ratio) * x + ratio * v
-    # Convex combinations preserve the box up to 1-ulp roundoff; clip it.
-    return problem.feasible_set.clamp(x_next), alpha_next, accum
-
-
-def _psgd_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
+def _euclidean_target(problem, geo, x, d_t, eta):
     # min_y <d_t, y> + r(y) + (eta/2)*||y - x||_2^2: soft-threshold then clamp.
     reg = problem.regularizer
     with np.errstate(over="ignore", invalid="ignore"):
@@ -278,7 +269,7 @@ def _psgd_step(problem, geo, x, d_t, eta, alpha, accum, rule, t, m):
     # An inf or NaN in v stays one in y, but gamma2 + eta = inf zeroes y.
     if reg.gamma2 + eta == math.inf or np.count_nonzero(np.isfinite(y)) != y.size:
         raise NumericError("Euclidean step overflows")
-    return problem.feasible_set.clamp(y), alpha, accum
+    return problem.feasible_set.clamp(y)
 
 
 @dataclass(frozen=True)
@@ -290,22 +281,25 @@ class Algorithm:
     "adaptive", RunConfig's default.  ``paired`` methods step on
     recursive-momentum (STORM) estimates built from paired batches at x_t
     and x_{t-1}; this also picks the STORM smoothing radius and makes a
-    run cost 2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``step`` maps
-    (problem, geometry, x_t, d_t, eta_t, alpha_t, accum, rule, t, m) to
-    (x_{t+1}, alpha_{t+1}, accum), where rule is the run's AlphaRule.
+    run cost 2m*T + 2m*(T-1) oracle calls instead of 2m*T.  ``target``
+    maps (problem, geometry, x_t, d_t, eta_t) to the prox target v_t, in
+    the mirror geometry or the Euclidean one.  An ``averaged`` method
+    moves to x_{t+1} = (1 - r)*x_t + r*v_t with r = alpha_t/alpha_{t+1},
+    clamped to the box; the others move to v_t.
     """
 
     alpha_rules: dict[str, AlphaRule | None]
     paired: bool
-    step: Callable[..., tuple[np.ndarray, float, float]]
+    target: Callable[[Problem, MirrorGeometry, np.ndarray, np.ndarray, float], np.ndarray]
+    averaged: bool
 
 
 ALGORITHM_TABLE = {
-    "zo-ada-expgrad": Algorithm({"adaptive": _md_alpha, "constant": None}, False, _md_step),
-    "zo-ada-expgrad-plus": Algorithm({"adaptive": _fw_alpha}, False, _combined_step),
-    "zo-expstorm": Algorithm({"adaptive": _storm_alpha}, True, _combined_step),
+    "zo-ada-expgrad": Algorithm({"adaptive": _md_alpha, "constant": None}, False, _mirror_target, False),
+    "zo-ada-expgrad-plus": Algorithm({"adaptive": _fw_alpha}, False, _mirror_target, True),
+    "zo-expstorm": Algorithm({"adaptive": _storm_alpha}, True, _mirror_target, True),
     # The Euclidean baseline keeps eta_t = eta_base under either word.
-    "zo-psgd": Algorithm({"adaptive": None, "constant": None}, False, _psgd_step),
+    "zo-psgd": Algorithm({"adaptive": None, "constant": None}, False, _euclidean_target, False),
 }
 
 ALGORITHMS = tuple(ALGORITHM_TABLE)
@@ -466,12 +460,6 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
     for t in range(1, cfg.T + 1):
         tick = time.perf_counter()
         alpha_t, eta_t = alpha, cfg.eta_base * alpha
-        if not eta_t < math.inf:
-            # x_t's gradient map takes eta_t, so x_t is not evaluated.
-            if pending:
-                _evaluate(problem, geo, block[: len(pending)], pending, period, track_momentum)
-            message = f"eta_t = {cfg.eta_base!r} * {alpha!r} is not finite at iteration {t} in stepsize"
-            raise NumericError(message, iteration=t, layer="stepsize")
         if iterates is not None:
             iterates.append(x_t)
         if t == tau:
@@ -481,6 +469,9 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
         # A NumericError from any layer names the iteration and the layer,
         # in its message and in its attributes.
         try:
+            layer = "stepsize"
+            if not eta_t < math.inf:
+                raise NumericError(f"eta_t = {cfg.eta_base!r} * {alpha!r} is not finite")
             layer = "estimator"
             key = (cfg.seed, t)
             if algo.paired and t > 1:
@@ -497,18 +488,22 @@ def run_algorithm(problem: Problem, cfg: RunConfig, algorithm: str) -> Trace:
                 d_vec = g_est.vector
 
             layer = "step"
-            x_next, alpha, accum = algo.step(
-                problem, geo, x_t, d_vec, eta_t, alpha, accum, rule, t, m
-            )
+            v_t = algo.target(problem, geo, x_t, d_vec, eta_t)
+            alpha, accum = stepsize_update(x_t, v_t, alpha, accum, rule, t, m)
+            # Convex combinations keep the box up to 1-ulp roundoff; clip.
+            ratio = alpha_t / alpha
+            x_next = problem.feasible_set.clamp((1.0 - ratio) * x_t + ratio * v_t) if algo.averaged else v_t
             if not problem.feasible_set.contains(x_next):
                 raise RuntimeError("feasibility invariant violated")
         except Exception as exc:
             # Evaluating x_t comes first in iteration t, so the buffered
             # iterates up to x_t, whose own entry has no estimates, are
             # evaluated before this error is raised, and an error of theirs
-            # takes its place.
-            entries = [*pending, (t, eta_t, alpha_t, calls, 0.0, None)]
-            _evaluate(problem, geo, block[: len(entries)], entries, period, track_momentum)
+            # takes its place.  x_t's gradient map takes eta_t, so a
+            # non-finite eta_t leaves x_t out.
+            entries = pending if layer == "stepsize" else [*pending, (t, eta_t, alpha_t, calls, 0.0, None)]
+            if entries:
+                _evaluate(problem, geo, block[: len(entries)], entries, period, track_momentum)
             if isinstance(exc, NumericError):
                 raise NumericError(f"{exc} at iteration {t} in {layer}", iteration=t, layer=layer) from exc
             raise

@@ -10,6 +10,13 @@ in closed form, both raising the package's ``NumericError`` so that
 messages compare too, and the run loop's bookkeeping in
 ``np.sum``/``np.all`` form (``stepsize_update_reference``,
 ``objective_reference``, ``contains_reference``).
+
+The reference run at the end (``reference_step`` and its helpers, with
+``stepsize_update_reference`` for lambda_t and the accumulator) is
+written from the README and the ``solvers`` and ``sampling`` docstrings.
+It takes its randomness from ``zomirror.rng.stream``, since a key path's
+draws are the definition of a run's randomness, and calls the problem's
+own oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import math
 
 import numpy as np
 
+from zomirror import rng
 from zomirror.core import FeasibleSet, NumericError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -318,3 +326,105 @@ def paired_call_order(m: int, d: int, block_signs: int = 65536) -> list[tuple[in
             for j in range(j0, min(j0 + rows, m)):
                 order += [(point, j, True), (point, j, False)]
     return order
+
+
+# The reference run: one iteration of a method at a time.
+
+# Per method: (mirror target, averaged, paired estimates), from the README's table.
+REFERENCE_METHODS = {
+    "zo-ada-expgrad": (True, False, False),
+    "zo-ada-expgrad-plus": (True, True, False),
+    "zo-expstorm": (True, True, True),
+    "zo-psgd": (False, False, False),
+}
+
+
+def storm_schedule_reference(t: int, m: int) -> tuple[float, float]:
+    """(gamma_t, beta_t): tau = (1 + t/m)^(2/3), gamma = 2/(1 + tau),
+    beta = max(1, (tau - 1)/sqrt(tau))."""
+    tau = (1.0 + t / m) ** (2.0 / 3.0)
+    return 2.0 / (1.0 + tau), max(1.0, (tau - 1.0) / math.sqrt(tau))
+
+
+def alpha_rule_reference(tag: str, variant: str):
+    """alpha_{t+1} from (accum, t, m), or None for a constant stepsize:
+    sqrt(accum + 1) for mirror descent, max(sqrt(accum), 1) for the
+    combined step and sqrt(beta_{t+1}*(1 + accum)) on STORM estimates;
+    zo-psgd keeps eta_base under either word."""
+    if tag == "zo-psgd" or variant == "constant":
+        return None
+    return {
+        "zo-ada-expgrad": lambda accum, t, m: math.sqrt(accum + 1.0),
+        "zo-ada-expgrad-plus": lambda accum, t, m: max(math.sqrt(accum), 1.0),
+        "zo-expstorm": lambda accum, t, m: math.sqrt(storm_schedule_reference(t + 1, m)[1] * (1.0 + accum)),
+    }[tag]
+
+
+def default_nu_reference(tag: str, d: int, T: int) -> float:
+    """1/(d*sqrt(T)) for mini-batch estimates, 1/(d*T^(2/3)) for STORM."""
+    if REFERENCE_METHODS[tag][2]:
+        return 1.0 / (d * float(T) ** (2.0 / 3.0))
+    return 1.0 / (d * math.sqrt(T))
+
+
+def estimate_reference(oracle, x: np.ndarray, nu: float, m: int, key: tuple) -> np.ndarray:
+    """Mean of the m terms (1/nu)*(l(x + nu*u_j; xi_j) - l(x; xi_j))*u_j.
+
+    The stream keyed by ``key`` gives bytes(ceil(m*d/8)), the m*d signs
+    row-major in np.unpackbits order (bit 1 is +1, bit 0 is -1), then
+    integers(2**63, size=m), the sample ids.  The oracle sees each
+    element's forward point, then x, and the terms add up in element order.
+    """
+    d = len(x)
+    stream = rng.stream(*key)
+    bits = np.unpackbits(np.frombuffer(stream.bytes(-(-m * d // 8)), dtype=np.uint8))[: m * d]
+    signs = 2.0 * bits.reshape(m, d) - 1.0
+    total = np.zeros(d)
+    for u, xi in zip(signs, stream.integers(2**63, size=m).tolist()):
+        total = total + (oracle(x + nu * u, xi) - oracle(x, xi)) / nu * u
+    return total / m
+
+
+def euclidean_target_reference(x, g, eta: float, gamma1: float, gamma2: float, lo=None, hi=None) -> np.ndarray:
+    """argmin_y <g, y> + gamma1*||y||_1 + (gamma2/2)*||y||^2 + (eta/2)*||y - x||^2
+    over the box: the point x - g/eta shrunk by gamma1/eta toward 0, scaled
+    by eta/(eta + gamma2), then clipped coordinate by coordinate."""
+    z = x - g / eta
+    y = np.sign(z) * np.maximum(np.abs(z) - gamma1 / eta, 0.0) * (eta / (eta + gamma2))
+    return y if lo is None else np.clip(y, lo, hi)
+
+
+def average_reference(x, v, alpha: float, alpha_next: float, lo=None, hi=None) -> np.ndarray:
+    """(1 - r)*x_t + r*v_t with r = alpha_t/alpha_{t+1}, clipped to the box."""
+    r = alpha / alpha_next
+    y = (1.0 - r) * x + r * v
+    return y if lo is None else np.clip(y, lo, hi)
+
+
+def tau_reference(seed: int, T: int) -> int:
+    """The sampled index, 1 + rng.stream(seed, "tau").integers(T)."""
+    return 1 + int(rng.stream(seed, "tau").integers(T))
+
+
+def reference_step(problem, tag: str, x_t, x_prev, d_prev, eta: float, t: int, m: int, nu: float, seed: int):
+    """(d_t, v_t, oracle calls) of iteration t of the method ``tag`` at x_t.
+
+    d_t is the batch estimate g_t at x_t on key (seed, t); a STORM method
+    after t = 1 also estimates m_t at x_{t-1} on the same key and takes
+    d_t = g_t + (1 - gamma_t)*(d_{t-1} - m_t).  v_t is the target: the
+    composite mirror prox of d_t at x_t (golden section, prox_reference)
+    or the Euclidean prox.
+    """
+    mirror, _, paired = REFERENCE_METHODS[tag]
+    reg, box = problem.regularizer, problem.feasible_set
+    d_t = estimate_reference(problem.oracle, x_t, nu, m, (seed, t))
+    calls = 2 * m
+    if paired and t > 1:
+        m_t = estimate_reference(problem.oracle, x_prev, nu, m, (seed, t))
+        d_t = d_t + (1.0 - storm_schedule_reference(t, m)[0]) * (d_prev - m_t)
+        calls += 2 * m
+    if mirror:
+        v_t = prox_reference(len(x_t), x_t, d_t, eta, reg.gamma1, reg.gamma2, box.lo, box.hi)
+    else:
+        v_t = euclidean_target_reference(x_t, d_t, eta, reg.gamma1, reg.gamma2, box.lo, box.hi)
+    return d_t, v_t, calls

@@ -108,6 +108,17 @@ class TestFeasibleSet:
         with pytest.raises(ValueError, match="box requires lo_i <= hi_i"):
             FeasibleSet.box(lo, hi)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([math.inf], [math.inf]), ([-math.inf], [-math.inf]), ([0.0, math.inf], [1.0, math.inf]), ([-math.inf, 0.0], [-math.inf, math.inf])],
+    )
+    def test_box_rejects_bounds_with_no_finite_point(self, lo, hi):
+        # A lower bound of +inf or an upper bound of -inf leaves no finite
+        # point in the box; such a run used to start at inf and fail late.
+        with pytest.raises(ValueError, match="^box requires lo_i < inf and hi_i > -inf for all i"):
+            FeasibleSet.box(lo, hi)
+        assert FeasibleSet.box([-math.inf, 1.0], [math.inf, math.inf]).is_box
+
     def test_contains_tolerance(self):
         fs = FeasibleSet.box([0.0], [1.0])
         assert not fs.contains(np.array([1.0 + 1e-12]))

@@ -102,14 +102,19 @@ def quadratic_problem(center, noise=0.0, seed=0, box=None):
 
 
 def take_step(tag, d_t, x=None, eta=1.0, alpha=1.0, accum=0.0, variant="adaptive", t=1, m=1, fs=None):
-    """One step of the tag's table entry from x (the origin by default);
-    returns (x_next, alpha_next, accum)."""
+    """One step of the tag's table entry from x (the origin by default), as
+    the run loop composes it: the target, the stepsize update and, for an
+    averaged method, the clamped average; returns (x_next, alpha_next, accum)."""
     algo = ALGORITHM_TABLE[tag]
     d_t = np.asarray(d_t, dtype=float)
     x = np.zeros(d_t.size) if x is None else np.asarray(x, dtype=float)
     problem = zero_problem(d=d_t.size, feasible_set=fs or FREE)
-    geo = MirrorGeometry(d_t.size)
-    return algo.step(problem, geo, x, d_t, eta, alpha, accum, algo.alpha_rules[variant], t, m)
+    v = algo.target(problem, MirrorGeometry(d_t.size), x, d_t, eta)
+    alpha_next, accum = stepsize_update(x, v, alpha, accum, algo.alpha_rules[variant], t, m)
+    if algo.averaged:
+        ratio = alpha / alpha_next
+        v = problem.feasible_set.clamp((1.0 - ratio) * x + ratio * v)
+    return v, alpha_next, accum
 
 
 class TestStepsizeState:
@@ -729,6 +734,17 @@ class TestSolverBehavior:
         with pytest.raises(NumericError, match=r"^eta_t = 1\.7e\+308 \* 1\.\d+ is not finite at iteration \d in stepsize$") as info:
             run_zo_expstorm(self.steep_line(), cfg)
         assert info.value.layer == "stepsize" and info.value.iteration > 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_numpy_scalar_eta_overflows_as_a_float_does(self, seed):
+        # RunConfig holds eta_base as a Python float, so eta_t = eta_base *
+        # alpha_t overflows to inf quietly and raises in stepsize; a kept
+        # np.float64 warned "overflow encountered in scalar multiply".
+        cfg = RunConfig(T=7, batch=1, eta_base=np.float64(1.7e308), seed=seed)
+        with pytest.raises(NumericError, match=r"^eta_t = 1\.7e\+308 \* 1\.\d+ is not finite at iteration \d in stepsize$") as info:
+            run_zo_expstorm(self.steep_line(), cfg)
+        assert info.value.layer == "stepsize" and info.value.iteration > 1
+        assert type(cfg.eta_base) is float and type(RunConfig(T=1, batch=1, nu=np.float64(0.5)).nu) is float
 
     def test_overflowing_eta_comes_after_the_earlier_iterates(self):
         # x_t's gradient map needs eta_t, so x_t is not evaluated; the

@@ -21,16 +21,18 @@ Equal digests for two checkouts mean byte-identical outputs on this set:
   iterates and the tracking lists; a raising run contributes its error
   message with a trailing `` in <layer>`` removed, so the digest pins the
   failing iteration while the layer wording may change.
-* ``paths``: 36 further runs through the stepsize and momentum paths
+* ``paths``: 38 further runs through the stepsize and momentum paths
   the ``traces`` set leaves out, on the d=50 least-squares problem (free
   and boxed) and the PN explanation: zo-ada-expgrad and zo-psgd with
   ``stepsize_variant="constant"``, all four methods at T=1, and all four
-  at nu=0.3 with ``stationarity_eval_period=3``; then six runs that each
-  raise in one layer of the run loop: a non-finite ``mean_loss``, a
+  at nu=0.3 with ``stationarity_eval_period=3``; then eight runs that
+  each raise in one layer of the run loop: a non-finite ``mean_loss``, a
   non-finite oracle in the oracle-averaged objective, a NaN exact
   gradient, a prox overflow in the gradient map, a non-finite oracle in
-  the estimator and a prox overflow in the step.  These configs are ones
-  every checkout accepts, so two checkouts compare on them too.  The
+  the estimator, a prox overflow in the step, a momentum tracking error
+  whose square overflows and an eta_t that overflows in the stepsize.
+  These configs are ones every checkout accepts, so two checkouts
+  compare on them too.  The
   hooks that fail do so at one iterate, not at one call number, and the
   evaluation hooks take a point or a stack of points (``axis=-1``), so
   a checkout that evaluates iterates one at a time and one that
@@ -256,6 +258,15 @@ def path_runs(zm):
     yield "fail/gradient-map", quadratic, zm.RunConfig(T=13, batch=2, seed=1), zm.run_zo_ada_expgrad
     problem = dataclasses.replace(quadratic, exact_gradient=None)
     yield "fail/step", problem, zm.RunConfig(T=13, batch=2, seed=5), zm.run_zo_ada_expgrad
+    # An exact gradient of (1e160, 0) at x_2 squares its tracking errors
+    # past the float range; a period of 5 keeps x_2 out of the gradient map.
+    tracked = zm.RunConfig(T=4, batch=1, stationarity_eval_period=5)
+    x_2 = zm.run_zo_expstorm(drain, tracked).iterates[1]
+    problem = dataclasses.replace(drain, exact_gradient=_fails_at(x_2, [1e160, 0.0], [0.0, 0.0]))
+    yield "fail/tracking", problem, tracked, zm.run_zo_expstorm
+    # eta_t = 1.7e308 * alpha_t is inf once alpha_t > 1.
+    steep = zm.Problem(dimension=2, oracle=lambda x, xi: x[0] - 2.0 * x[1], regularizer=zm.ElasticNet(0.0, 1e-3))
+    yield "fail/stepsize", steep, zm.RunConfig(T=7, batch=1, eta_base=1.7e308), zm.run_zo_expstorm
 
 
 def digest_traces(zm, runs, trajectory) -> tuple[str, int]:
